@@ -42,7 +42,8 @@ from .geomgen import (
 )
 from .georef import detect_georef, report_as_dict
 from .schema import SchemaVersion
-from .spf import load, save
+from .spf import load, materialize, save
+from .spf.values import text
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -62,9 +63,9 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load(path: str, eager: bool = False):
+def _load(path: str):
     try:
-        return load(path, eager=eager)
+        return load(path)
     except FileNotFoundError:
         raise SystemExit_(f"no such file: {path}")
     except MalformedFile as exc:
@@ -76,7 +77,11 @@ class SystemExit_(Exception):
 
 
 def cmd_parse(args) -> int:
-    graph = _load(args.file, eager=True)
+    graph = _load(args.file)
+    try:
+        materialize(graph)  # the summary lists every escape diagnostic
+    except MalformedFile as exc:
+        raise SystemExit_(f"{args.file}: {exc}")
     summary = {
         "schema": graph.schema_name(),
         "instances": len(graph),
@@ -155,7 +160,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_georef(args) -> int:
-    graph = _load(args.file, eager=True)
+    graph = _load(args.file)
     report = detect_georef(graph)
     _emit(_json_dump(report_as_dict(report)), args.out)
     return EXIT_OK
@@ -182,7 +187,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    graph = _load(args.file, eager=True)
+    graph = _load(args.file)
     manifest = None
     if args.manifest:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
@@ -200,8 +205,8 @@ def cmd_check(args) -> int:
     results = []
     mismatches = 0
     for proxy in suite_proxies(graph):
-        slot = proxy.attr(3).value if hasattr(proxy.attr(3), "value") else ""
-        name = proxy.attr(2).value if hasattr(proxy.attr(2), "value") else ""
+        slot = text(proxy.attr(3)) or ""
+        name = text(proxy.attr(2)) or ""
         fragment = item_fragment(graph, proxy)
         verdict = check_validity(graph, fragment, precision)
         outcome = evaluate_item(graph, proxy, segments=args.segments, precision=precision)
@@ -242,8 +247,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_report_roundtrip(args) -> int:
-    reference = _load(args.reference, eager=True)
-    exported = _load(args.exported, eager=True)
+    reference = _load(args.reference)
+    exported = _load(args.exported)
     report = roundtrip_report(reference, exported)
     payload = report_as_json(report)
     if args.format == "markdown":

@@ -15,12 +15,10 @@ from ..spf.model import (
     EntityInstance,
     EnumToken,
     InstanceGraph,
-    Integer,
     ListValue,
-    Real,
     Reference,
-    TypedValue,
 )
+from ..spf.values import number, numbers, text, walk
 from .mesh import TriMesh
 from .tessellate import (
     box_mesh,
@@ -97,32 +95,11 @@ def classify_z(zmin: float, zmax: float, band: float) -> ZRelation:
     return ZRelation.STRADDLES
 
 
-# --- attribute helpers -------------------------------------------------------
-
-
-def _num(value: AttributeValue) -> float | None:
-    if isinstance(value, (Real, Integer)):
-        return float(value.value)
-    if isinstance(value, TypedValue):
-        return _num(value.value)
-    return None
-
-
-def _floats(value: AttributeValue) -> list[float] | None:
-    if not isinstance(value, ListValue):
-        return None
-    out = []
-    for item in value.items:
-        n = _num(item)
-        if n is None:
-            return None
-        out.append(n)
-    return out
+# --- placements ---------------------------------------------------------------
 
 
 def _point(graph: InstanceGraph, ref: AttributeValue, dim: int = 3) -> np.ndarray:
-    inst = graph.deref(ref)
-    coords = _floats(inst.attr(0)) or []
+    coords = numbers(graph.deref(ref).attr(0)) or []
     coords = coords + [0.0] * (dim - len(coords))
     return np.array(coords[:dim])
 
@@ -132,8 +109,7 @@ def _direction(
 ) -> np.ndarray:
     if not isinstance(ref, Reference):
         return np.array(default, dtype=np.float64)
-    inst = graph.deref(ref)
-    ratios = _floats(inst.attr(0)) or list(default)
+    ratios = numbers(graph.deref(ref).attr(0)) or list(default)
     ratios = ratios + [0.0] * (len(default) - len(ratios))
     return np.array(ratios[: len(default)], dtype=np.float64)
 
@@ -180,33 +156,33 @@ def _profile_polygon(
     name = profile.type_name
     if name == "IFCRECTANGLEPROFILEDEF":
         poly = rectangle_polygon(
-            _num(profile.attr(3)) or 0.0, _num(profile.attr(4)) or 0.0
+            number(profile.attr(3)) or 0.0, number(profile.attr(4)) or 0.0
         )
     elif name == "IFCELLIPSEPROFILEDEF":
         poly = ellipse_polygon(
-            _num(profile.attr(3)) or 0.0, _num(profile.attr(4)) or 0.0, segments
+            number(profile.attr(3)) or 0.0, number(profile.attr(4)) or 0.0, segments
         )
     elif name == "IFCISHAPEPROFILEDEF":
         poly = ishape_polygon(
-            _num(profile.attr(3)) or 0.0,
-            _num(profile.attr(4)) or 0.0,
-            _num(profile.attr(5)) or 0.0,
-            _num(profile.attr(6)) or 0.0,
-            _num(profile.attr(7)) or 0.0,
+            number(profile.attr(3)) or 0.0,
+            number(profile.attr(4)) or 0.0,
+            number(profile.attr(5)) or 0.0,
+            number(profile.attr(6)) or 0.0,
+            number(profile.attr(7)) or 0.0,
             segments,
         )
     elif name == "IFCCRANERAILASHAPEPROFILEDEF":
         poly = crane_rail_polygon(
-            overall_height=_num(profile.attr(3)) or 0.0,
-            base_width=_num(profile.attr(4)) or 0.0,
-            head_width=_num(profile.attr(6)) or 0.0,
-            head_depth_2=_num(profile.attr(7)) or 0.0,
-            head_depth_3=_num(profile.attr(8)) or 0.0,
-            web_thickness=_num(profile.attr(9)) or 0.0,
-            base_width_4=_num(profile.attr(10)) or 0.0,
-            base_depth_1=_num(profile.attr(11)) or 0.0,
-            base_depth_2=_num(profile.attr(12)) or 0.0,
-            base_depth_3=_num(profile.attr(13)) or 0.0,
+            overall_height=number(profile.attr(3)) or 0.0,
+            base_width=number(profile.attr(4)) or 0.0,
+            head_width=number(profile.attr(6)) or 0.0,
+            head_depth_2=number(profile.attr(7)) or 0.0,
+            head_depth_3=number(profile.attr(8)) or 0.0,
+            web_thickness=number(profile.attr(9)) or 0.0,
+            base_width_4=number(profile.attr(10)) or 0.0,
+            base_depth_1=number(profile.attr(11)) or 0.0,
+            base_depth_2=number(profile.attr(12)) or 0.0,
+            base_depth_3=number(profile.attr(13)) or 0.0,
         )
     else:
         raise UnsupportedShape(f"unsupported profile {name}")
@@ -233,7 +209,7 @@ def context_precision(graph: InstanceGraph) -> float | None:
     """Point-equality tolerance declared in the geometric representation
     context, if any."""
     for context in graph.by_type("IFCGEOMETRICREPRESENTATIONCONTEXT"):
-        value = _num(context.attr(3))
+        value = number(context.attr(3))
         if value is not None and value > 0:
             return value
     return None
@@ -244,58 +220,14 @@ def suite_proxies(graph: InstanceGraph) -> list[EntityInstance]:
     proxies = graph.by_type("IFCBUILDINGELEMENTPROXY")
     labelled = []
     for proxy in proxies:
-        desc = proxy.attr(3)
-        label = desc.value if hasattr(desc, "value") and isinstance(desc.value, str) else ""
-        labelled.append((label, proxy))
+        labelled.append((text(proxy.attr(3)) or "", proxy))
     labelled.sort(key=lambda pair: pair[0])
     return [p for _, p in labelled]
 
 
-def item_fragment(graph: InstanceGraph, proxy: EntityInstance) -> list[EntityInstance]:
-    """Closure of geometry instances under a proxy's shape representation,
-    excluding the shared representation context."""
-    rep_ref = proxy.attr(6)
-    if not isinstance(rep_ref, Reference):
-        return []
-    pds = graph.deref(rep_ref)
-    roots: list[Reference] = []
-    reps = pds.attr(2)
-    if isinstance(reps, ListValue):
-        for rep in reps.items:
-            if not isinstance(rep, Reference):
-                continue
-            shape = graph.deref(rep)
-            items = shape.attr(3)
-            if isinstance(items, ListValue):
-                roots.extend(r for r in items.items if isinstance(r, Reference))
-    seen: set[int] = set()
-    out: list[EntityInstance] = []
-    stack = list(roots)
-    while stack:
-        ref = stack.pop()
-        if ref.id in seen:
-            continue
-        seen.add(ref.id)
-        inst = graph.resolve(ref.id)
-        out.append(inst)
-        for attr in inst.attributes:
-            for value in _walk(attr):
-                if isinstance(value, Reference) and value.id not in seen:
-                    stack.append(value)
-    out.sort(key=lambda i: i.id)
-    return out
-
-
-def _walk(value: AttributeValue):
-    yield value
-    if isinstance(value, ListValue):
-        for item in value.items:
-            yield from _walk(item)
-    elif isinstance(value, TypedValue):
-        yield from _walk(value.value)
-
-
 def shape_roots(graph: InstanceGraph, proxy: EntityInstance) -> list[EntityInstance]:
+    """Items of every shape representation under a proxy's product
+    definition shape."""
     rep_ref = proxy.attr(6)
     if not isinstance(rep_ref, Reference):
         return []
@@ -311,6 +243,26 @@ def shape_roots(graph: InstanceGraph, proxy: EntityInstance) -> list[EntityInsta
             if isinstance(items, ListValue):
                 roots.extend(graph.resolve(r.id) for r in items.items if isinstance(r, Reference))
     return roots
+
+
+def item_fragment(graph: InstanceGraph, proxy: EntityInstance) -> list[EntityInstance]:
+    """Closure of geometry instances under a proxy's shape representation,
+    excluding the shared representation context."""
+    seen: set[int] = set()
+    out: list[EntityInstance] = []
+    stack = shape_roots(graph, proxy)
+    while stack:
+        inst = stack.pop()
+        if inst.id in seen:
+            continue
+        seen.add(inst.id)
+        out.append(inst)
+        for attr in inst.attributes:
+            for value in walk(attr):
+                if isinstance(value, Reference) and value.id not in seen:
+                    stack.append(graph.resolve(value.id))
+    out.sort(key=lambda i: i.id)
+    return out
 
 
 # --- evaluation --------------------------------------------------------------
@@ -379,7 +331,7 @@ def _eval_extrusion(
     shape_class = f"ExtrudedAreaSolid/{_PROFILE_LABELS.get(profile_name, profile_name)}"
     warnings: list[str] = []
     direction = _direction(graph, root.attr(2), (0.0, 0.0, 1.0))
-    depth = _num(root.attr(3)) or 0.0
+    depth = number(root.attr(3)) or 0.0
     if depth == 0.0:
         return _not_displayed(shape_class, "zero extrusion depth; nothing to evaluate")
     if abs(direction[2]) <= 1e-12:
@@ -427,7 +379,7 @@ def _eval_revolution(
     axis_dir = _direction(graph, axis.attr(1), (0.0, 0.0, 1.0))
     if abs(axis_dir[2]) > 1e-9 or abs(axis_point[2]) > 1e-9:
         raise UnsupportedShape("revolution axis must lie in the profile plane")
-    angle = _num(root.attr(3)) or 0.0
+    angle = number(root.attr(3)) or 0.0
     if abs(angle - 2.0 * math.pi) > 1e-6:
         raise UnsupportedShape("only full-sweep revolutions are supported")
     mesh = revolve_polygon(polygon, axis_point, axis_dir, segments)
@@ -455,9 +407,9 @@ def _eval_swept_disk(
         raise UnsupportedShape("only straight two-point directrices are supported")
     p0 = _point(graph, point_refs.items[0])
     p1 = _point(graph, point_refs.items[1])
-    radius = _num(root.attr(1)) or 0.0
-    start = _num(root.attr(3))
-    end = _num(root.attr(4))
+    radius = number(root.attr(1)) or 0.0
+    start = number(root.attr(3))
+    end = number(root.attr(4))
     low, high = 0.0, 1.0
     if start is None:
         start = low

@@ -61,14 +61,6 @@ class TriMesh:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def triangle_areas(self) -> np.ndarray:
-        a, b, c = self._corners()
-        return np.linalg.norm(np.cross(b - a, c - a), axis=1) / 2.0
-
-    def drop_degenerate(self, tol: float = 1e-14) -> "TriMesh":
-        keep = self.triangle_areas() > tol
-        return TriMesh(self.vertices, self.triangles[keep])
-
     def welded(self, tol: float) -> "TriMesh":
         """Merge vertices closer than ``tol`` (grid snapping)."""
         if tol <= 0 or not len(self.vertices):

@@ -17,15 +17,6 @@ def polygon_area(points: np.ndarray) -> float:
     )
 
 
-def polygon_centroid(points: np.ndarray) -> np.ndarray:
-    x, y = points[:, 0], points[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    area = cross.sum() / 2.0
-    cx = ((x + np.roll(x, -1)) * cross).sum() / (6.0 * area)
-    cy = ((y + np.roll(y, -1)) * cross).sum() / (6.0 * area)
-    return np.array([cx, cy])
-
-
 def ensure_ccw(points: np.ndarray) -> np.ndarray:
     return points if polygon_area(points) >= 0 else points[::-1].copy()
 

@@ -10,7 +10,6 @@ not a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..errors import UnsupportedShape
 from ..geomgen.suite import InvalidReason
@@ -18,12 +17,11 @@ from ..spf.model import (
     AttributeValue,
     EntityInstance,
     InstanceGraph,
-    Integer,
     ListValue,
-    Real,
     Reference,
     TypedValue,
 )
+from ..spf.values import number, ratios, walk
 
 DIRECTION_DOT_TOLERANCE = 1e-12
 
@@ -50,39 +48,6 @@ class ValidityVerdict:
         return "Valid" if self.valid else "Invalid"
 
 
-def _walk_values(value: AttributeValue) -> Iterable[AttributeValue]:
-    yield value
-    if isinstance(value, ListValue):
-        for item in value.items:
-            yield from _walk_values(item)
-    elif isinstance(value, TypedValue):
-        yield from _walk_values(value.value)
-
-
-def _numeric(value: AttributeValue) -> float | None:
-    if isinstance(value, (Real, Integer)):
-        return float(value.value)
-    return None
-
-
-def _direction_ratios(graph: InstanceGraph, ref: AttributeValue) -> list[float] | None:
-    if not isinstance(ref, Reference):
-        return None
-    inst = graph.resolve(ref.id)
-    if inst.type_name != "IFCDIRECTION":
-        return None
-    ratios = inst.attr(0)
-    if not isinstance(ratios, ListValue):
-        return None
-    out = []
-    for item in ratios.items:
-        n = _numeric(item)
-        if n is None:
-            return None
-        out.append(n)
-    return out
-
-
 def check_validity(
     graph: InstanceGraph,
     instances: list[EntityInstance],
@@ -100,12 +65,12 @@ def check_validity(
 
     for inst in instances:
         for attr in inst.attributes:
-            for value in _walk_values(attr):
+            for value in walk(attr):
                 if (
                     isinstance(value, TypedValue)
                     and value.name == "IFCPOSITIVELENGTHMEASURE"
                 ):
-                    magnitude = _numeric(value.value)
+                    magnitude = number(value.value)
                     if magnitude is None:
                         continue
                     if magnitude <= 0.0:
@@ -123,22 +88,22 @@ def check_validity(
 
     for inst in instances:
         if inst.type_name == "IFCEXTRUDEDAREASOLID":
-            ratios = _direction_ratios(graph, inst.attr(2))
-            if ratios is None or len(ratios) < 3:
+            direction = ratios(graph, inst.attr(2), "IFCDIRECTION")
+            if direction is None or len(direction) < 3:
                 details.append(f"#{inst.id}: extrusion direction unreadable")
                 continue
             # the profile lies in the XY plane of the solid's position, so the
             # plane normal there is (0,0,1) and the rule reduces to the z ratio
-            if abs(ratios[2]) <= DIRECTION_DOT_TOLERANCE:
+            if abs(direction[2]) <= DIRECTION_DOT_TOLERANCE:
                 reasons.add(InvalidReason.VALID_EXTRUSION_DIRECTION)
                 details.append(
-                    f"#{inst.id}: extrusion direction {tuple(ratios)} parallel to profile"
+                    f"#{inst.id}: extrusion direction {tuple(direction)} parallel to profile"
                 )
 
     for inst in instances:
         if inst.type_name == "IFCSWEPTDISKSOLID":
-            start = _numeric(inst.attr(3))
-            end = _numeric(inst.attr(4))
+            start = number(inst.attr(3))
+            end = number(inst.attr(4))
             param_range = _directrix_range(graph, inst.attr(0))
             if param_range is None or start is None or end is None:
                 continue

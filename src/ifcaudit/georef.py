@@ -16,19 +16,8 @@ from typing import Any
 
 from .errors import BadLength, MixedSign
 from .schema import SchemaVersion
-from .spf.model import (
-    UNSET,
-    AttributeValue,
-    EntityInstance,
-    EnumToken,
-    InstanceGraph,
-    Integer,
-    ListValue,
-    Real,
-    Reference,
-    Text,
-    TypedValue,
-)
+from .spf.model import UNSET, EntityInstance, EnumToken, InstanceGraph, Reference
+from .spf.values import integers, number, ratios, text, texts
 
 #: Location magnitude below which a placement counts as "at the origin".
 ORIGIN_TOLERANCE = 1e-9
@@ -79,44 +68,6 @@ def compound_angle_to_degrees(measure: list[int] | tuple[int, ...]) -> float:
     return sign * magnitude
 
 
-def _numbers(value: AttributeValue) -> list[float] | None:
-    if not isinstance(value, ListValue):
-        return None
-    out = []
-    for item in value.items:
-        if isinstance(item, (Real, Integer)):
-            out.append(float(item.value))
-        elif isinstance(item, TypedValue) and isinstance(item.value, (Real, Integer)):
-            out.append(float(item.value.value))
-        else:
-            return None
-    return out
-
-
-def _integers(value: AttributeValue) -> list[int] | None:
-    if not isinstance(value, ListValue):
-        return None
-    out = []
-    for item in value.items:
-        if isinstance(item, Integer):
-            out.append(item.value)
-        else:
-            return None
-    return out
-
-
-def _number(value: AttributeValue) -> float | None:
-    if isinstance(value, (Real, Integer)):
-        return float(value.value)
-    if isinstance(value, TypedValue):
-        return _number(value.value)
-    return None
-
-
-def _text(value: AttributeValue) -> str | None:
-    return value.value if isinstance(value, Text) else None
-
-
 def length_unit(graph: InstanceGraph) -> tuple[str, float]:
     """Name of the project length unit and its scale to meters."""
     prefixes = {
@@ -136,30 +87,6 @@ def length_unit(graph: InstanceGraph) -> tuple[str, float]:
                     return f"{prefix.name.lower()}metre", scale
                 return "metre", 1.0
     return "unknown", 1.0
-
-
-def _resolve_point(graph: InstanceGraph, value: AttributeValue) -> list[float] | None:
-    if not isinstance(value, Reference):
-        return None
-    try:
-        inst = graph.resolve(value.id)
-    except KeyError:
-        return None
-    if inst.type_name != "IFCCARTESIANPOINT":
-        return None
-    return _numbers(inst.attr(0))
-
-
-def _resolve_direction(graph: InstanceGraph, value: AttributeValue) -> list[float] | None:
-    if not isinstance(value, Reference):
-        return None
-    try:
-        inst = graph.resolve(value.id)
-    except KeyError:
-        return None
-    if inst.type_name != "IFCDIRECTION":
-        return None
-    return _numbers(inst.attr(0))
 
 
 def detect_georef(
@@ -204,18 +131,12 @@ def _detect_l10(
         if address.type_name != "IFCPOSTALADDRESS":
             continue
         fields = {
-            "address_lines": [
-                t.value
-                for t in (
-                    address.attr(4).items if isinstance(address.attr(4), ListValue) else ()
-                )
-                if isinstance(t, Text)
-            ],
-            "postal_box": _text(address.attr(5)),
-            "town": _text(address.attr(6)),
-            "region": _text(address.attr(7)),
-            "postal_code": _text(address.attr(8)),
-            "country": _text(address.attr(9)),
+            "address_lines": texts(address.attr(4)),
+            "postal_box": text(address.attr(5)),
+            "town": text(address.attr(6)),
+            "region": text(address.attr(7)),
+            "postal_code": text(address.attr(8)),
+            "country": text(address.attr(9)),
         }
         report.detected[LoGeoRefLevel.L10] = GeoParams(
             LoGeoRefLevel.L10,
@@ -232,8 +153,8 @@ def _detect_l20(
     report: LoGeoRefReport,
 ) -> None:
     lat_attr, lon_attr, ele_attr = site.attr(9), site.attr(10), site.attr(11)
-    lat_parts = _integers(lat_attr)
-    lon_parts = _integers(lon_attr)
+    lat_parts = integers(lat_attr)
+    lon_parts = integers(lon_attr)
     if lat_parts is None or lon_parts is None:
         return
     try:
@@ -248,7 +169,7 @@ def _detect_l20(
         )
         return
     payload: dict[str, Any] = {"latitude": lat, "longitude": lon}
-    elevation = _number(ele_attr)
+    elevation = number(ele_attr)
     if elevation is not None:
         payload["elevation_m"] = elevation * unit_scale
         payload["elevation_unit"] = unit_name
@@ -277,9 +198,9 @@ def _detect_l30(
         return
     if axis.type_name != "IFCAXIS2PLACEMENT3D":
         return
-    location = _resolve_point(graph, axis.attr(0))
-    axis_dir = _resolve_direction(graph, axis.attr(1))
-    ref_dir = _resolve_direction(graph, axis.attr(2))
+    location = ratios(graph, axis.attr(0), "IFCCARTESIANPOINT")
+    axis_dir = ratios(graph, axis.attr(1), "IFCDIRECTION")
+    ref_dir = ratios(graph, axis.attr(2), "IFCDIRECTION")
     nonzero = location is not None and any(abs(c) > ORIGIN_TOLERANCE for c in location)
     if not nonzero and axis_dir is None and ref_dir is None:
         return
@@ -306,9 +227,9 @@ def _detect_l40(graph: InstanceGraph, unit_name: str, report: LoGeoRefReport) ->
             except KeyError:
                 continue
             if axis.type_name == "IFCAXIS2PLACEMENT3D":
-                origin = _resolve_point(graph, axis.attr(0))
+                origin = ratios(graph, axis.attr(0), "IFCCARTESIANPOINT")
                 axes_set = axis.attr(1) is not UNSET or axis.attr(2) is not UNSET
-        north = _resolve_direction(graph, true_north)
+        north = ratios(graph, true_north, "IFCDIRECTION")
         origin_nonzero = origin is not None and any(
             abs(c) > ORIGIN_TOLERANCE for c in origin
         )
@@ -341,12 +262,12 @@ def _detect_l50(
         except KeyError:
             crs = None
         if crs is not None and crs.type_name == "IFCPROJECTEDCRS":
-            crs_name = _text(crs.attr(0))
+            crs_name = text(crs.attr(0))
     if crs_name is None:
         report.diagnostics.append("IfcMapConversion without IfcProjectedCRS target")
         return
-    abscissa = _number(conversion.attr(5))
-    ordinate = _number(conversion.attr(6))
+    abscissa = number(conversion.attr(5))
+    ordinate = number(conversion.attr(6))
     if abscissa is None and ordinate is None:
         rotation = (1.0, 0.0)
     else:
@@ -359,9 +280,9 @@ def _detect_l50(
     report.detected[LoGeoRefLevel.L50] = GeoParams(
         LoGeoRefLevel.L50,
         {
-            "eastings": _number(conversion.attr(2)),
-            "northings": _number(conversion.attr(3)),
-            "orthogonal_height": _number(conversion.attr(4)),
+            "eastings": number(conversion.attr(2)),
+            "northings": number(conversion.attr(3)),
+            "orthogonal_height": number(conversion.attr(4)),
             "rotation": rotation,
             "crs_name": crs_name,
         },

@@ -15,10 +15,15 @@ from ..errors import MalformedFile
 # One full record: #id = KEYWORD ( params ) ;
 # Params are a run of harmless characters, quoted strings (with '' doubling),
 # binary tokens, comments, or lone slashes. ';' is excluded everywhere, so the
-# closing "):;" anchor cannot be fooled by string or comment content.
+# closing "):;" anchor cannot be fooled by string or comment content. The
+# alternatives are disjoint (a string ends at a quote not followed by another,
+# a comment at its first "*/", a lone slash is not followed by '*'), so each
+# input has one way to match and a failed match cannot backtrack
+# exponentially.
 _RECORD = re.compile(
     rb"#(\d+)[ \t\r\n]*=[ \t\r\n]*([A-Za-z_][A-Za-z0-9_]*)[ \t\r\n]*"
-    rb"\(((?:[^;'\"/]|'(?:[^']|'')*'|\"[^\"]*\"|/\*.*?\*/|/)*)\)[ \t\r\n]*;",
+    rb"\(((?:[^;'\"/]|'(?:[^']|'')*'(?!')|\"[^\"]*\"|/\*(?:[^*]|\*(?!/))*\*/|/(?!\*))*)"
+    rb"\)[ \t\r\n]*;",
     re.DOTALL,
 )
 

@@ -18,6 +18,10 @@ from .model import (
 )
 from .strings import decode_step_string
 
+#: Deepest list or typed-value nesting accepted. Real IFC nests three
+#: levels at most; the bound keeps hostile input from exhausting the stack.
+MAX_NESTING = 64
+
 _WS = " \t\r\n"
 _DIGITS = "0123456789"
 _KEYWORD_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
@@ -25,11 +29,12 @@ _KEYWORD_BODY = _KEYWORD_START | set(_DIGITS)
 
 
 class _Cursor:
-    __slots__ = ("text", "pos", "unknown_escapes")
+    __slots__ = ("text", "pos", "depth", "unknown_escapes")
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.unknown_escapes: list[str] = []
 
     def skip_trivia(self) -> None:
@@ -51,6 +56,11 @@ class _Cursor:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise MalformedFile(f"parameters nested deeper than {MAX_NESTING}", self.pos)
+
     def fail(self, what: str) -> MalformedFile:
         ctx = self.text[self.pos : self.pos + 20]
         return MalformedFile(f"expected {what} near {ctx!r}", self.pos)
@@ -71,6 +81,18 @@ def parse_attributes(
     if unknown_escape_sink is not None:
         unknown_escape_sink.extend(cur.unknown_escapes)
     return tuple(items)
+
+
+def parse_parameter_list(text: str, pos: int) -> tuple[tuple[AttributeValue, ...], int]:
+    """Parse the parenthesised parameter list that opens at ``text[pos]``.
+
+    Returns the values and the position just past the closing ``')'``.
+    """
+    cur = _Cursor(text)
+    cur.pos = pos
+    if cur.peek() != "(":
+        raise cur.fail("'('")
+    return _parse_list(cur).items, cur.pos
 
 
 def _parse_items(cur: _Cursor) -> list[AttributeValue]:
@@ -152,16 +174,18 @@ def _parse_enum(cur: _Cursor) -> EnumToken:
 
 
 def _parse_list(cur: _Cursor) -> ListValue:
+    cur.enter()
     cur.pos += 1  # consume '('
     cur.skip_trivia()
     if cur.peek() == ")":
-        cur.pos += 1
-        return ListValue(())
-    items = _parse_items(cur)
-    cur.skip_trivia()
-    if cur.peek() != ")":
-        raise cur.fail("')'")
+        items = []
+    else:
+        items = _parse_items(cur)
+        cur.skip_trivia()
+        if cur.peek() != ")":
+            raise cur.fail("')'")
     cur.pos += 1
+    cur.depth -= 1
     return ListValue(tuple(items))
 
 
@@ -213,6 +237,7 @@ def _parse_typed(cur: _Cursor) -> TypedValue:
         i += 1
     name = text[cur.pos : i].upper()
     cur.pos = i
+    cur.enter()
     cur.skip_trivia()
     if cur.peek() != "(":
         raise cur.fail(f"'(' after type name {name}")
@@ -223,4 +248,5 @@ def _parse_typed(cur: _Cursor) -> TypedValue:
     if cur.peek() != ")":
         raise cur.fail(f"')' closing {name}")
     cur.pos += 1
+    cur.depth -= 1
     return TypedValue(name, inner)

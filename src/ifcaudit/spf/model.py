@@ -296,9 +296,6 @@ class InstanceGraph:
     def schema_name(self) -> str | None:
         return self.header.file_schema[0] if self.header.file_schema else None
 
-    def next_id(self) -> int:
-        return max(self._index, default=0) + 1
-
     def __len__(self) -> int:
         return len(self.instances)
 

@@ -7,27 +7,16 @@ import re
 from pathlib import Path
 
 from ..errors import MalformedFile
-from .attrparse import parse_attributes
+from .attrparse import parse_attributes, parse_parameter_list
 from .backend import active_backend
-from .model import (
-    AttributeValue,
-    Diagnostic,
-    EntityInstance,
-    FileName,
-    InstanceGraph,
-    ListValue,
-    SpfHeader,
-    Text,
-)
+from .model import UNSET, Diagnostic, EntityInstance, FileName, InstanceGraph, SpfHeader
+from .values import text, texts
 
 _SENTINEL = b"ISO-10303-21;"
 _END_SENTINEL = b"END-ISO-10303-21;"
 
-_HEADER_RECORD = re.compile(
-    rb"([A-Za-z_][A-Za-z0-9_]*)[ \t\r\n]*"
-    rb"\(((?:[^;'\"/]|'(?:[^']|'')*'|\"[^\"]*\"|/\*.*?\*/|/)*)\)[ \t\r\n]*;",
-    re.DOTALL,
-)
+_KEYWORD = re.compile(rb"[A-Za-z_][A-Za-z0-9_]*")
+_BLANKS = re.compile(rb"[ \t\r\n]*")
 
 _TRIVIA = re.compile(rb"(?:[ \t\r\n]+|/\*.*?\*/)*", re.DOTALL)
 
@@ -36,17 +25,18 @@ def _skip_trivia(data: bytes, pos: int) -> int:
     return _TRIVIA.match(data, pos).end()
 
 
-def parse_spf(data: bytes, eager: bool = False) -> InstanceGraph:
+def parse_spf(data: bytes) -> InstanceGraph:
     """Parse SPF text into an :class:`InstanceGraph`.
 
-    With ``eager`` every instance's attribute tree is materialized up front,
-    so string-escape anomalies land in the graph diagnostics. The default
-    parses attributes lazily, which keeps census-scale work linear in the
-    number of records rather than the number of attribute tokens.
+    Attributes are parsed lazily, on first access, which keeps census-scale
+    work linear in the number of records rather than the number of attribute
+    tokens. :func:`materialize` parses them all and records string-escape
+    anomalies in the graph diagnostics.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_spf expects bytes; use load() for paths")
     data = bytes(data)
+    source = data.decode("latin-1")
     diagnostics: list[Diagnostic] = []
 
     pos = _skip_trivia(data, 0)
@@ -56,7 +46,7 @@ def parse_spf(data: bytes, eager: bool = False) -> InstanceGraph:
 
     if data[pos : pos + 7] != b"HEADER;":
         raise MalformedFile("missing HEADER section", pos)
-    header, pos = _parse_header(data, pos + 7, diagnostics)
+    header, pos = _parse_header(data, source, pos + 7, diagnostics)
 
     pos = _skip_trivia(data, pos)
     if data[pos : pos + 5] != b"DATA;":
@@ -73,7 +63,6 @@ def parse_spf(data: bytes, eager: bool = False) -> InstanceGraph:
             Diagnostic("missing-end-sentinel", "file does not end with END-ISO-10303-21;")
         )
 
-    source = data.decode("latin-1")
     instances: list[EntityInstance] = []
     index: dict[int, EntityInstance] = {}
     positions: dict[int, int] | None = None  # built lazily on first duplicate
@@ -103,21 +92,18 @@ def parse_spf(data: bytes, eager: bool = False) -> InstanceGraph:
             Diagnostic("dangling-reference", f"reference to missing instance #{ref}")
         )
 
-    graph = InstanceGraph(
+    return InstanceGraph(
         header=header,
         instances=instances,
         diagnostics=diagnostics,
         byte_size=len(data),
         _prebuilt_index=index,
     )
-    if eager:
-        materialize(graph)
-    return graph
 
 
-def load(path: str | os.PathLike, eager: bool = False) -> InstanceGraph:
+def load(path: str | os.PathLike) -> InstanceGraph:
     """Read and parse a file from disk."""
-    return parse_spf(Path(path).read_bytes(), eager=eager)
+    return parse_spf(Path(path).read_bytes())
 
 
 def materialize(graph: InstanceGraph) -> None:
@@ -136,8 +122,10 @@ def materialize(graph: InstanceGraph) -> None:
 
 
 def _parse_header(
-    data: bytes, pos: int, diagnostics: list[Diagnostic]
+    data: bytes, source: str, pos: int, diagnostics: list[Diagnostic]
 ) -> tuple[SpfHeader, int]:
+    """Read ``KEYWORD(params);`` records up to ENDSEC; ``source`` is
+    ``data`` decoded as latin-1, so offsets agree."""
     header = SpfHeader()
     seen: set[str] = set()
     while True:
@@ -145,26 +133,31 @@ def _parse_header(
         if data[pos : pos + 7] == b"ENDSEC;":
             pos += 7
             break
-        m = _HEADER_RECORD.match(data, pos)
+        m = _KEYWORD.match(data, pos)
         if m is None:
             raise MalformedFile("unparseable header record", pos)
-        keyword = m.group(1).upper().decode("ascii")
-        attrs = parse_attributes(m.group(2).decode("latin-1"))
+        keyword = m.group().upper().decode("ascii")
+        attrs, pos = parse_parameter_list(source, _BLANKS.match(data, m.end()).end())
+        pos = _BLANKS.match(data, pos).end()
+        if data[pos : pos + 1] != b";":
+            raise MalformedFile(f"header record {keyword} without ';'", pos)
+        pos += 1
+        attrs += (UNSET,) * (7 - len(attrs))  # FILE_NAME has the most, 7
         if keyword == "FILE_DESCRIPTION":
-            header.description = _text_list(attrs, 0)
-            header.implementation_level = _text_at(attrs, 1) or ""
+            header.description = texts(attrs[0])
+            header.implementation_level = text(attrs[1]) or ""
         elif keyword == "FILE_NAME":
             header.file_name = FileName(
-                name=_text_at(attrs, 0) or "",
-                timestamp=_text_at(attrs, 1) or "",
-                authors=_text_list(attrs, 2),
-                organizations=_text_list(attrs, 3),
-                preprocessor_version=_text_at(attrs, 4) or "",
-                originating_system=_text_at(attrs, 5) or "",
-                authorization=_text_at(attrs, 6) or "",
+                name=text(attrs[0]) or "",
+                timestamp=text(attrs[1]) or "",
+                authors=texts(attrs[2]),
+                organizations=texts(attrs[3]),
+                preprocessor_version=text(attrs[4]) or "",
+                originating_system=text(attrs[5]) or "",
+                authorization=text(attrs[6]) or "",
             )
         elif keyword == "FILE_SCHEMA":
-            header.file_schema = _text_list(attrs, 0)
+            header.file_schema = texts(attrs[0])
         else:
             diagnostics.append(
                 Diagnostic("ignored-header-record", f"header record {keyword} ignored")
@@ -174,26 +167,9 @@ def _parse_header(
                 Diagnostic("duplicate-header-record", f"{keyword} appears twice")
             )
         seen.add(keyword)
-        pos = m.end()
     for required in ("FILE_DESCRIPTION", "FILE_NAME", "FILE_SCHEMA"):
         if required not in seen:
             diagnostics.append(
                 Diagnostic("missing-header-record", f"{required} not present")
             )
     return header, pos
-
-
-def _text_at(attrs: tuple[AttributeValue, ...], index: int) -> str | None:
-    if index >= len(attrs):
-        return None
-    v = attrs[index]
-    return v.value if isinstance(v, Text) else None
-
-
-def _text_list(attrs: tuple[AttributeValue, ...], index: int) -> list[str]:
-    if index >= len(attrs):
-        return []
-    v = attrs[index]
-    if isinstance(v, ListValue):
-        return [item.value for item in v.items if isinstance(item, Text)]
-    return []

@@ -184,3 +184,68 @@ def test_check_without_manifest_uses_context_precision(capsys, suite_file):
     assert len(payload["items"]) == 30
     invalid = [i["slot"] for i in payload["items"] if i["validity"] == "Invalid"]
     assert sorted(invalid) == ["B3", "B4", "C1", "C5", "D4", "E3", "F5"]
+
+
+def write_with_record(path, graph, record: bytes):
+    from ifcaudit.spf import write_spf
+
+    head, tail = write_spf(graph).rsplit(b"ENDSEC;", 1)
+    path.write_bytes(head + record + b"\nENDSEC;" + tail)
+    return str(path)
+
+
+@pytest.fixture()
+def deep_file(tmp_path):
+    from tests_helpers import georef_fixture_l20
+
+    deep = b"(" * 5000 + b"IFCINTEGER(1)" + b")" * 5000
+    record = b"#900=IFCPROPERTYLISTVALUE('Deep',$," + deep + b",$);"
+    return write_with_record(tmp_path / "deep.ifc", georef_fixture_l20(), record)
+
+
+def test_parse_rejects_deep_nesting(capsys, deep_file):
+    code, stdout, err = run(capsys, "parse", deep_file)
+    assert code == 2
+    assert stdout == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_georef_reads_around_deep_nesting(capsys, deep_file):
+    code, stdout, _ = run(capsys, "georef", deep_file)
+    assert code == 0
+    assert json.loads(stdout)["levels"] == [20]
+
+
+def test_parse_reports_unknown_escape(capsys, tmp_path):
+    from tests_helpers import minimal_building
+
+    record = b"#900=IFCPROPERTYSINGLEVALUE('Note',$,IFCLABEL('vendor \\Q note'),$);"
+    path = write_with_record(tmp_path / "escape.ifc", minimal_building(), record)
+    code, stdout, err = run(capsys, "parse", path)
+    assert code == 0
+    assert "[unknown-escape]" in err
+    assert any(d.startswith("[unknown-escape]") for d in json.loads(stdout)["diagnostics"])
+
+
+def test_only_parse_materializes(capsys, monkeypatch, suite_file):
+    import ifcaudit.cli
+    import ifcaudit.spf
+    import ifcaudit.spf.parser
+
+    def refuse(graph):
+        raise AssertionError("materialize called")
+
+    for module in (ifcaudit.spf.parser, ifcaudit.spf, ifcaudit.cli):
+        monkeypatch.setattr(module, "materialize", refuse)
+    out, manifest = suite_file
+    for argv in (
+        ["georef", str(out)],
+        ["check", str(out), "--manifest", str(manifest)],
+        ["report", "roundtrip", str(out), str(out)],
+    ):
+        code, *_ = run(capsys, *argv)
+        assert code == 0, argv
+    with pytest.raises(AssertionError, match="materialize called"):
+        main(["parse", str(out)])

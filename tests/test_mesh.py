@@ -11,7 +11,6 @@ from ifcaudit.geomcheck.tessellate import (
     extrude_polygon,
     ishape_polygon,
     polygon_area,
-    polygon_centroid,
     rectangle_polygon,
     revolve_polygon,
     tube_mesh,
@@ -53,12 +52,6 @@ def test_weld_drops_collapsed_triangles():
     assert len(mesh.triangles) == 0
 
 
-def test_degenerate_triangle_filter():
-    verts = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]
-    mesh = TriMesh(verts, [(0, 1, 2), (0, 1, 3)]).drop_degenerate()
-    assert len(mesh.triangles) == 1
-
-
 def test_index_range_validation():
     with pytest.raises(ValueError):
         TriMesh([(0, 0, 0)], [(0, 1, 2)])
@@ -67,7 +60,6 @@ def test_index_range_validation():
 def test_polygon_area_and_centroid():
     rect = rectangle_polygon(2.0, 1.0)
     assert polygon_area(rect) == pytest.approx(2.0)
-    assert np.allclose(polygon_centroid(rect), [0, 0])
     assert polygon_area(rect) == pytest.approx(shoelace_area(rect))
 
 

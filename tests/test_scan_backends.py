@@ -1,5 +1,7 @@
 """The compiled and pure-Python scanners must be observationally identical."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,3 +75,19 @@ def test_active_backend_env_override(monkeypatch):
     name, _ = backend.active_backend()
     if both_available():
         assert name == "compiled"
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+@pytest.mark.parametrize("unit", [b"/*/", b"''"])
+def test_unterminated_record_fails_fast(name, unit):
+    data = b"DATA;#1=A(" + unit * 40
+    start = time.perf_counter()
+    with pytest.raises(MalformedFile):
+        BACKENDS[name](data, 5)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_unterminated_comment_in_record_is_malformed(name):
+    with pytest.raises(MalformedFile):
+        BACKENDS[name](b"DATA; #1=A(/*); ENDSEC;", 5)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ifcaudit.errors import MalformedFile, NotFound
@@ -9,9 +11,10 @@ from ifcaudit.spf import (
     Text,
     TypedValue,
     UNSET,
+    materialize,
     parse_spf,
 )
-from ifcaudit.spf.attrparse import parse_attributes
+from ifcaudit.spf.attrparse import MAX_NESTING, parse_attributes
 
 MINIMAL = b"""ISO-10303-21;
 HEADER;
@@ -159,3 +162,63 @@ def test_count_conservation(suite_2x3):
     text = write_spf(graph).decode("latin-1")
     body = text.split("DATA;", 1)[1].rsplit("ENDSEC;", 1)[0]
     assert len(re.findall(r"#\d+=", body)) == len(graph)
+
+
+@pytest.mark.parametrize(
+    "deep",
+    [b"(" * 5000 + b"1" + b")" * 5000, b"IFCA(" * 5000 + b"1" + b")" * 5000],
+    ids=["list", "typed"],
+)
+def test_deep_nesting_is_malformed(deep):
+    record = b"#2=IFCPROPERTYLISTVALUE('Deep',$," + deep + b",$);\nENDSEC;\nEND-ISO"
+    graph = parse_spf(MINIMAL.replace(b"ENDSEC;\nEND-ISO", record))
+    with pytest.raises(MalformedFile):
+        materialize(graph)
+
+
+def test_nesting_bound_is_exact():
+    deepest = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert len(parse_attributes(deepest)) == 1
+    with pytest.raises(MalformedFile):
+        parse_attributes("(" + deepest + ")")
+
+
+def test_header_record_diagnostics():
+    data = MINIMAL.replace(
+        b"FILE_SCHEMA(('IFC2X3'));",
+        b"FILE_POPULATION('IFC2X3','x',$);\nFILE_NAME('again','',(),(),'','','');",
+    )
+    graph = parse_spf(data)
+    messages = {d.code: d.message for d in graph.diagnostics}
+    assert messages["ignored-header-record"] == "header record FILE_POPULATION ignored"
+    assert messages["duplicate-header-record"] == "FILE_NAME appears twice"
+    assert messages["missing-header-record"] == "FILE_SCHEMA not present"
+    assert len(graph.diagnostics) == 3
+    assert graph.header.file_name.name == "again"
+
+
+def test_header_strings_and_comments():
+    data = MINIMAL.replace(
+        b"FILE_NAME('mini',", b"FILE_NAME \t('a;b) /* c */ d''e' /* x; ) */ ,"
+    )
+    data = data.replace(b"FILE_SCHEMA(('IFC2X3'));", b"FILE_SCHEMA (('IFC2X3'))\n ;")
+    graph = parse_spf(data)
+    assert graph.header.file_name.name == "a;b) /* c */ d'e"
+    assert graph.header.file_name.timestamp == "2020-01-01T00:00:00"
+    assert graph.header.file_schema == ["IFC2X3"]
+    assert graph.diagnostics == []
+
+
+def test_header_comment_before_parameters_rejected():
+    # as in DATA records, only blanks may separate a keyword from its '('
+    with pytest.raises(MalformedFile):
+        parse_spf(MINIMAL.replace(b"FILE_NAME(", b"FILE_NAME/* c */("))
+
+
+@pytest.mark.parametrize("unit", [b"/*/", b"''"])
+def test_unterminated_header_record_fails_fast(unit):
+    data = MINIMAL.replace(b"FILE_SCHEMA(('IFC2X3'));", b"FILE_SCHEMA(" + unit * 40)
+    start = time.perf_counter()
+    with pytest.raises(MalformedFile):
+        parse_spf(data)
+    assert time.perf_counter() - start < 1.0

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from ifcaudit.census import census
 from ifcaudit.errors import MalformedFile
-from ifcaudit.spf import parse_spf, write_spf
+from ifcaudit.spf import materialize, parse_spf, write_spf
 
 
 def test_roundtrip_suite_2x3(suite_2x3):
@@ -44,18 +44,11 @@ def test_reference_closure(suite_2x3):
 
 def test_every_reference_resolves(suite_2x3):
     # exhaustive walk: resolve each reference in each attribute tree
-    from ifcaudit.spf import ListValue, Reference, TypedValue
+    from ifcaudit.spf import Reference
+    from ifcaudit.spf.values import walk
 
     graph, _ = suite_2x3
     reparsed = parse_spf(write_spf(graph))
-
-    def walk(value):
-        yield value
-        if isinstance(value, ListValue):
-            for item in value.items:
-                yield from walk(item)
-        elif isinstance(value, TypedValue):
-            yield from walk(value.value)
 
     resolved = 0
     for inst in reparsed:
@@ -72,7 +65,7 @@ def test_every_reference_resolves(suite_2x3):
 def test_parser_total_on_garbage(data):
     # terminates with either a graph or a fatal diagnostic, never hangs/crashes
     try:
-        parse_spf(data)
+        materialize(parse_spf(data))
     except MalformedFile:
         pass
 
@@ -87,6 +80,6 @@ def test_parser_total_on_adversarial_text(body):
         + b"ENDSEC;END-ISO-10303-21;"
     )
     try:
-        parse_spf(data)
+        materialize(parse_spf(data))
     except MalformedFile:
         pass

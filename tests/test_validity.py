@@ -99,3 +99,46 @@ def test_direction_dot_tolerance_boundary():
     graph = extrusion_with_dz(1e-13)
     verdict = check_validity(graph, list(graph.instances), 1e-5)
     assert InvalidReason.VALID_EXTRUSION_DIRECTION in verdict.reasons
+
+
+def extrusion(b: GraphBuilder, direction) -> list:
+    from ifcaudit.spf.build import typed
+
+    b.add(
+        "IFCEXTRUDEDAREASOLID", None, None, direction,
+        typed("IFCPOSITIVELENGTHMEASURE", 1.0),
+    )
+    return list(b.graph)
+
+
+def test_typed_direction_ratios_are_read():
+    from ifcaudit.spf.build import typed
+
+    b = GraphBuilder("IFC2X3")
+    direction = b.add("IFCDIRECTION", [typed("IFCREAL", r) for r in (1.0, 0.0, 0.0)])
+    verdict = check_validity(b.graph, extrusion(b, direction), 1e-5)
+    assert verdict.reasons == {InvalidReason.VALID_EXTRUSION_DIRECTION}
+
+
+def test_typed_sweep_parameters_are_read():
+    from ifcaudit.spf.build import typed
+
+    b = GraphBuilder("IFC2X3")
+    p0 = b.add("IFCCARTESIANPOINT", (0.0, 0.0, 0.0))
+    p1 = b.add("IFCCARTESIANPOINT", (0.0, 0.0, 1.0))
+    line = b.add("IFCPOLYLINE", [p0, p1])
+    b.add(
+        "IFCSWEPTDISKSOLID", line, typed("IFCPOSITIVELENGTHMEASURE", 0.1), None,
+        typed("IFCPARAMETERVALUE", 0.0), typed("IFCPARAMETERVALUE", 2.0),
+    )
+    verdict = check_validity(b.graph, list(b.graph), 1e-5)
+    assert verdict.reasons == {InvalidReason.PARAM_RANGE}
+
+
+def test_dangling_extrusion_direction_is_unreadable():
+    from ifcaudit.spf.model import Reference
+
+    b = GraphBuilder("IFC2X3")
+    verdict = check_validity(b.graph, extrusion(b, Reference(999)), 1e-5)
+    assert verdict.valid
+    assert verdict.details == ["#1: extrusion direction unreadable"]
