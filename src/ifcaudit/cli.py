@@ -78,10 +78,7 @@ class SystemExit_(Exception):
 
 def cmd_parse(args) -> int:
     graph = _load(args.file)
-    try:
-        materialize(graph)  # the summary lists every escape diagnostic
-    except MalformedFile as exc:
-        raise SystemExit_(f"{args.file}: {exc}")
+    materialize(graph)  # the summary lists every escape diagnostic
     summary = {
         "schema": graph.schema_name(),
         "instances": len(graph),
@@ -207,9 +204,18 @@ def cmd_check(args) -> int:
     for proxy in suite_proxies(graph):
         slot = text(proxy.attr(3)) or ""
         name = text(proxy.attr(2)) or ""
-        fragment = item_fragment(graph, proxy)
-        verdict = check_validity(graph, fragment, precision)
-        outcome = evaluate_item(graph, proxy, segments=args.segments, precision=precision)
+        try:
+            verdict = check_validity(graph, item_fragment(graph, proxy), precision)
+            outcome = evaluate_item(graph, proxy, segments=args.segments, precision=precision)
+        except IfcAuditError as exc:
+            # one broken item is reported on its own; the others still count
+            print(f"{slot or name}: error: {exc}", file=sys.stderr)
+            entry = {"slot": slot, "definition": name, "error": str(exc)}
+            if slot in expected:
+                entry["matches_manifest"] = False
+                mismatches += 1
+            results.append(entry)
+            continue
         entry = {
             "slot": slot,
             "definition": name,
@@ -409,7 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except IfcAuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # attributes are read lazily, so a single-file command names its file
+        where = f"{args.file}: " if hasattr(args, "file") else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

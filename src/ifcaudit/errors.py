@@ -9,6 +9,7 @@ class MalformedFile(IfcAuditError):
     """Fatal structural problem in a STEP physical file."""
 
     def __init__(self, message: str, offset: int | None = None):
+        self.reason = message
         self.offset = offset
         if offset is not None:
             message = f"{message} (at byte {offset})"
@@ -17,6 +18,10 @@ class MalformedFile(IfcAuditError):
 
 class NotFound(IfcAuditError, KeyError):
     """An instance id does not exist in the graph."""
+
+
+class NotAReference(IfcAuditError, TypeError):
+    """An attribute that must name an instance holds another value."""
 
 
 class UnknownType(IfcAuditError, KeyError):

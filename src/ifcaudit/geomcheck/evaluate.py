@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import UnsupportedShape
+from ..geomgen.suite import ShapeKind
 from ..spf.model import (
     AttributeValue,
     EntityInstance,
@@ -24,7 +25,6 @@ from .tessellate import (
     box_mesh,
     crane_rail_polygon,
     ellipse_polygon,
-    ensure_ccw,
     extrude_polygon,
     ishape_polygon,
     rectangle_polygon,
@@ -34,18 +34,9 @@ from .tessellate import (
 
 DEFAULT_SEGMENTS = 64
 SMOOTH_SEGMENT_THRESHOLD = 32
-
-_SURFACE_MODEL_ROOTS = {"IFCSHELLBASEDSURFACEMODEL", "IFCFACEBASEDSURFACEMODEL"}
-
-_KIND_LABELS = {
-    "IFCBOOLEANRESULT": "BooleanResult",
-    "IFCBOOLEANCLIPPINGRESULT": "BooleanClippingResult",
-    "IFCSHELLBASEDSURFACEMODEL": "ShellBasedSurfaceModel",
-    "IFCFACETEDBREP": "FacetedBrep",
-    "IFCEXTRUDEDAREASOLID": "ExtrudedAreaSolid",
-    "IFCREVOLVEDAREASOLID": "RevolvedAreaSolid",
-    "IFCSWEPTDISKSOLID": "SweptDiskSolid",
-}
+#: |z ratio| of an extrusion direction at or below which it lies in the
+#: profile plane, so no solid exists (the schema's direction rule).
+DIRECTION_DOT_TOLERANCE = 1e-12
 
 _PROFILE_LABELS = {
     "IFCRECTANGLEPROFILEDEF": "Rectangle",
@@ -66,23 +57,14 @@ class ZRelation(enum.Enum):
 
 @dataclass
 class EvaluationOutcome:
-    displayed: bool
-    z_relation: ZRelation | None
     shape_class: str
-    smooth_curves: bool
-    mesh: TriMesh | None
+    mesh: TriMesh | None = None
+    smooth_curves: bool = False
     warnings: list[str] = field(default_factory=list)
     is_surface_model: bool = False
-
-    @property
-    def volume(self) -> float | None:
-        if self.mesh is None or self.is_surface_model:
-            return None if self.mesh is None else self.mesh.volume
-        return self.mesh.volume
-
-    @property
-    def surface_area(self) -> float | None:
-        return None if self.mesh is None else self.mesh.surface_area
+    # set by evaluate_item from the world-space mesh
+    displayed: bool = False
+    z_relation: ZRelation | None = None
 
 
 def classify_z(zmin: float, zmax: float, band: float) -> ZRelation:
@@ -140,13 +122,21 @@ def axis2_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
 
 def placement_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
     """Composed matrix of an IfcLocalPlacement chain."""
-    if not isinstance(ref, Reference):
-        return np.eye(4)
-    inst = graph.deref(ref)
-    if inst.type_name != "IFCLOCALPLACEMENT":
-        raise UnsupportedShape(f"unsupported object placement {inst.type_name}")
-    parent = placement_matrix(graph, inst.attr(0))
-    return parent @ axis2_matrix(graph, inst.attr(1))
+    chain: list[np.ndarray] = []
+    seen: set[int] = set()
+    while isinstance(ref, Reference):
+        if ref.id in seen:
+            raise UnsupportedShape(f"placement #{ref.id} is its own ancestor")
+        seen.add(ref.id)
+        inst = graph.deref(ref)
+        if inst.type_name != "IFCLOCALPLACEMENT":
+            raise UnsupportedShape(f"unsupported object placement {inst.type_name}")
+        chain.append(axis2_matrix(graph, inst.attr(1)))
+        ref = inst.attr(0)
+    matrix = np.eye(4)
+    for local in reversed(chain):  # outermost parent first
+        matrix = matrix @ local
+    return matrix
 
 
 def _profile_polygon(
@@ -199,7 +189,7 @@ def _profile_polygon(
         ref_dir = ref_dir / np.linalg.norm(ref_dir)
         rot = np.array([[ref_dir[0], -ref_dir[1]], [ref_dir[1], ref_dir[0]]])
         poly = poly @ rot.T + offset
-    return ensure_ccw(poly), name
+    return poly, name
 
 
 # --- item collection ---------------------------------------------------------
@@ -280,7 +270,7 @@ def evaluate_item(
         raise UnsupportedShape(f"proxy #{proxy.id} has no shape representation items")
     root = roots[0]
     world = placement_matrix(graph, proxy.attr(5))
-    outcome = _evaluate_root(graph, root, segments, precision)
+    outcome = _evaluate_root(graph, root, segments)
     if outcome.mesh is not None:
         mesh = outcome.mesh.transformed(world).welded(precision)
         outcome.mesh = mesh
@@ -294,47 +284,29 @@ def evaluate_item(
 
 
 def _evaluate_root(
-    graph: InstanceGraph, root: EntityInstance, segments: int, precision: float
+    graph: InstanceGraph, root: EntityInstance, segments: int
 ) -> EvaluationOutcome:
-    name = root.type_name
-    kind = _KIND_LABELS.get(name)
-    if kind is None:
-        raise UnsupportedShape(f"unsupported geometry root {name}")
-    if name == "IFCEXTRUDEDAREASOLID":
-        return _eval_extrusion(graph, root, segments)
-    if name == "IFCREVOLVEDAREASOLID":
-        return _eval_revolution(graph, root, segments)
-    if name == "IFCSWEPTDISKSOLID":
-        return _eval_swept_disk(graph, root, segments)
-    if name in ("IFCFACETEDBREP", "IFCSHELLBASEDSURFACEMODEL"):
-        return _eval_faces(graph, root)
-    if name in ("IFCBOOLEANRESULT", "IFCBOOLEANCLIPPINGRESULT"):
-        return _eval_boolean(graph, root)
-    raise UnsupportedShape(name)
+    if root.type_name not in SHAPES:
+        raise UnsupportedShape(f"unsupported geometry root {root.type_name}")
+    evaluator, kind = SHAPES[root.type_name]
+    return evaluator(graph, root, segments, kind)
 
 
 def _not_displayed(shape_class: str, warning: str) -> EvaluationOutcome:
-    return EvaluationOutcome(
-        displayed=False,
-        z_relation=None,
-        shape_class=shape_class,
-        smooth_curves=False,
-        mesh=None,
-        warnings=[warning],
-    )
+    return EvaluationOutcome(shape_class, warnings=[warning])
 
 
 def _eval_extrusion(
-    graph: InstanceGraph, root: EntityInstance, segments: int
+    graph: InstanceGraph, root: EntityInstance, segments: int, kind: str
 ) -> EvaluationOutcome:
     polygon, profile_name = _profile_polygon(graph, root.attr(0), segments)
-    shape_class = f"ExtrudedAreaSolid/{_PROFILE_LABELS.get(profile_name, profile_name)}"
+    shape_class = f"{kind}/{_PROFILE_LABELS[profile_name]}"
     warnings: list[str] = []
     direction = _direction(graph, root.attr(2), (0.0, 0.0, 1.0))
     depth = number(root.attr(3)) or 0.0
     if depth == 0.0:
         return _not_displayed(shape_class, "zero extrusion depth; nothing to evaluate")
-    if abs(direction[2]) <= 1e-12:
+    if abs(direction[2]) <= DIRECTION_DOT_TOLERANCE:
         return _not_displayed(
             shape_class,
             "extrusion direction parallel to profile plane; no solid exists",
@@ -349,28 +321,18 @@ def _eval_extrusion(
         warnings.append(
             "negative extrusion depth evaluated as sweep along the reversed direction"
         )
-    sweep = unit * depth
-    poly = polygon if sweep[2] >= 0 else polygon[::-1]
-    mesh = extrude_polygon(poly, sweep)
+    mesh = extrude_polygon(polygon, unit * depth)
     mesh = mesh.transformed(axis2_matrix(graph, root.attr(1)))
     smooth = profile_name in _CURVED_PROFILES and segments >= SMOOTH_SEGMENT_THRESHOLD
-    return EvaluationOutcome(
-        displayed=True,
-        z_relation=None,
-        shape_class=shape_class,
-        smooth_curves=smooth,
-        mesh=mesh,
-        warnings=warnings,
-    )
+    return EvaluationOutcome(shape_class, mesh, smooth_curves=smooth, warnings=warnings)
 
 
 def _eval_revolution(
-    graph: InstanceGraph, root: EntityInstance, segments: int
+    graph: InstanceGraph, root: EntityInstance, segments: int, kind: str
 ) -> EvaluationOutcome:
     polygon, profile_name = _profile_polygon(graph, root.attr(0), segments)
-    shape_class = f"RevolvedAreaSolid/{_PROFILE_LABELS.get(profile_name, profile_name)}"
-    axis_ref = root.attr(2)
-    axis = graph.deref(axis_ref)
+    shape_class = f"{kind}/{_PROFILE_LABELS[profile_name]}"
+    axis = graph.deref(root.attr(2))
     if axis.type_name != "IFCAXIS1PLACEMENT":
         raise UnsupportedShape(f"revolution axis {axis.type_name}")
     axis_point = (
@@ -385,19 +347,14 @@ def _eval_revolution(
     mesh = revolve_polygon(polygon, axis_point, axis_dir, segments)
     mesh = mesh.transformed(axis2_matrix(graph, root.attr(1)))
     return EvaluationOutcome(
-        displayed=True,
-        z_relation=None,
-        shape_class=shape_class,
-        smooth_curves=segments >= SMOOTH_SEGMENT_THRESHOLD,
-        mesh=mesh,
-        warnings=[],
+        shape_class, mesh, smooth_curves=segments >= SMOOTH_SEGMENT_THRESHOLD
     )
 
 
 def _eval_swept_disk(
-    graph: InstanceGraph, root: EntityInstance, segments: int
+    graph: InstanceGraph, root: EntityInstance, segments: int, kind: str
 ) -> EvaluationOutcome:
-    shape_class = "SweptDiskSolid/Disk"
+    shape_class = f"{kind}/Disk"
     warnings: list[str] = []
     directrix = graph.deref(root.attr(0))
     if directrix.type_name != "IFCPOLYLINE":
@@ -407,10 +364,12 @@ def _eval_swept_disk(
         raise UnsupportedShape("only straight two-point directrices are supported")
     p0 = _point(graph, point_refs.items[0])
     p1 = _point(graph, point_refs.items[1])
+    if not (p1 - p0).any():
+        return _not_displayed(shape_class, "zero-length directrix; nothing to evaluate")
     radius = number(root.attr(1)) or 0.0
     start = number(root.attr(3))
     end = number(root.attr(4))
-    low, high = 0.0, 1.0
+    low, high = directrix_range(graph, root.attr(0))
     if start is None:
         start = low
     if end is None:
@@ -426,14 +385,23 @@ def _eval_swept_disk(
     a = p0 + (p1 - p0) * start
     b = p0 + (p1 - p0) * end
     mesh = tube_mesh(a, b, radius, segments)
-    return EvaluationOutcome(
-        displayed=True,
-        z_relation=None,
-        shape_class=shape_class,
-        smooth_curves=segments >= SMOOTH_SEGMENT_THRESHOLD,
-        mesh=mesh,
-        warnings=warnings,
-    )
+    smooth = segments >= SMOOTH_SEGMENT_THRESHOLD
+    return EvaluationOutcome(shape_class, mesh, smooth_curves=smooth, warnings=warnings)
+
+
+def directrix_range(
+    graph: InstanceGraph, ref: AttributeValue
+) -> tuple[float, float] | None:
+    """Parameter range of a polyline directrix: 0 to its segment count."""
+    if not isinstance(ref, Reference):
+        return None
+    curve = graph.resolve(ref.id)
+    if curve.type_name != "IFCPOLYLINE":
+        return None
+    points = curve.attr(0)
+    if not isinstance(points, ListValue):
+        return None
+    return 0.0, float(len(points.items) - 1)
 
 
 def _face_mesh(graph: InstanceGraph, shell: EntityInstance) -> TriMesh:
@@ -466,27 +434,19 @@ def _face_mesh(graph: InstanceGraph, shell: EntityInstance) -> TriMesh:
     return TriMesh(np.array(vertices), np.array(tris, dtype=np.int64))
 
 
-def _eval_faces(graph: InstanceGraph, root: EntityInstance) -> EvaluationOutcome:
-    is_surface = root.type_name in _SURFACE_MODEL_ROOTS
-    if root.type_name == "IFCFACETEDBREP":
-        shells = [graph.deref(root.attr(0))]
-        shape_class = "FacetedBrep"
-    else:
+def _eval_faces(
+    graph: InstanceGraph, root: EntityInstance, segments: int, kind: str
+) -> EvaluationOutcome:
+    is_surface = root.type_name != "IFCFACETEDBREP"
+    if is_surface:
         refs = root.attr(0)
         if not isinstance(refs, ListValue):
             raise UnsupportedShape("surface model without shells")
         shells = [graph.deref(r) for r in refs.items]
-        shape_class = "ShellBasedSurfaceModel"
+    else:
+        shells = [graph.deref(root.attr(0))]
     mesh = TriMesh.concat([_face_mesh(graph, s) for s in shells])
-    return EvaluationOutcome(
-        displayed=True,
-        z_relation=None,
-        shape_class=shape_class,
-        smooth_curves=False,
-        mesh=mesh,
-        warnings=[],
-        is_surface_model=is_surface,
-    )
+    return EvaluationOutcome(kind, mesh, is_surface_model=is_surface)
 
 
 # --- axis-aligned boolean results ---------------------------------------------
@@ -495,21 +455,17 @@ def _eval_faces(graph: InstanceGraph, root: EntityInstance) -> EvaluationOutcome
 def _box_of_operand(graph: InstanceGraph, ref: AttributeValue) -> tuple[np.ndarray, np.ndarray]:
     inst = graph.deref(ref)
     if inst.type_name == "IFCFACETEDBREP":
-        mesh = _face_mesh(graph, graph.deref(inst.attr(0)))
-        lo, hi = mesh.bbox
-        if abs(mesh.volume - float(np.prod(hi - lo))) > 1e-9 * max(1.0, mesh.volume):
-            raise UnsupportedShape("brep operand is not an axis-aligned box")
-        return lo, hi
-    if inst.type_name == "IFCEXTRUDEDAREASOLID":
-        outcome = _eval_extrusion(graph, inst, segments=4)
-        if outcome.mesh is None:
+        operand, mesh = "brep", _face_mesh(graph, graph.deref(inst.attr(0)))
+    elif inst.type_name == "IFCEXTRUDEDAREASOLID":
+        operand, mesh = "extrusion", _evaluate_root(graph, inst, segments=4).mesh
+        if mesh is None:
             raise UnsupportedShape("degenerate extrusion operand")
-        mesh = outcome.mesh.transformed(np.eye(4))
-        lo, hi = mesh.bbox
-        if abs(mesh.volume - float(np.prod(hi - lo))) > 1e-9 * max(1.0, mesh.volume):
-            raise UnsupportedShape("extrusion operand is not an axis-aligned box")
-        return lo, hi
-    raise UnsupportedShape(f"unsupported boolean operand {inst.type_name}")
+    else:
+        raise UnsupportedShape(f"unsupported boolean operand {inst.type_name}")
+    lo, hi = mesh.bbox
+    if abs(mesh.volume - float(np.prod(hi - lo))) > 1e-9 * max(1.0, mesh.volume):
+        raise UnsupportedShape(f"{operand} operand is not an axis-aligned box")
+    return lo, hi
 
 
 def _half_space_region(
@@ -541,21 +497,14 @@ def _boxes_to_outcome(
     boxes = [(lo, hi) for lo, hi in boxes if (np.asarray(hi) > np.asarray(lo)).all()]
     if not boxes:
         return _not_displayed(shape_class, "boolean result is empty")
-    mesh = TriMesh.concat([box_mesh(lo, hi) for lo, hi in boxes])
-    return EvaluationOutcome(
-        displayed=True,
-        z_relation=None,
-        shape_class=shape_class,
-        smooth_curves=False,
-        mesh=mesh,
-        warnings=[],
-    )
+    return EvaluationOutcome(shape_class, TriMesh.concat([box_mesh(lo, hi) for lo, hi in boxes]))
 
 
-def _eval_boolean(graph: InstanceGraph, root: EntityInstance) -> EvaluationOutcome:
+def _eval_boolean(
+    graph: InstanceGraph, root: EntityInstance, segments: int, shape_class: str
+) -> EvaluationOutcome:
     operator = root.attr(0)
     op = operator.name if isinstance(operator, EnumToken) else ""
-    shape_class = _KIND_LABELS[root.type_name]
 
     second_inst = graph.deref(root.attr(2))
     first_box = _box_of_operand(graph, root.attr(1))
@@ -616,6 +565,21 @@ def _eval_boolean(graph: InstanceGraph, root: EntityInstance) -> EvaluationOutco
     else:
         raise UnsupportedShape(f"unsupported boolean operator {op}")
     return _boxes_to_outcome(boxes, shape_class)
+
+
+#: Supported geometry roots: IFC type -> (evaluator, shape-class label).
+SHAPES = {
+    kind.root_type: (evaluator, kind.value)
+    for kind, evaluator in (
+        (ShapeKind.BOOLEAN_RESULT, _eval_boolean),
+        (ShapeKind.BOOLEAN_CLIPPING_RESULT, _eval_boolean),
+        (ShapeKind.SHELL_BASED_SURFACE_MODEL, _eval_faces),
+        (ShapeKind.FACETED_BREP, _eval_faces),
+        (ShapeKind.EXTRUDED_AREA_SOLID, _eval_extrusion),
+        (ShapeKind.REVOLVED_AREA_SOLID, _eval_revolution),
+        (ShapeKind.SWEPT_DISK_SOLID, _eval_swept_disk),
+    )
+}
 
 
 # --- validity/import/export tuple --------------------------------------------

@@ -6,6 +6,7 @@ tetrahedra against the origin; surface area is the plain triangle-area sum.
 
 from __future__ import annotations
 
+import io
 from functools import cached_property
 
 import numpy as np
@@ -105,9 +106,9 @@ class TriMesh:
 
     def dump_ascii(self) -> str:
         """One triangle per line: nine floats (three xyz corners)."""
-        a, b, c = self._corners()
-        rows = np.hstack([a, b, c])
-        return "\n".join(" ".join(f"{x:.9g}" for x in row) for row in rows) + "\n"
+        out = io.StringIO()
+        np.savetxt(out, np.hstack(self._corners()), fmt="%.9g")
+        return out.getvalue() or "\n"  # an empty mesh dumps as one blank line
 
     def __repr__(self) -> str:
         return f"TriMesh({len(self.vertices)} vertices, {len(self.triangles)} triangles)"

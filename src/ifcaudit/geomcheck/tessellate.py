@@ -80,14 +80,20 @@ def ellipse_polygon(semi1: float, semi2: float, segments: int) -> np.ndarray:
     return np.column_stack([semi1 * np.cos(theta), semi2 * np.sin(theta)])
 
 
+def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines from ``math``, one angle at a time, so that vertices
+    do not depend on numpy's vectorised trigonometry."""
+    return (
+        np.fromiter(map(math.cos, angles), np.float64, len(angles)),
+        np.fromiter(map(math.sin, angles), np.float64, len(angles)),
+    )
+
+
 def _fillet_arc(
     center: np.ndarray, radius: float, start_angle: float, end_angle: float, steps: int
-) -> list[tuple[float, float]]:
-    angles = np.linspace(start_angle, end_angle, steps + 1)
-    return [
-        (center[0] + radius * math.cos(a), center[1] + radius * math.sin(a))
-        for a in angles
-    ]
+) -> np.ndarray:
+    cos, sin = _cos_sin(np.linspace(start_angle, end_angle, steps + 1))
+    return np.column_stack([center[0] + radius * cos, center[1] + radius * sin])
 
 
 def ishape_polygon(
@@ -103,29 +109,24 @@ def ishape_polygon(
     hw, hd, hweb = width / 2.0, depth / 2.0, web / 2.0
     inner_y = hd - flange  # |y| of the flange inner face
     steps = max(1, segments // 4)
-    pts: list[tuple[float, float]] = []
 
     def arc(cx, cy, a0, a1):
-        pts.extend(_fillet_arc(np.array([cx, cy]), fillet, a0, a1, steps))
+        return _fillet_arc(np.array([cx, cy]), fillet, a0, a1, steps)
 
-    # CCW from bottom-left outer corner
-    pts.append((-hw, -hd))
-    pts.append((hw, -hd))
-    pts.append((hw, -inner_y))
-    # bottom-right fillet: concave corner at (hweb, -inner_y)
-    arc(hweb + fillet, -inner_y + fillet, 1.5 * math.pi, math.pi)
-    # top-right fillet: concave corner at (hweb, inner_y)
-    arc(hweb + fillet, inner_y - fillet, math.pi, 0.5 * math.pi)
-    pts.append((hw, inner_y))
-    pts.append((hw, hd))
-    pts.append((-hw, hd))
-    pts.append((-hw, inner_y))
-    # top-left fillet
-    arc(-hweb - fillet, inner_y - fillet, 0.5 * math.pi, 0.0)
-    # bottom-left fillet
-    arc(-hweb - fillet, -inner_y + fillet, 0.0, -0.5 * math.pi)
-    pts.append((-hw, -inner_y))
-    return np.array(pts)
+    return np.vstack([
+        # CCW from bottom-left outer corner
+        [(-hw, -hd), (hw, -hd), (hw, -inner_y)],
+        # bottom-right fillet: concave corner at (hweb, -inner_y)
+        arc(hweb + fillet, -inner_y + fillet, 1.5 * math.pi, math.pi),
+        # top-right fillet: concave corner at (hweb, inner_y)
+        arc(hweb + fillet, inner_y - fillet, math.pi, 0.5 * math.pi),
+        [(hw, inner_y), (hw, hd), (-hw, hd), (-hw, inner_y)],
+        # top-left fillet
+        arc(-hweb - fillet, inner_y - fillet, 0.5 * math.pi, 0.0),
+        # bottom-left fillet
+        arc(-hweb - fillet, -inner_y + fillet, 0.0, -0.5 * math.pi),
+        [(-hw, -inner_y)],
+    ])
 
 
 def crane_rail_polygon(
@@ -165,30 +166,41 @@ def cap_triangles(polygon: np.ndarray) -> np.ndarray:
         polygon[:, 1] - prv[:, 1]
     ) * (nxt[:, 0] - polygon[:, 0])
     if (cross >= -1e-12).all():
-        return np.array([(0, i, i + 1) for i in range(1, n - 1)], dtype=np.int64)
+        i = np.arange(1, n - 1)
+        return np.column_stack([np.zeros_like(i), i, i + 1])
     return ear_clip(polygon)
 
 
-def extrude_polygon(polygon: np.ndarray, sweep: np.ndarray) -> TriMesh:
-    """Prism swept from a CCW polygon in the z=0 plane along ``sweep``.
+def strip_triangles(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Side walls between rings of vertex indices, shape ``(..., n)`` each.
 
-    The sweep vector must have a positive z component for outward
-    orientation; callers flip the polygon for downward sweeps.
+    The quad between vertices i and j = i+1 (cyclic) of ``lower`` and i', j'
+    of ``upper`` becomes ``(i, j, j')`` and ``(i, j', i')``; the result has
+    shape ``(..., n, 2, 3)``, quads in ring order.
+    """
+    i, j = lower, np.roll(lower, -1, axis=-1)
+    i2, j2 = upper, np.roll(upper, -1, axis=-1)
+    return np.stack([np.stack([i, j, j2], -1), np.stack([i, j2, i2], -1)], -2)
+
+
+def extrude_polygon(polygon: np.ndarray, sweep: np.ndarray) -> TriMesh:
+    """Prism swept from a polygon in the z=0 plane along ``sweep``.
+
+    The polygon is made counter-clockwise for the caps; the finished mesh
+    is oriented outward whichever way the sweep points.
     """
     polygon = ensure_ccw(np.asarray(polygon, dtype=np.float64))
     n = len(polygon)
     base = np.column_stack([polygon, np.zeros(n)])
     top = base + np.asarray(sweep, dtype=np.float64)
-    vertices = np.vstack([base, top])
     caps = cap_triangles(polygon)
-    tris: list[tuple[int, int, int]] = []
-    tris.extend((a, c, b) for a, b, c in caps)  # bottom, reversed
-    tris.extend((a + n, b + n, c + n) for a, b, c in caps)  # top
-    for i in range(n):
-        j = (i + 1) % n
-        tris.append((i, j, j + n))
-        tris.append((i, j + n, i + n))
-    return TriMesh(vertices, np.array(tris, dtype=np.int64)).oriented_outward()
+    ring = np.arange(n)
+    tris = np.vstack([
+        caps[:, [0, 2, 1]],  # bottom, reversed
+        caps + n,  # top
+        strip_triangles(ring, ring + n).reshape(-1, 3),
+    ])
+    return TriMesh(np.vstack([base, top]), tris).oriented_outward()
 
 
 def revolve_polygon(
@@ -199,44 +211,23 @@ def revolve_polygon(
 ) -> TriMesh:
     """Full-sweep solid of revolution of a polygon in the z=0 plane about an
     axis lying in that plane."""
-    polygon = ensure_ccw(np.asarray(polygon, dtype=np.float64))
-    pts3 = np.column_stack([polygon, np.zeros(len(polygon))])
+    polygon = np.asarray(polygon, dtype=np.float64)
     axis_point = np.asarray(axis_point, dtype=np.float64)
     axis_dir = np.asarray(axis_dir, dtype=np.float64)
-    axis_dir = axis_dir / np.linalg.norm(axis_dir)
+    k = axis_dir / np.linalg.norm(axis_dir)
 
-    n = len(polygon)
-    rings = []
-    for k in range(segments):
-        theta = 2.0 * math.pi * k / segments
-        rings.append(_rotate_about_axis(pts3, axis_point, axis_dir, theta))
-    vertices = np.vstack(rings)
-    tris: list[tuple[int, int, int]] = []
-    for k in range(segments):
-        k2 = (k + 1) % segments
-        for i in range(n):
-            j = (i + 1) % n
-            a = k * n + i
-            b = k * n + j
-            c = k2 * n + j
-            d = k2 * n + i
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return TriMesh(vertices, np.array(tris, dtype=np.int64)).oriented_outward()
-
-
-def _rotate_about_axis(
-    points: np.ndarray, origin: np.ndarray, direction: np.ndarray, theta: float
-) -> np.ndarray:
-    p = points - origin
-    k = direction
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    rotated = (
-        p * cos_t
-        + np.cross(np.broadcast_to(k, p.shape), p) * sin_t
-        + np.outer(p @ k, k) * (1.0 - cos_t)
-    )
-    return rotated + origin
+    # Rodrigues' rotation of every ring at once, one ring per angle
+    p = np.column_stack([polygon, np.zeros(len(polygon))]) - axis_point
+    cos, sin = _cos_sin(2.0 * math.pi * np.arange(segments) / segments)
+    cos, sin = cos[:, None, None], sin[:, None, None]
+    rings = (
+        p * cos
+        + np.cross(np.broadcast_to(k, p.shape), p) * sin
+        + np.outer(p @ k, k) * (1.0 - cos)
+    ) + axis_point
+    index = np.arange(segments * len(p)).reshape(segments, len(p))
+    tris = strip_triangles(index, np.roll(index, -1, axis=0))
+    return TriMesh(rings.reshape(-1, 3), tris.reshape(-1, 3)).oriented_outward()
 
 
 def tube_mesh(
@@ -263,15 +254,13 @@ def tube_mesh(
     ring_a = start + circle
     ring_b = end + circle
     vertices = np.vstack([ring_a, ring_b, start[None, :], end[None, :]])
-    ca, cb = 2 * segments, 2 * segments + 1
-    tris: list[tuple[int, int, int]] = []
-    for i in range(segments):
-        j = (i + 1) % segments
-        tris.append((i, j, segments + j))
-        tris.append((i, segments + j, segments + i))
-        tris.append((ca, j, i))  # start cap
-        tris.append((cb, segments + i, segments + j))  # end cap
-    return TriMesh(vertices, np.array(tris, dtype=np.int64)).oriented_outward()
+    i = np.arange(segments)
+    j = np.roll(i, -1)
+    start_cap = np.stack([np.full_like(i, 2 * segments), j, i], -1)
+    end_cap = np.stack([np.full_like(i, 2 * segments + 1), i + segments, j + segments], -1)
+    caps = np.stack([start_cap, end_cap], -2)
+    tris = np.concatenate([strip_triangles(i, i + segments), caps], axis=1)
+    return TriMesh(vertices, tris.reshape(-1, 3)).oriented_outward()
 
 
 def box_mesh(minimum, maximum) -> TriMesh:
@@ -283,12 +272,9 @@ def box_mesh(minimum, maximum) -> TriMesh:
             (x0, y0, z1), (x1, y0, z1), (x1, y1, z1), (x0, y1, z1),
         ]
     )
-    quads = [
+    quads = np.array([
         (0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
         (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
-    ]
-    tris = []
-    for a, b, c, d in quads:
-        tris.append((a, b, c))
-        tris.append((a, c, d))
-    return TriMesh(vertices, np.array(tris, dtype=np.int64))
+    ])
+    tris = np.stack([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]], axis=1)
+    return TriMesh(vertices, tris.reshape(-1, 3))

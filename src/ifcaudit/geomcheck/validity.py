@@ -13,27 +13,9 @@ from dataclasses import dataclass, field
 
 from ..errors import UnsupportedShape
 from ..geomgen.suite import InvalidReason
-from ..spf.model import (
-    AttributeValue,
-    EntityInstance,
-    InstanceGraph,
-    ListValue,
-    Reference,
-    TypedValue,
-)
+from ..spf.model import EntityInstance, InstanceGraph, TypedValue
 from ..spf.values import number, ratios, walk
-
-DIRECTION_DOT_TOLERANCE = 1e-12
-
-SUPPORTED_ROOTS = {
-    "IFCBOOLEANRESULT",
-    "IFCBOOLEANCLIPPINGRESULT",
-    "IFCSHELLBASEDSURFACEMODEL",
-    "IFCFACETEDBREP",
-    "IFCEXTRUDEDAREASOLID",
-    "IFCREVOLVEDAREASOLID",
-    "IFCSWEPTDISKSOLID",
-}
+from .evaluate import DIRECTION_DOT_TOLERANCE, SHAPES, directrix_range
 
 
 @dataclass
@@ -54,7 +36,7 @@ def check_validity(
     precision: float,
 ) -> ValidityVerdict:
     """Apply the supported rules over one item's instance fragment."""
-    roots = [i for i in instances if i.type_name in SUPPORTED_ROOTS]
+    roots = [i for i in instances if i.type_name in SHAPES]
     if not roots:
         present = sorted({i.type_name for i in instances})
         raise UnsupportedShape(f"no supported geometry root among {present}")
@@ -104,7 +86,7 @@ def check_validity(
         if inst.type_name == "IFCSWEPTDISKSOLID":
             start = number(inst.attr(3))
             end = number(inst.attr(4))
-            param_range = _directrix_range(graph, inst.attr(0))
+            param_range = directrix_range(graph, inst.attr(0))
             if param_range is None or start is None or end is None:
                 continue
             low, high = param_range
@@ -121,17 +103,3 @@ def check_validity(
         warnings=frozenset(warnings),
         details=details,
     )
-
-
-def _directrix_range(
-    graph: InstanceGraph, ref: AttributeValue
-) -> tuple[float, float] | None:
-    if not isinstance(ref, Reference):
-        return None
-    curve = graph.resolve(ref.id)
-    if curve.type_name != "IFCPOLYLINE":
-        return None
-    points = curve.attr(0)
-    if not isinstance(points, ListValue):
-        return None
-    return 0.0, float(len(points.items) - 1)

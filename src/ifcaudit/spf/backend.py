@@ -1,13 +1,12 @@
 """Selection of the record-scanner backend.
 
-The compiled scanner is preferred when its extension module imported
-successfully; ``IFCAUDIT_PURE=1`` in the environment forces the pure-Python
-twin (useful for benchmarking and debugging).
+The compiled scanner is used whenever its extension module imports, the
+pure-Python twin otherwise; :func:`available_backends` reaches either one
+directly.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 from . import _scan_py
@@ -28,6 +27,6 @@ def available_backends() -> dict[str, ScanFunc]:
 
 
 def active_backend() -> tuple[str, ScanFunc]:
-    if _scan_ext is not None and os.environ.get("IFCAUDIT_PURE", "") not in ("1", "true"):
+    if _scan_ext is not None:
         return "compiled", _scan_ext.scan_records
     return "python", _scan_py.scan_records

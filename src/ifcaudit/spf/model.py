@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from ..errors import NotFound
+from ..errors import MalformedFile, NotAReference, NotFound
 from .strings import encode_step_string
 
 
@@ -217,11 +217,21 @@ class EntityInstance:
     def attributes(self) -> tuple[AttributeValue, ...]:
         attrs = self._attrs
         if attrs is None:
-            from .attrparse import parse_attributes  # deferred, avoids cycle
+            attrs = self._parse()
+        return attrs
 
-            attrs = parse_attributes(self.raw_params or "")
-            self._attrs = attrs
-            self._src = None  # source span no longer needed
+    def _parse(self, unknown_escape_sink: list[str] | None = None) -> tuple[AttributeValue, ...]:
+        """Parse the source span and keep the values; a syntax error names
+        this record and its byte offset in the file."""
+        from .attrparse import parse_attributes  # deferred, avoids cycle
+
+        try:
+            attrs = parse_attributes(self.raw_params or "", unknown_escape_sink)
+        except MalformedFile as exc:
+            offset = None if exc.offset is None else self._pstart + exc.offset
+            raise MalformedFile(f"#{self.id}: {exc.reason}", offset) from None
+        self._attrs = attrs
+        self._src = None  # source span no longer needed
         return attrs
 
     def attr(self, index: int) -> AttributeValue:
@@ -281,7 +291,7 @@ class InstanceGraph:
 
     def deref(self, value: AttributeValue) -> EntityInstance:
         if not isinstance(value, Reference):
-            raise TypeError(f"not a reference: {value!r}")
+            raise NotAReference(f"not a reference: {value!r}")
         return self.resolve(value.id)
 
     def by_type(self, type_name: str) -> list[EntityInstance]:

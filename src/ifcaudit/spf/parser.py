@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 from ..errors import MalformedFile
-from .attrparse import parse_attributes, parse_parameter_list
+from .attrparse import parse_parameter_list
 from .backend import active_backend
 from .model import UNSET, Diagnostic, EntityInstance, FileName, InstanceGraph, SpfHeader
 from .values import text, texts
@@ -112,9 +112,7 @@ def materialize(graph: InstanceGraph) -> None:
     sink: list[str] = []
     for inst in graph.instances:
         if inst._attrs is None:
-            raw = inst.raw_params or ""
-            inst._attrs = parse_attributes(raw, unknown_escape_sink=sink)
-            inst._src = None
+            inst._parse(unknown_escape_sink=sink)
     for esc in sink:
         graph.diagnostics.append(
             Diagnostic("unknown-escape", f"escape sequence passed through verbatim: {esc!r}")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -249,3 +250,94 @@ def test_only_parse_materializes(capsys, monkeypatch, suite_file):
         assert code == 0, argv
     with pytest.raises(AssertionError, match="materialize called"):
         main(["parse", str(out)])
+
+
+def rewrite_once(path, pattern: str, replacement: str) -> None:
+    text_ = path.read_text(encoding="latin-1")
+    text_, count = re.subn(pattern, replacement, text_)
+    assert count == 1, pattern
+    path.write_text(text_, encoding="latin-1")
+
+
+def dangling_direction(graph, proxy, root):
+    return rf"(#{root.id}=IFCEXTRUDEDAREASOLID\(#\d+,#\d+,)#\d+", r"\g<1>#999999"
+
+
+def unset_swept_area(graph, proxy, root):
+    return rf"(#{root.id}=IFCEXTRUDEDAREASOLID\()#\d+", r"\1$"
+
+
+def repeated_directrix_point(graph, proxy, root):
+    polyline = root.attr(0).id
+    return rf"(#{polyline}=IFCPOLYLINE\(\((#\d+)),#\d+", r"\1,\2"
+
+
+def self_parent_placement(graph, proxy, root):
+    placement = proxy.attr(5).id
+    return rf"#{placement}=IFCLOCALPLACEMENT\(#\d+", f"#{placement}=IFCLOCALPLACEMENT(#{placement}"
+
+
+@pytest.mark.parametrize(
+    "slot, breakage, error",
+    [
+        ("B2", dangling_direction, "no instance #999999"),
+        ("B2", unset_swept_area, "not a reference: UNSET"),
+        ("F4", repeated_directrix_point, None),
+        ("B2", self_parent_placement, "is its own ancestor"),
+    ],
+)
+def test_check_survives_broken_item(capsys, suite_file, slot, breakage, error):
+    from ifcaudit.geomcheck import shape_roots, suite_proxies
+    from ifcaudit.spf import load
+    from ifcaudit.spf.values import text
+
+    out, manifest = suite_file
+    argv = ["check", str(out), "--manifest", str(manifest), "--expect-match"]
+    _, stdout, _ = run(capsys, *argv)
+    intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    graph = load(out)
+    proxy = next(p for p in suite_proxies(graph) if text(p.attr(3)) == slot)
+    rewrite_once(out, *breakage(graph, proxy, shape_roots(graph, proxy)[0]))
+
+    code, stdout, err = run(capsys, *argv)
+    items = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    assert "Traceback" not in err
+    assert items.keys() == intact.keys()
+    assert {s: i for s, i in items.items() if s != slot} == {
+        s: i for s, i in intact.items() if s != slot
+    }
+    if error is None:  # a zero-length directrix is valid, but nothing is shown
+        assert code == 0
+        assert items[slot]["displayed"] is False and items[slot]["volume"] is None
+        assert items[slot]["matches_manifest"] is True
+        assert "zero-length directrix" in items[slot]["warnings"][0]
+        return
+    assert code == 1  # the failed item counts as a manifest mismatch
+    assert error in items[slot].pop("error")
+    assert items[slot] == {
+        "slot": slot, "definition": intact[slot]["definition"], "matches_manifest": False,
+    }
+    lines = err.splitlines()
+    assert lines[0].startswith(f"{slot}: error: ") and error in lines[0]
+    assert lines[1:] == ["1 item(s) disagree with the manifest"]
+
+
+@pytest.mark.parametrize("command", ["georef", "parse"])
+def test_lazy_attribute_error_names_file_and_record(capsys, tmp_path, command):
+    from tests_helpers import georef_fixture_l20
+
+    from ifcaudit.spf import write_spf
+
+    graph = georef_fixture_l20()
+    site = graph.by_type("IFCSITE")[0]
+    data = write_spf(graph).replace(b"'siteguid',", b"'siteguid' 'x',", 1)
+    path = tmp_path / "bad_site.ifc"
+    path.write_bytes(data)
+    code, stdout, err = run(capsys, command, str(path))
+    assert code == 2
+    assert stdout == ""
+    offset = data.index(b"'x'")
+    assert err.splitlines() == [
+        f"error: {path}: #{site.id}: expected end of parameters near "
+        f"{data[offset:offset + 20].decode()!r} (at byte {offset})"
+    ]

@@ -6,6 +6,7 @@ import pytest
 from ifcaudit.geomcheck.mesh import TriMesh
 from ifcaudit.geomcheck.tessellate import (
     box_mesh,
+    crane_rail_polygon,
     ear_clip,
     ellipse_polygon,
     extrude_polygon,
@@ -137,3 +138,46 @@ def test_dump_ascii_format():
     lines = text.strip().splitlines()
     assert len(lines) == 12
     assert all(len(line.split()) == 9 for line in lines)
+
+
+PROFILES = {
+    "rectangle": rectangle_polygon(1.0, 0.5),
+    "ellipse": ellipse_polygon(1.0, 0.5, 32),
+    "ishape": ishape_polygon(0.5, 1.0, 0.1, 0.15, 0.05, 32),
+    "crane_rail": crane_rail_polygon(0.15, 0.15, 0.07, 0.02, 0.04, 0.03, 0.10, 0.015, 0.03, 0.06),
+}
+SWEEPS = {"up": (0.0, 0.0, 2.0), "down": (0.0, 0.0, -2.0), "slanted": (0.7, 0.0, 0.7)}
+
+
+def assert_watertight(mesh):
+    """Closed and outward: every directed edge once, its reverse once."""
+    t = mesh.triangles
+    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    directed = {}
+    for a, b in map(tuple, edges):
+        directed[(a, b)] = directed.get((a, b), 0) + 1
+    assert set(directed.values()) == {1}
+    assert all(directed.get((b, a)) == 1 for a, b in directed)
+    assert mesh.signed_volume > 0
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_extrusion_is_watertight(profile, sweep):
+    assert_watertight(extrude_polygon(PROFILES[profile], np.array(SWEEPS[sweep])))
+
+
+@pytest.mark.parametrize("segments", [4, 32, 64])
+@pytest.mark.parametrize("profile", ["rectangle", "ishape"])
+def test_revolution_is_watertight(profile, segments):
+    poly = PROFILES[profile] + np.array([2.0, 0.0])
+    assert_watertight(revolve_polygon(poly, np.zeros(3), np.array([0.0, 1.0, 0.0]), segments))
+
+
+@pytest.mark.parametrize("segments", [4, 32, 64])
+def test_tube_is_watertight(segments):
+    assert_watertight(tube_mesh(np.zeros(3), np.array([3.0, 1.0, 0.5]), 0.25, segments))
+
+
+def test_box_is_watertight():
+    assert_watertight(box_mesh((0, 0, 0), (2, 3, 4)))

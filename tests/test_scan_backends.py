@@ -65,16 +65,12 @@ def test_backends_agree_on_tricky_records():
         assert results[0] == results[1], data
 
 
-def test_active_backend_env_override(monkeypatch):
-    from ifcaudit.spf import backend
+def test_active_backend_is_compiled_when_built():
+    from ifcaudit.spf.backend import active_backend
 
-    monkeypatch.setenv("IFCAUDIT_PURE", "1")
-    name, scan = backend.active_backend()
-    assert name == "python"
-    monkeypatch.delenv("IFCAUDIT_PURE")
-    name, _ = backend.active_backend()
-    if both_available():
-        assert name == "compiled"
+    name, scan = active_backend()
+    assert (name == "compiled") == ("compiled" in BACKENDS)
+    assert scan is BACKENDS[name]
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))

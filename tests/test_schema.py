@@ -88,9 +88,9 @@ def test_cross_module_types_registered(registry):
         "IFCPROJECTEDCRS", "IFCSIUNIT", "IFCUNITASSIGNMENT",
         "IFCDERIVEDUNIT", "IFCDERIVEDUNITELEMENT",
     }
-    from ifcaudit.geomcheck.validity import SUPPORTED_ROOTS
+    from ifcaudit.geomcheck.evaluate import SHAPES
 
-    needed |= SUPPORTED_ROOTS
+    needed |= SHAPES.keys()
     for name in sorted(needed):
         assert name in registry, name
 
