@@ -202,16 +202,19 @@ def cmd_check(args) -> int:
     results = []
     mismatches = 0
     for proxy in suite_proxies(graph):
-        slot = text(proxy.attr(3)) or ""
-        name = text(proxy.attr(2)) or ""
+        slot = name = None
         try:
+            slot, name = text(proxy.attr(3)) or "", text(proxy.attr(2)) or ""
             verdict = check_validity(graph, item_fragment(graph, proxy), precision)
             outcome = evaluate_item(graph, proxy, segments=args.segments, precision=precision)
         except IfcAuditError as exc:
             # one broken item is reported on its own; the others still count
+            unread = slot is None  # the proxy record itself is broken
+            if unread:
+                slot, name = f"#{proxy.id}", ""
             print(f"{slot or name}: error: {exc}", file=sys.stderr)
             entry = {"slot": slot, "definition": name, "error": str(exc)}
-            if slot in expected:
+            if slot in expected or (unread and manifest):
                 entry["matches_manifest"] = False
                 mismatches += 1
             results.append(entry)

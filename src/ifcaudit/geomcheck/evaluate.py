@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import UnsupportedShape
+from ..errors import MalformedFile, UnsupportedShape
 from ..geomgen.suite import ShapeKind
 from ..spf.model import (
     AttributeValue,
@@ -206,13 +206,16 @@ def context_precision(graph: InstanceGraph) -> float | None:
 
 
 def suite_proxies(graph: InstanceGraph) -> list[EntityInstance]:
-    """Suite proxies ordered by their slot label (stored in Description)."""
-    proxies = graph.by_type("IFCBUILDINGELEMENTPROXY")
-    labelled = []
-    for proxy in proxies:
-        labelled.append((text(proxy.attr(3)) or "", proxy))
-    labelled.sort(key=lambda pair: pair[0])
-    return [p for _, p in labelled]
+    """Suite proxies ordered by their slot label (stored in Description);
+    proxies whose record cannot be read come first, in file order."""
+
+    def slot(proxy: EntityInstance) -> str:
+        try:
+            return text(proxy.attr(3)) or ""
+        except MalformedFile:
+            return ""
+
+    return sorted(graph.by_type("IFCBUILDINGELEMENTPROXY"), key=slot)
 
 
 def shape_roots(graph: InstanceGraph, proxy: EntityInstance) -> list[EntityInstance]:

@@ -142,7 +142,7 @@ def _parse_reference(cur: _Cursor) -> Reference:
     if i == start:
         raise cur.fail("instance id after '#'")
     cur.pos = i
-    return Reference(int(text[start:i]))
+    return Reference(_integer(text[start:i], start))
 
 
 def _parse_string(cur: _Cursor) -> Text:
@@ -227,7 +227,14 @@ def _parse_number(cur: _Cursor) -> Integer | Real:
         raise cur.fail("number")
     if is_real:
         return Real(float(lexeme), lexeme)
-    return Integer(int(lexeme))
+    return Integer(_integer(lexeme, start))
+
+
+def _integer(lexeme: str, pos: int) -> int:
+    try:
+        return int(lexeme)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise MalformedFile("integer too long to read", pos) from None
 
 
 def _parse_typed(cur: _Cursor) -> TypedValue:

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 from ..errors import MalformedFile
+from ._scan_py import TRIVIA
 from .attrparse import parse_parameter_list
 from .backend import active_backend
 from .model import UNSET, Diagnostic, EntityInstance, FileName, InstanceGraph, SpfHeader
@@ -18,11 +19,9 @@ _END_SENTINEL = b"END-ISO-10303-21;"
 _KEYWORD = re.compile(rb"[A-Za-z_][A-Za-z0-9_]*")
 _BLANKS = re.compile(rb"[ \t\r\n]*")
 
-_TRIVIA = re.compile(rb"(?:[ \t\r\n]+|/\*.*?\*/)*", re.DOTALL)
-
 
 def _skip_trivia(data: bytes, pos: int) -> int:
-    return _TRIVIA.match(data, pos).end()
+    return TRIVIA.match(data, pos).end()
 
 
 def parse_spf(data: bytes) -> InstanceGraph:
@@ -53,7 +52,10 @@ def parse_spf(data: bytes) -> InstanceGraph:
         raise MalformedFile("missing DATA section", pos)
 
     _, scan = active_backend()
-    raw_records, referenced, scan_diags, pos = scan(data, pos + 5)
+    try:
+        raw_records, referenced, scan_diags, pos = scan(data, pos + 5)
+    except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
+        raise MalformedFile("instance id or reference too long to read") from None
     for code, message in scan_diags:
         diagnostics.append(Diagnostic(code, message))
 
@@ -63,28 +65,18 @@ def parse_spf(data: bytes) -> InstanceGraph:
             Diagnostic("missing-end-sentinel", "file does not end with END-ISO-10303-21;")
         )
 
-    instances: list[EntityInstance] = []
-    index: dict[int, EntityInstance] = {}
-    positions: dict[int, int] | None = None  # built lazily on first duplicate
+    index: dict[int, EntityInstance] = {}  # first position, last definition
     name_cache: dict[str, str] = {}
     for i in range(len(raw_records)):
         inst_id, name, pstart, pend = raw_records[i]
         raw_records[i] = None  # free scan tuples as we go; large files care
-        name = name_cache.setdefault(name, name)
-        inst = EntityInstance(inst_id, name, _src=source, _pstart=pstart, _pend=pend)
-        if inst_id not in index:
-            index[inst_id] = inst
-            if positions is not None:
-                positions[inst_id] = len(instances)
-            instances.append(inst)
-        else:
+        if inst_id in index:
             diagnostics.append(
                 Diagnostic("duplicate-id", f"instance #{inst_id} defined twice; last kept")
             )
-            if positions is None:
-                positions = {existing.id: k for k, existing in enumerate(instances)}
-            index[inst_id] = inst
-            instances[positions[inst_id]] = inst
+        index[inst_id] = EntityInstance(
+            inst_id, name_cache.setdefault(name, name), _src=source, _pstart=pstart, _pend=pend
+        )
 
     dangling = referenced - index.keys()
     for ref in sorted(dangling):
@@ -94,7 +86,7 @@ def parse_spf(data: bytes) -> InstanceGraph:
 
     return InstanceGraph(
         header=header,
-        instances=instances,
+        instances=list(index.values()),
         diagnostics=diagnostics,
         byte_size=len(data),
         _prebuilt_index=index,

@@ -219,6 +219,40 @@ def test_georef_reads_around_deep_nesting(capsys, deep_file):
     assert json.loads(stdout)["levels"] == [20]
 
 
+LONG_DIGITS = b"9" * 5000  # past Python's default int-string limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "where, command",
+    [
+        ("id", "census"), ("id", "parse"),
+        ("reference", "census"), ("reference", "parse"),
+        ("integer", "georef"), ("integer", "parse"),
+    ],
+)
+def test_overlong_integer_is_malformed(capsys, tmp_path, where, command):
+    from tests_helpers import georef_fixture_l20
+
+    from ifcaudit.spf import write_spf
+
+    graph = georef_fixture_l20()
+    path = tmp_path / "long.ifc"
+    if where == "id":
+        write_with_record(path, graph, b"#" + LONG_DIGITS + b"=IFCWALL($);")
+    elif where == "reference":
+        write_with_record(path, graph, b"#900=IFCWALL(#" + LONG_DIGITS + b");")
+    else:  # the site's latitude degrees
+        data = write_spf(graph)
+        assert data.count(b"(52,0,0,0)") == 1
+        path.write_bytes(data.replace(b"(52,0,0,0)", b"(" + LONG_DIGITS + b",0,0,0)"))
+    code, stdout, err = run(capsys, command, str(path))
+    assert code == 2
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert "too long to read" in lines[0]
+
+
 def test_parse_reports_unknown_escape(capsys, tmp_path):
     from tests_helpers import minimal_building
 
@@ -277,6 +311,10 @@ def self_parent_placement(graph, proxy, root):
     return rf"#{placement}=IFCLOCALPLACEMENT\(#\d+", f"#{placement}=IFCLOCALPLACEMENT(#{placement}"
 
 
+def unreadable_proxy(graph, proxy, root):
+    return rf"(#{proxy.id}=IFCBUILDINGELEMENTPROXY\('[^']*')", r"\1 'x'"
+
+
 @pytest.mark.parametrize(
     "slot, breakage, error",
     [
@@ -284,6 +322,7 @@ def self_parent_placement(graph, proxy, root):
         ("B2", unset_swept_area, "not a reference: UNSET"),
         ("F4", repeated_directrix_point, None),
         ("B2", self_parent_placement, "is its own ancestor"),
+        ("B2", unreadable_proxy, "expected end of parameters"),
     ],
 )
 def test_check_survives_broken_item(capsys, suite_file, slot, breakage, error):
@@ -301,9 +340,11 @@ def test_check_survives_broken_item(capsys, suite_file, slot, breakage, error):
 
     code, stdout, err = run(capsys, *argv)
     items = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    # an item whose proxy record cannot be read is named by the proxy's id
+    label = f"#{proxy.id}" if breakage is unreadable_proxy else slot
     assert "Traceback" not in err
-    assert items.keys() == intact.keys()
-    assert {s: i for s, i in items.items() if s != slot} == {
+    assert items.keys() == intact.keys() - {slot} | {label}
+    assert {s: i for s, i in items.items() if s != label} == {
         s: i for s, i in intact.items() if s != slot
     }
     if error is None:  # a zero-length directrix is valid, but nothing is shown
@@ -313,12 +354,11 @@ def test_check_survives_broken_item(capsys, suite_file, slot, breakage, error):
         assert "zero-length directrix" in items[slot]["warnings"][0]
         return
     assert code == 1  # the failed item counts as a manifest mismatch
-    assert error in items[slot].pop("error")
-    assert items[slot] == {
-        "slot": slot, "definition": intact[slot]["definition"], "matches_manifest": False,
-    }
+    assert error in items[label].pop("error")
+    definition = "" if label != slot else intact[slot]["definition"]
+    assert items[label] == {"slot": label, "definition": definition, "matches_manifest": False}
     lines = err.splitlines()
-    assert lines[0].startswith(f"{slot}: error: ") and error in lines[0]
+    assert lines[0].startswith(f"{label}: error: ") and error in lines[0]
     assert lines[1:] == ["1 item(s) disagree with the manifest"]
 
 
