@@ -27,7 +27,7 @@ from .benchkit import (
 )
 from .benchkit.answers import Category
 from .census import census, diff, diff_csv, diff_markdown
-from .errors import IfcAuditError, MalformedFile, NoAnswers, TooFewRespondents
+from .errors import IfcAuditError, NoAnswers, TooFewRespondents
 from .geomcheck import (
     check_validity,
     context_precision,
@@ -65,11 +65,9 @@ def _json_dump(obj) -> str:
 
 def _load(path: str):
     try:
-        return load(path)
+        return load(path)  # its syntax errors, eager or lazy, name the file
     except FileNotFoundError:
         raise SystemExit_(f"no such file: {path}")
-    except MalformedFile as exc:
-        raise SystemExit_(f"{path}: {exc}")
 
 
 class SystemExit_(Exception):
@@ -184,6 +182,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.segments < 3:
+        raise SystemExit_(f"--segments must be at least 3, not {args.segments}")
     graph = _load(args.file)
     manifest = None
     if args.manifest:
@@ -414,15 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit_ as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except IfcAuditError as exc:
-        # attributes are read lazily, so a single-file command names its file
-        where = f"{args.file}: " if hasattr(args, "file") else ""
-        print(f"error: {where}{exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (SystemExit_, IfcAuditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -434,6 +434,8 @@ def _face_mesh(graph: InstanceGraph, shell: EntityInstance) -> TriMesh:
             vertices.extend(coords)
             for k in range(1, len(coords) - 1):
                 tris.append((base, base + k, base + k + 1))
+    if not tris:
+        raise UnsupportedShape(f"shell #{shell.id} has no triangles")
     return TriMesh(np.array(vertices), np.array(tris, dtype=np.int64))
 
 

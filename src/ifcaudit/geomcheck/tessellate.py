@@ -22,51 +22,36 @@ def ensure_ccw(points: np.ndarray) -> np.ndarray:
 
 
 def ear_clip(points: np.ndarray) -> np.ndarray:
-    """Triangulate a simple CCW polygon by ear clipping."""
+    """Triangulate a simple CCW polygon by ear clipping.
+
+    Each pass clips the first convex corner, counted from vertex 1, whose
+    triangle holds no other remaining vertex, so a convex outline comes out
+    as the fan ``(0, i, i+1)``.
+    """
     n = len(points)
     if n < 3:
         raise ValueError("polygon needs at least 3 points")
-    indices = list(range(n))
+    x, y = points[:, 0], points[:, 1]
+    remaining = np.arange(n)
     triangles: list[tuple[int, int, int]] = []
-
-    def cross_z(o, a, b) -> float:
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def contains(a, b, c, p) -> bool:
-        d1 = cross_z(a, b, p)
-        d2 = cross_z(b, c, p)
-        d3 = cross_z(c, a, p)
-        neg = (d1 < 0) or (d2 < 0) or (d3 < 0)
-        pos = (d1 > 0) or (d2 > 0) or (d3 > 0)
-        return not (neg and pos)
-
-    guard = 0
-    while len(indices) > 3:
-        guard += 1
-        if guard > n * n + 10:
-            raise ValueError("ear clipping failed; polygon not simple?")
-        ear_found = False
-        m = len(indices)
-        for k in range(m):
-            i_prev, i_cur, i_next = indices[k - 1], indices[k], indices[(k + 1) % m]
-            a, b, c = points[i_prev], points[i_cur], points[i_next]
-            if cross_z(a, b, c) <= 1e-15:
-                continue
-            if any(
-                contains(a, b, c, points[j])
-                for j in indices
-                if j not in (i_prev, i_cur, i_next)
-            ):
-                continue
-            triangles.append((i_prev, i_cur, i_next))
-            indices.pop(k)
-            ear_found = True
-            break
-        if not ear_found:
-            # only collinear candidates remain; clip them to terminate
-            triangles.append((indices[0], indices[1], indices[2]))
-            indices.pop(1)
-    triangles.append((indices[0], indices[1], indices[2]))
+    while len(remaining) > 3:
+        # corner k is remaining[k + 1], between remaining[k] and remaining[k + 2]
+        a, b, c = remaining, np.roll(remaining, -1), np.roll(remaining, -2)
+        ax, ay, bx, by, cx, cy = x[a], y[a], x[b], y[b], x[c], y[c]
+        turn = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        ear = 0  # only collinear candidates remain: clip the first to terminate
+        for k in np.flatnonzero(turn > 1e-15):
+            d1 = (bx[k] - ax[k]) * (ay - ay[k]) - (by[k] - ay[k]) * (ax - ax[k])
+            d2 = (cx[k] - bx[k]) * (ay - by[k]) - (cy[k] - by[k]) * (ax - bx[k])
+            d3 = (ax[k] - cx[k]) * (ay - cy[k]) - (ay[k] - cy[k]) * (ax - cx[k])
+            inside = ~(((d1 < 0) | (d2 < 0) | (d3 < 0)) & ((d1 > 0) | (d2 > 0) | (d3 > 0)))
+            inside[[k, (k + 1) % len(a), (k + 2) % len(a)]] = False
+            if not inside.any():
+                ear = k
+                break
+        triangles.append((a[ear], b[ear], c[ear]))
+        remaining = np.delete(remaining, (ear + 1) % len(a))
+    triangles.append(tuple(remaining))
     return np.array(triangles, dtype=np.int64)
 
 
@@ -157,20 +142,6 @@ def crane_rail_polygon(
     return np.array(right + left)
 
 
-def cap_triangles(polygon: np.ndarray) -> np.ndarray:
-    """Triangulation of a cap; fan for convex outlines, ear clipping else."""
-    n = len(polygon)
-    nxt = np.roll(polygon, -1, axis=0)
-    prv = np.roll(polygon, 1, axis=0)
-    cross = (polygon[:, 0] - prv[:, 0]) * (nxt[:, 1] - polygon[:, 1]) - (
-        polygon[:, 1] - prv[:, 1]
-    ) * (nxt[:, 0] - polygon[:, 0])
-    if (cross >= -1e-12).all():
-        i = np.arange(1, n - 1)
-        return np.column_stack([np.zeros_like(i), i, i + 1])
-    return ear_clip(polygon)
-
-
 def strip_triangles(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Side walls between rings of vertex indices, shape ``(..., n)`` each.
 
@@ -193,7 +164,7 @@ def extrude_polygon(polygon: np.ndarray, sweep: np.ndarray) -> TriMesh:
     n = len(polygon)
     base = np.column_stack([polygon, np.zeros(n)])
     top = base + np.asarray(sweep, dtype=np.float64)
-    caps = cap_triangles(polygon)
+    caps = ear_clip(polygon)
     ring = np.arange(n)
     tris = np.vstack([
         caps[:, [0, 2, 1]],  # bottom, reversed

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from ..errors import MalformedFile
 from .model import (
     DERIVED,
@@ -226,8 +228,18 @@ def _parse_number(cur: _Cursor) -> Integer | Real:
     if not lexeme.strip("+-"):
         raise cur.fail("number")
     if is_real:
-        return Real(float(lexeme), lexeme)
+        return Real(_real(lexeme, start), lexeme)
     return Integer(_integer(lexeme, start))
+
+
+def _real(lexeme: str, pos: int) -> float:
+    try:
+        value = float(lexeme)
+    except ValueError:  # a mantissa or an exponent without digits, e.g. '1E'
+        raise MalformedFile(f"malformed real {lexeme[:20]!r}", pos) from None
+    if not math.isfinite(value):  # JSON output has no infinity
+        raise MalformedFile("real out of range", pos)
+    return value
 
 
 def _integer(lexeme: str, pos: int) -> int:

@@ -157,6 +157,15 @@ class Diagnostic:
         return f"[{self.code}] {self.message}"
 
 
+@dataclass(frozen=True, slots=True)
+class Source:
+    """Text of a parsed file, shared by the instances read from it. A syntax
+    error met when a record is first read names ``path``, when it is set."""
+
+    text: str
+    path: str | None = None
+
+
 @dataclass
 class FileName:
     """Payload of a FILE_NAME header record."""
@@ -195,7 +204,7 @@ class EntityInstance:
         id: int,
         type_name: str,
         attributes: tuple[AttributeValue, ...] | None = None,
-        _src: str | None = None,
+        _src: Source | None = None,
         _pstart: int = 0,
         _pend: int = 0,
     ):
@@ -211,7 +220,7 @@ class EntityInstance:
         """Source text between the outer parentheses, if parsed from text."""
         if self._src is None:
             return None
-        return self._src[self._pstart : self._pend]
+        return self._src.text[self._pstart : self._pend]
 
     @property
     def attributes(self) -> tuple[AttributeValue, ...]:
@@ -222,14 +231,15 @@ class EntityInstance:
 
     def _parse(self, unknown_escape_sink: list[str] | None = None) -> tuple[AttributeValue, ...]:
         """Parse the source span and keep the values; a syntax error names
-        this record and its byte offset in the file."""
+        the file, this record and its byte offset in the file."""
         from .attrparse import parse_attributes  # deferred, avoids cycle
 
         try:
             attrs = parse_attributes(self.raw_params or "", unknown_escape_sink)
         except MalformedFile as exc:
             offset = None if exc.offset is None else self._pstart + exc.offset
-            raise MalformedFile(f"#{self.id}: {exc.reason}", offset) from None
+            where = f"{self._src.path}: " if self._src.path else ""
+            raise MalformedFile(f"{where}#{self.id}: {exc.reason}", offset) from None
         self._attrs = attrs
         self._src = None  # source span no longer needed
         return attrs

@@ -10,7 +10,15 @@ from ..errors import MalformedFile
 from ._scan_py import TRIVIA
 from .attrparse import parse_parameter_list
 from .backend import active_backend
-from .model import UNSET, Diagnostic, EntityInstance, FileName, InstanceGraph, SpfHeader
+from .model import (
+    UNSET,
+    Diagnostic,
+    EntityInstance,
+    FileName,
+    InstanceGraph,
+    Source,
+    SpfHeader,
+)
 from .values import text, texts
 
 _SENTINEL = b"ISO-10303-21;"
@@ -24,13 +32,14 @@ def _skip_trivia(data: bytes, pos: int) -> int:
     return TRIVIA.match(data, pos).end()
 
 
-def parse_spf(data: bytes) -> InstanceGraph:
+def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
     """Parse SPF text into an :class:`InstanceGraph`.
 
     Attributes are parsed lazily, on first access, which keeps census-scale
     work linear in the number of records rather than the number of attribute
     tokens. :func:`materialize` parses them all and records string-escape
-    anomalies in the graph diagnostics.
+    anomalies in the graph diagnostics. A syntax error met in a record when
+    its attributes are first read names ``path``, the file's name.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_spf expects bytes; use load() for paths")
@@ -65,6 +74,7 @@ def parse_spf(data: bytes) -> InstanceGraph:
             Diagnostic("missing-end-sentinel", "file does not end with END-ISO-10303-21;")
         )
 
+    shared = Source(source, path)
     index: dict[int, EntityInstance] = {}  # first position, last definition
     name_cache: dict[str, str] = {}
     for i in range(len(raw_records)):
@@ -75,7 +85,7 @@ def parse_spf(data: bytes) -> InstanceGraph:
                 Diagnostic("duplicate-id", f"instance #{inst_id} defined twice; last kept")
             )
         index[inst_id] = EntityInstance(
-            inst_id, name_cache.setdefault(name, name), _src=source, _pstart=pstart, _pend=pend
+            inst_id, name_cache.setdefault(name, name), _src=shared, _pstart=pstart, _pend=pend
         )
 
     dangling = referenced - index.keys()
@@ -94,8 +104,13 @@ def parse_spf(data: bytes) -> InstanceGraph:
 
 
 def load(path: str | os.PathLike) -> InstanceGraph:
-    """Read and parse a file from disk."""
-    return parse_spf(Path(path).read_bytes())
+    """Read and parse a file from disk. Every syntax error, found now or
+    when a record's attributes are first read, names the file."""
+    name = os.fspath(path)
+    try:
+        return parse_spf(Path(path).read_bytes(), name)
+    except MalformedFile as exc:
+        raise MalformedFile(f"{name}: {exc.reason}", exc.offset) from None
 
 
 def materialize(graph: InstanceGraph) -> None:

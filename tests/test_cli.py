@@ -4,6 +4,7 @@ import re
 import pytest
 
 from ifcaudit.cli import main
+from ifcaudit.spf import ListValue
 
 
 def run(capsys, *argv):
@@ -222,15 +223,20 @@ def test_georef_reads_around_deep_nesting(capsys, deep_file):
 LONG_DIGITS = b"9" * 5000  # past Python's default int-string limit of 4300 digits
 
 
+UNREADABLE_NUMBERS = [
+    ("id", "census", "too long to read"), ("id", "parse", "too long to read"),
+    ("reference", "census", "too long to read"), ("reference", "parse", "too long to read"),
+    ("integer", "georef", "too long to read"), ("integer", "parse", "too long to read"),
+    ("real", "georef", "real out of range"), ("real", "parse", "real out of range"),
+]
+
+
 @pytest.mark.parametrize(
-    "where, command",
-    [
-        ("id", "census"), ("id", "parse"),
-        ("reference", "census"), ("reference", "parse"),
-        ("integer", "georef"), ("integer", "parse"),
-    ],
+    "where, command, reason",
+    UNREADABLE_NUMBERS,
+    ids=[f"{where}-{command}" for where, command, _ in UNREADABLE_NUMBERS],
 )
-def test_overlong_integer_is_malformed(capsys, tmp_path, where, command):
+def test_overlong_integer_is_malformed(capsys, tmp_path, where, command, reason):
     from tests_helpers import georef_fixture_l20
 
     from ifcaudit.spf import write_spf
@@ -241,16 +247,20 @@ def test_overlong_integer_is_malformed(capsys, tmp_path, where, command):
         write_with_record(path, graph, b"#" + LONG_DIGITS + b"=IFCWALL($);")
     elif where == "reference":
         write_with_record(path, graph, b"#900=IFCWALL(#" + LONG_DIGITS + b");")
-    else:  # the site's latitude degrees
+    else:  # the site's latitude degrees or its elevation
+        old, new = {
+            "integer": (b"(52,0,0,0)", b"(" + LONG_DIGITS + b",0,0,0)"),
+            "real": (b",2.5,", b",1.E999,"),
+        }[where]
         data = write_spf(graph)
-        assert data.count(b"(52,0,0,0)") == 1
-        path.write_bytes(data.replace(b"(52,0,0,0)", b"(" + LONG_DIGITS + b",0,0,0)"))
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
     code, stdout, err = run(capsys, command, str(path))
     assert code == 2
     assert stdout == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
-    assert "too long to read" in lines[0]
+    assert reason in lines[0]
 
 
 def test_parse_reports_unknown_escape(capsys, tmp_path):
@@ -315,6 +325,14 @@ def unreadable_proxy(graph, proxy, root):
     return rf"(#{proxy.id}=IFCBUILDINGELEMENTPROXY\('[^']*')", r"\1 'x'"
 
 
+def empty_shell(graph, proxy, root):
+    if root.type_name == "IFCBOOLEANRESULT":
+        root = graph.deref(root.attr(1))  # the first operand, a faceted brep
+    shells = root.attr(0)  # a brep's shell or a surface model's shell list
+    shell = graph.deref(shells.items[0] if isinstance(shells, ListValue) else shells)
+    return rf"(#{shell.id}=IFC\w*SHELL\()\([^)]*\)", r"\1()"
+
+
 @pytest.mark.parametrize(
     "slot, breakage, error",
     [
@@ -323,6 +341,9 @@ def unreadable_proxy(graph, proxy, root):
         ("F4", repeated_directrix_point, None),
         ("B2", self_parent_placement, "is its own ancestor"),
         ("B2", unreadable_proxy, "expected end of parameters"),
+        ("B1", empty_shell, "has no triangles"),
+        ("A5", empty_shell, "has no triangles"),
+        ("A1", empty_shell, "has no triangles"),
     ],
 )
 def test_check_survives_broken_item(capsys, suite_file, slot, breakage, error):
@@ -362,7 +383,10 @@ def test_check_survives_broken_item(capsys, suite_file, slot, breakage, error):
     assert lines[1:] == ["1 item(s) disagree with the manifest"]
 
 
-@pytest.mark.parametrize("command", ["georef", "parse"])
+@pytest.mark.parametrize(
+    "command",
+    ["georef", "parse", "report roundtrip GOOD BAD", "report roundtrip BAD GOOD"],
+)
 def test_lazy_attribute_error_names_file_and_record(capsys, tmp_path, command):
     from tests_helpers import georef_fixture_l20
 
@@ -370,10 +394,14 @@ def test_lazy_attribute_error_names_file_and_record(capsys, tmp_path, command):
 
     graph = georef_fixture_l20()
     site = graph.by_type("IFCSITE")[0]
-    data = write_spf(graph).replace(b"'siteguid',", b"'siteguid' 'x',", 1)
+    good = write_spf(graph)
+    data = good.replace(b"'siteguid',", b"'siteguid' 'x',", 1)
     path = tmp_path / "bad_site.ifc"
     path.write_bytes(data)
-    code, stdout, err = run(capsys, command, str(path))
+    (tmp_path / "good_site.ifc").write_bytes(good)
+    argv = command.split() if " " in command else [command, "BAD"]
+    paths = {"GOOD": str(tmp_path / "good_site.ifc"), "BAD": str(path)}
+    code, stdout, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 2
     assert stdout == ""
     offset = data.index(b"'x'")
@@ -381,3 +409,13 @@ def test_lazy_attribute_error_names_file_and_record(capsys, tmp_path, command):
         f"error: {path}: #{site.id}: expected end of parameters near "
         f"{data[offset:offset + 20].decode()!r} (at byte {offset})"
     ]
+
+
+@pytest.mark.parametrize("segments", ["0", "2", "-5"])
+def test_check_segments_below_three_is_usage_error(capsys, suite_file, segments):
+    out, _ = suite_file
+    capsys.readouterr()
+    code, stdout, err = run(capsys, "check", str(out), "--segments", segments)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == [f"error: --segments must be at least 3, not {segments}"]

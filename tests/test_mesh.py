@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ifcaudit.geomcheck.mesh import TriMesh
 from ifcaudit.geomcheck.tessellate import (
@@ -76,6 +79,46 @@ def test_ear_clip_concave():
             (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
         ) / 2
     assert total == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize(
+    "polygon",
+    [rectangle_polygon(2.0, 1.0)] + [ellipse_polygon(2.0, 1.0, n) for n in (3, 4, 64, 512)],
+    ids=["rectangle", "ellipse-3", "ellipse-4", "ellipse-64", "ellipse-512"],
+)
+def test_ear_clip_fans_convex_outlines(polygon):
+    i = np.arange(1, len(polygon) - 1)
+    assert ear_clip(polygon).tolist() == np.column_stack([0 * i, i, i + 1]).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 719), st.integers(1, 100)),
+        min_size=3, max_size=60, unique_by=lambda vertex: vertex[0],
+    )
+)
+def test_ear_clip_star_shaped_polygons(vertices):
+    # vertices in angle order around the origin, with no gap of half a turn
+    # or more, form a simple counter-clockwise polygon the origin sees whole
+    angle, radius = np.array(sorted(vertices), dtype=np.float64).T
+    assume(np.diff(angle, append=angle[0] + 720).max() < 360)
+    angle *= math.pi / 360.0
+    poly = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    tris = ear_clip(poly)
+    assert len(tris) == len(poly) - 2
+    a, b, c = poly[tris[:, 0]], poly[tris[:, 1]], poly[tris[:, 2]]
+    doubled = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    assert (doubled >= 0).all()
+    assert doubled.sum() / 2 == pytest.approx(polygon_area(poly), rel=1e-9)
+
+
+def test_ear_clip_fine_ishape_is_fast():
+    poly = ishape_polygon(0.2, 0.3, 0.01, 0.015, 0.012, segments=1024)
+    start = time.perf_counter()
+    tris = ear_clip(poly)
+    assert time.perf_counter() - start < 1.0
+    assert len(tris) == len(poly) - 2
 
 
 def test_ishape_polygon_area_matches_closed_form():

@@ -128,6 +128,18 @@ def test_attribute_grammar():
     assert attrs[8] == TypedValue("IFCLABEL", Text("x", "x"))
 
 
+@pytest.mark.parametrize(
+    "lexeme, reason",
+    [
+        ("1E", "malformed real"), ("1.E+", "malformed real"), ("+.", "malformed real"),
+        ("1.E999", "real out of range"), ("-1.E999", "real out of range"),
+    ],
+)
+def test_unreadable_real_is_malformed(lexeme, reason):
+    with pytest.raises(MalformedFile, match=reason):
+        parse_attributes(f"$,{lexeme},$")
+
+
 def test_binary_token():
     from ifcaudit.spf import Binary
 
