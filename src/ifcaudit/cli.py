@@ -181,23 +181,44 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _read_manifest(path: str) -> tuple[float, dict[str, tuple[bool, set[str]]]]:
+    """The precision of a ``generate --manifest`` file and each slot's
+    expected verdict, ``(valid, reasons)``; any other file is a usage error."""
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+        expected = {
+            entry["slot"]: (
+                entry["expected_validity"]["valid"],
+                set(entry["expected_validity"]["reasons"]),
+            )
+            for entry in manifest["items"]
+        }
+        return float(manifest["precision"]), expected
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not shaped as a manifest
+        raise SystemExit_(f"{path}: not a suite manifest ({type(exc).__name__}: {exc})") from None
+
+
+def _dump_name(slot: str, proxy_id: int) -> str:
+    """``slot`` when it is a plain file name, else ``#ID`` of the proxy: the
+    slot is text from the file, and a dump stays in its directory."""
+    if slot in ("", ".", "..") or not slot.isprintable() or "/" in slot or "\\" in slot:
+        return f"#{proxy_id}"
+    if len(slot.encode()) > 250:  # with ".tris", past the usual 255-byte name limit
+        return f"#{proxy_id}"
+    return slot
+
+
 def cmd_check(args) -> int:
     if args.segments < 3:
         raise SystemExit_(f"--segments must be at least 3, not {args.segments}")
     graph = _load(args.file)
-    manifest = None
+    precision, expected = args.precision, {}
     if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    precision = args.precision
+        manifest_precision, expected = _read_manifest(args.manifest)
+        if precision is None:
+            precision = manifest_precision
     if precision is None:
-        if manifest:
-            precision = manifest["precision"]
-        else:
-            precision = context_precision(graph) or DEFAULT_PRECISION
-    expected = {}
-    if manifest:
-        for entry in manifest["items"]:
-            expected[entry["slot"]] = entry["expected_validity"]
+        precision = context_precision(graph) or DEFAULT_PRECISION
 
     results = []
     mismatches = 0
@@ -214,7 +235,7 @@ def cmd_check(args) -> int:
                 slot, name = f"#{proxy.id}", ""
             print(f"{slot or name}: error: {exc}", file=sys.stderr)
             entry = {"slot": slot, "definition": name, "error": str(exc)}
-            if slot in expected or (unread and manifest):
+            if slot in expected or (unread and args.manifest):
                 entry["matches_manifest"] = False
                 mismatches += 1
             results.append(entry)
@@ -235,17 +256,16 @@ def cmd_check(args) -> int:
             "warnings": outcome.warnings,
         }
         if slot in expected:
-            want = expected[slot]
-            agrees = want["valid"] == verdict.valid and set(want["reasons"]) == {
-                r.value for r in verdict.reasons
-            }
+            valid, reasons = expected[slot]
+            agrees = valid == verdict.valid and reasons == {r.value for r in verdict.reasons}
             entry["matches_manifest"] = agrees
             if not agrees:
                 mismatches += 1
         results.append(entry)
         if args.mesh_dump and outcome.mesh is not None:
-            dump_path = Path(args.mesh_dump) / f"{slot or name}.tris"
-            dump_path.parent.mkdir(parents=True, exist_ok=True)
+            dump_dir = Path(args.mesh_dump)
+            dump_dir.mkdir(parents=True, exist_ok=True)
+            dump_path = dump_dir / f"{_dump_name(slot, proxy.id)}.tris"
             dump_path.write_text(outcome.mesh.dump_ascii(), encoding="utf-8")
 
     _emit(_json_dump({"items": results}), args.out)

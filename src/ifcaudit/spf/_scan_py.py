@@ -21,8 +21,9 @@ from ..errors import MalformedFile
 
 _COMMENT = rb"/\*(?:[^*]|\*(?!/))*\*/"
 _STRING = rb"'(?:[^']|'')*'(?!')"
+_BINARY = rb'"[^"]*"'
 # strings, binaries and comments: a ';', '(', ')' or '#' inside means nothing
-_OPAQUE = _STRING + rb"|\"[^\"]*\"|" + _COMMENT
+_OPAQUE = _STRING + rb"|" + _BINARY + rb"|" + _COMMENT
 _ATOM = rb"[^;'\"/()]|/(?!\*)|" + _OPAQUE
 
 #: Parenthesised groups nest this deep inside parameters that ``_RECORD``

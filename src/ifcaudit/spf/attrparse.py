@@ -1,10 +1,19 @@
-"""Recursive-descent parser for the parameter list of one record."""
+"""Parser for the parameter list of one record.
+
+One token pattern is read left to right: optional blanks and comments, then
+one lexeme. The lists and typed values still open sit on an explicit stack,
+so nesting depth is a count, checked against ``MAX_NESTING``, and never
+recursion. Strings, binaries and comments are the record scanner's own
+patterns, so both read each lexeme alike.
+"""
 
 from __future__ import annotations
 
 import math
+import re
 
 from ..errors import MalformedFile
+from ._scan_py import _BINARY, _STRING, TRIVIA
 from .model import (
     DERIVED,
     UNSET,
@@ -21,68 +30,43 @@ from .model import (
 from .strings import decode_step_string
 
 #: Deepest list or typed-value nesting accepted. Real IFC nests three
-#: levels at most; the bound keeps hostile input from exhausting the stack.
+#: levels at most; deeper input is malformed.
 MAX_NESTING = 64
 
-_WS = " \t\r\n"
-_DIGITS = "0123456789"
-_KEYWORD_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_KEYWORD_BODY = _KEYWORD_START | set(_DIGITS)
+_TRIVIA = TRIVIA.pattern.decode("ascii")
+_KEYWORD = "[A-Za-z_][A-Za-z0-9_]*"
 
-
-class _Cursor:
-    __slots__ = ("text", "pos", "depth", "unknown_escapes")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-        self.unknown_escapes: list[str] = []
-
-    def skip_trivia(self) -> None:
-        text, n = self.text, len(self.text)
-        i = self.pos
-        while i < n:
-            c = text[i]
-            if c in _WS:
-                i += 1
-            elif c == "/" and text[i : i + 2] == "/*":
-                end = text.find("*/", i + 2)
-                if end < 0:
-                    raise MalformedFile("unterminated comment in parameters", i)
-                i = end + 2
-            else:
-                break
-        self.pos = i
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def enter(self) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise MalformedFile(f"parameters nested deeper than {MAX_NESTING}", self.pos)
-
-    def fail(self, what: str) -> MalformedFile:
-        ctx = self.text[self.pos : self.pos + 20]
-        return MalformedFile(f"expected {what} near {ctx!r}", self.pos)
+# group numbers of the token pattern's alternatives
+_COMMA, _REF, _CLOSE, _OPEN, _UNSET, _INT, _NUMBER, _STR, _ENUM, _TYPED, _DERIVED, _BIN, _NONE = (
+    range(1, 14)
+)
+_TOKEN = re.compile(
+    _TRIVIA
+    + "(?:(,)"
+    + "|#([0-9]+)"
+    + r"|(\))|(\()|(\$)"
+    + "|([+-]?[0-9]+)(?![.eE0-9])"
+    # a real, or a lexeme that is not a number at all: '+', '1E', '+.'
+    + r"|([+\-0-9][0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?)"
+    + f"|({_STRING.decode('ascii')})"
+    + r"|\.([^.]*)\."
+    + f"|({_KEYWORD}){_TRIVIA}\\("
+    + r"|(\*)"
+    + f"|({_BINARY.decode('ascii')})"
+    + "|())"  # nothing readable here, or the end of the text
+)
+_TRIVIA_RE = re.compile(_TRIVIA)
+_KEYWORD_RE = re.compile(_KEYWORD)
 
 
 def parse_attributes(
     params: str, unknown_escape_sink: list[str] | None = None
 ) -> tuple[AttributeValue, ...]:
     """Parse the text between a record's outer parentheses."""
-    cur = _Cursor(params)
-    cur.skip_trivia()
-    if cur.pos >= len(params):
-        return ()
-    items = _parse_items(cur)
-    cur.skip_trivia()
-    if cur.pos != len(params):
-        raise cur.fail("end of parameters")
+    values, _, unknown = _read(params, 0, [])
     if unknown_escape_sink is not None:
-        unknown_escape_sink.extend(cur.unknown_escapes)
-    return tuple(items)
+        unknown_escape_sink.extend(unknown)
+    return tuple(values)
 
 
 def parse_parameter_list(text: str, pos: int) -> tuple[tuple[AttributeValue, ...], int]:
@@ -90,146 +74,113 @@ def parse_parameter_list(text: str, pos: int) -> tuple[tuple[AttributeValue, ...
 
     Returns the values and the position just past the closing ``')'``.
     """
-    cur = _Cursor(text)
-    cur.pos = pos
-    if cur.peek() != "(":
-        raise cur.fail("'('")
-    return _parse_list(cur).items, cur.pos
+    if not text.startswith("(", pos):
+        raise _expected(text, pos, "'('")
+    values, end, _ = _read(text, pos, None)
+    return tuple(values), end
 
 
-def _parse_items(cur: _Cursor) -> list[AttributeValue]:
-    items = [_parse_value(cur)]
-    while True:
-        cur.skip_trivia()
-        c = cur.peek()
-        if c == ",":
-            cur.pos += 1
-            cur.skip_trivia()
-            items.append(_parse_value(cur))
-        else:
-            return items
+def _read(text: str, pos: int, items: list | None) -> tuple[list, int, list[str]]:
+    """Read values from ``text[pos:]``; returns them, the end position and
+    the unknown string escapes met.
 
-
-def _parse_value(cur: _Cursor) -> AttributeValue:
-    c = cur.peek()
-    if c == "$":
-        cur.pos += 1
-        return UNSET
-    if c == "*":
-        cur.pos += 1
-        return DERIVED
-    if c == "#":
-        return _parse_reference(cur)
-    if c == "'":
-        return _parse_string(cur)
-    if c == ".":
-        return _parse_enum(cur)
-    if c == "(":
-        return _parse_list(cur)
-    if c == '"':
-        return _parse_binary(cur)
-    if c in "+-" or c in _DIGITS:
-        return _parse_number(cur)
-    if c in _KEYWORD_START:
-        return _parse_typed(cur)
-    raise cur.fail("attribute value")
-
-
-def _parse_reference(cur: _Cursor) -> Reference:
-    text = cur.text
-    i = cur.pos + 1
-    start = i
-    while i < len(text) and text[i] in _DIGITS:
-        i += 1
-    if i == start:
-        raise cur.fail("instance id after '#'")
-    cur.pos = i
-    return Reference(_integer(text[start:i], start))
-
-
-def _parse_string(cur: _Cursor) -> Text:
-    text = cur.text
-    i = cur.pos + 1
-    start = i
-    while True:
-        j = text.find("'", i)
-        if j < 0:
-            raise MalformedFile("unterminated string", cur.pos)
-        if text[j + 1 : j + 2] == "'":
-            i = j + 2
+    ``items`` is ``[]`` to read a record's comma-separated parameters up to
+    the end of the text, or ``None`` to read the one list that opens at
+    ``pos`` and stop past its ``')'``.
+    """
+    unknown: list[str] = []
+    stack: list[tuple[str | None, list | None]] = []  # the frames enclosing this one
+    name = None  # type name of the open typed value; None in a list
+    due = True  # a value comes next (or the close of an empty list)
+    append = items.append if items is not None else None
+    for m in _TOKEN.finditer(text, pos):
+        kind = m.lastindex
+        if kind == _COMMA:
+            if due or name is not None:
+                break
+            due = True
             continue
-        raw = text[start:j]
-        cur.pos = j + 1
-        value, unknown = decode_step_string(raw)
-        cur.unknown_escapes.extend(unknown)
-        return Text(value, raw)
+        if kind == _CLOSE:
+            if not stack or (due and (items or name is not None)):
+                break
+            value = ListValue(tuple(items)) if name is None else TypedValue(name, items[0])
+            name, items = stack.pop()
+            if items is None:  # the list parse_parameter_list opened
+                return value.items, m.end(), unknown
+            append = items.append
+        elif not due:
+            break
+        elif kind == _REF:
+            value = Reference(_integer(m.group(_REF), m.start(_REF)))
+        elif kind == _NUMBER:
+            lexeme = m.group(_NUMBER)
+            if lexeme == "+" or lexeme == "-":
+                raise _expected(text, m.end(), "number")
+            value = Real(_real(lexeme, m.start(_NUMBER)), lexeme)
+        elif kind == _UNSET:
+            value = UNSET
+        elif kind == _OPEN or kind == _TYPED:
+            if len(stack) == MAX_NESTING:
+                at = m.start(_OPEN) if kind == _OPEN else m.end(_TYPED)
+                raise MalformedFile(f"parameters nested deeper than {MAX_NESTING}", at)
+            stack.append((name, items))
+            name = None if kind == _OPEN else m.group(_TYPED).upper()
+            items = []
+            append = items.append
+            continue
+        elif kind == _STR:
+            raw = m.group(_STR)[1:-1]
+            decoded, bad = decode_step_string(raw)
+            unknown += bad
+            value = Text(decoded, raw)
+        elif kind == _ENUM:
+            value = EnumToken(m.group(_ENUM).upper())
+        elif kind == _INT:
+            value = Integer(_integer(m.group(_INT), m.start(_INT)))
+        elif kind == _DERIVED:
+            value = DERIVED
+        elif kind == _BIN:
+            value = Binary(m.group(_BIN)[1:-1])
+        else:  # _NONE: the empty alternative always matches, so the loop ends here
+            break
+        append(value)
+        due = False
+    if kind == _NONE and m.end() == len(text) and not stack and not (due and items):
+        return items, m.end(), unknown
+    raise _failure(text, m.start(), due, name, len(stack))
 
 
-def _parse_enum(cur: _Cursor) -> EnumToken:
-    text = cur.text
-    end = text.find(".", cur.pos + 1)
-    if end < 0:
-        raise cur.fail("closing '.' of enumeration token")
-    name = text[cur.pos + 1 : end]
-    cur.pos = end + 1
-    return EnumToken(name.upper())
+def _failure(text: str, pos: int, due: bool, name: str | None, depth: int) -> MalformedFile:
+    """The error for the token at ``pos``, which cannot come next."""
+    pos = _TRIVIA_RE.match(text, pos).end()
+    if text.startswith("/*", pos):
+        return MalformedFile("unterminated comment in parameters", pos)
+    if not due:
+        if depth == 0:
+            return _expected(text, pos, "end of parameters")
+        return _expected(text, pos, "')'" if name is None else f"')' closing {name}")
+    c = text[pos : pos + 1]
+    if c == "'":
+        return MalformedFile("unterminated string", pos)
+    if c == '"':
+        return MalformedFile("unterminated binary token", pos)
+    if c == "#":
+        return _expected(text, pos, "instance id after '#'")
+    if c == ".":
+        return _expected(text, pos, "closing '.' of enumeration token")
+    keyword = _KEYWORD_RE.match(text, pos)
+    if keyword is None:
+        return _expected(text, pos, "attribute value")
+    if depth == MAX_NESTING:
+        return MalformedFile(f"parameters nested deeper than {MAX_NESTING}", keyword.end())
+    pos = _TRIVIA_RE.match(text, keyword.end()).end()
+    if text.startswith("/*", pos):
+        return MalformedFile("unterminated comment in parameters", pos)
+    return _expected(text, pos, f"'(' after type name {keyword.group().upper()}")
 
 
-def _parse_list(cur: _Cursor) -> ListValue:
-    cur.enter()
-    cur.pos += 1  # consume '('
-    cur.skip_trivia()
-    if cur.peek() == ")":
-        items = []
-    else:
-        items = _parse_items(cur)
-        cur.skip_trivia()
-        if cur.peek() != ")":
-            raise cur.fail("')'")
-    cur.pos += 1
-    cur.depth -= 1
-    return ListValue(tuple(items))
-
-
-def _parse_binary(cur: _Cursor) -> Binary:
-    text = cur.text
-    end = text.find('"', cur.pos + 1)
-    if end < 0:
-        raise MalformedFile("unterminated binary token", cur.pos)
-    payload = text[cur.pos + 1 : end]
-    cur.pos = end + 1
-    return Binary(payload)
-
-
-def _parse_number(cur: _Cursor) -> Integer | Real:
-    text = cur.text
-    n = len(text)
-    i = cur.pos
-    start = i
-    if text[i] in "+-":
-        i += 1
-    is_real = False
-    while i < n and text[i] in _DIGITS:
-        i += 1
-    if i < n and text[i] == ".":
-        is_real = True
-        i += 1
-        while i < n and text[i] in _DIGITS:
-            i += 1
-    if i < n and text[i] in "eE":
-        is_real = True
-        i += 1
-        if i < n and text[i] in "+-":
-            i += 1
-        while i < n and text[i] in _DIGITS:
-            i += 1
-    lexeme = text[start:i]
-    cur.pos = i
-    if not lexeme.strip("+-"):
-        raise cur.fail("number")
-    if is_real:
-        return Real(_real(lexeme, start), lexeme)
-    return Integer(_integer(lexeme, start))
+def _expected(text: str, pos: int, what: str) -> MalformedFile:
+    return MalformedFile(f"expected {what} near {text[pos : pos + 20]!r}", pos)
 
 
 def _real(lexeme: str, pos: int) -> float:
@@ -247,25 +198,3 @@ def _integer(lexeme: str, pos: int) -> int:
         return int(lexeme)
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
         raise MalformedFile("integer too long to read", pos) from None
-
-
-def _parse_typed(cur: _Cursor) -> TypedValue:
-    text = cur.text
-    i = cur.pos
-    while i < len(text) and text[i] in _KEYWORD_BODY:
-        i += 1
-    name = text[cur.pos : i].upper()
-    cur.pos = i
-    cur.enter()
-    cur.skip_trivia()
-    if cur.peek() != "(":
-        raise cur.fail(f"'(' after type name {name}")
-    cur.pos += 1
-    cur.skip_trivia()
-    inner = _parse_value(cur)
-    cur.skip_trivia()
-    if cur.peek() != ")":
-        raise cur.fail(f"')' closing {name}")
-    cur.pos += 1
-    cur.depth -= 1
-    return TypedValue(name, inner)

@@ -226,23 +226,21 @@ class EntityInstance:
     def attributes(self) -> tuple[AttributeValue, ...]:
         attrs = self._attrs
         if attrs is None:
-            attrs = self._parse()
+            attrs = self._attrs = self._parse()
+            self._src = None  # source span no longer needed
         return attrs
 
     def _parse(self, unknown_escape_sink: list[str] | None = None) -> tuple[AttributeValue, ...]:
-        """Parse the source span and keep the values; a syntax error names
-        the file, this record and its byte offset in the file."""
+        """Parse the source span without keeping the values; a syntax error
+        names the file, this record and its byte offset in the file."""
         from .attrparse import parse_attributes  # deferred, avoids cycle
 
         try:
-            attrs = parse_attributes(self.raw_params or "", unknown_escape_sink)
+            return parse_attributes(self.raw_params or "", unknown_escape_sink)
         except MalformedFile as exc:
             offset = None if exc.offset is None else self._pstart + exc.offset
             where = f"{self._src.path}: " if self._src.path else ""
             raise MalformedFile(f"{where}#{self.id}: {exc.reason}", offset) from None
-        self._attrs = attrs
-        self._src = None  # source span no longer needed
-        return attrs
 
     def attr(self, index: int) -> AttributeValue:
         """Attribute at ``index``, UNSET when the record is shorter."""

@@ -37,7 +37,7 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
 
     Attributes are parsed lazily, on first access, which keeps census-scale
     work linear in the number of records rather than the number of attribute
-    tokens. :func:`materialize` parses them all and records string-escape
+    tokens. :func:`materialize` checks them all and records string-escape
     anomalies in the graph diagnostics. A syntax error met in a record when
     its attributes are first read names ``path``, the file's name.
     """
@@ -114,8 +114,11 @@ def load(path: str | os.PathLike) -> InstanceGraph:
 
 
 def materialize(graph: InstanceGraph) -> None:
-    """Force attribute parsing of every instance, collecting escape
-    diagnostics into the graph."""
+    """Check the syntax of every record not read yet, without keeping its
+    values, and add an ``unknown-escape`` diagnostic to the graph for each
+    string escape passed through verbatim. A syntax error raises
+    :class:`MalformedFile`. Records stay unread, so a second call reads them
+    and adds their diagnostics again."""
     sink: list[str] = []
     for inst in graph.instances:
         if inst._attrs is None:

@@ -419,3 +419,115 @@ def test_check_segments_below_three_is_usage_error(capsys, suite_file, segments)
     assert code == 2
     assert stdout == ""
     assert err.splitlines() == [f"error: --segments must be at least 3, not {segments}"]
+
+
+def trailing_comma_in_site(path):
+    """Writes a site record whose parameters end in a comma; returns the
+    offset where a value is missing."""
+    from tests_helpers import georef_fixture_l10
+
+    from ifcaudit.spf import write_spf
+
+    data, count = re.subn(rb"(#\d+=IFCSITE\(.*,#\d+)\);", rb"\1,);", write_spf(georef_fixture_l10()))
+    assert count == 1
+    path.write_bytes(data)
+    return data.index(b",);") + 1
+
+
+def header_cut_short(path):
+    from tests_helpers import minimal_building
+
+    from ifcaudit.spf import write_spf
+
+    data = write_spf(minimal_building("IFC4"))
+    data = data[: data.index(b"FILE_SCHEMA(('IFC4')") + len(b"FILE_SCHEMA(('IFC4')")] + b","
+    path.write_bytes(data)
+    return len(data)
+
+
+@pytest.mark.parametrize(
+    "breakage, command",
+    [
+        (trailing_comma_in_site, "georef"),
+        (trailing_comma_in_site, "parse"),
+        (header_cut_short, "census"),
+    ],
+)
+def test_early_end_of_parameters_is_malformed(capsys, tmp_path, breakage, command):
+    path = tmp_path / "early_end.ifc"
+    offset = breakage(path)
+    code, stdout, err = run(capsys, command, str(path))
+    assert code == 2
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert lines[0].endswith(f"expected attribute value near '' (at byte {offset})")
+
+
+# raw STEP text of a slot; "ABS" stands for an absolute path outside the dump directory
+ESCAPING_SLOTS = [
+    "../../escaped", "ABS", "\\X\\00", "x\\X\\00y", "", ".", "..", "a\\\\b", "c/d", "L" * 300,
+]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ESCAPING_SLOTS,
+    ids=["parent", "absolute", "nul", "inner-nul", "empty", "dot", "dotdot", "backslash", "slash",
+         "too-long"],
+)
+def test_mesh_dump_stays_in_its_directory(capsys, tmp_path, suite_file, raw):
+    from ifcaudit.spf.strings import decode_step_string
+
+    out, manifest = suite_file
+    argv = ["check", str(out), "--manifest", str(manifest), "--expect-match"]
+    _, stdout, _ = run(capsys, *argv, "--mesh-dump", str(tmp_path / "intact"))
+    intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    raw = raw.replace("ABS", str(tmp_path / "abs_escape"))
+    data = out.read_text(encoding="latin-1")
+    m = re.search(r"#(\d+)=IFCBUILDINGELEMENTPROXY\('[^']*',#\d+,'[^']*',('B2')", data)
+    out.write_text(data[: m.start(2)] + f"'{raw}'" + data[m.end(2) :], encoding="latin-1")
+    proxy_id, slot = m.group(1), decode_step_string(raw)[0]
+
+    before = set(tmp_path.rglob("*"))
+    dump_dir = tmp_path / "nested" / "meshes"
+    code, stdout, err = run(capsys, *argv, "--mesh-dump", str(dump_dir))
+    assert code == 0
+    assert "Traceback" not in err
+    created = set(tmp_path.rglob("*")) - before
+    assert created == {tmp_path / "nested", dump_dir} | set(dump_dir.iterdir())
+    items = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    assert items.keys() == intact.keys() - {"B2"} | {slot}
+    assert {s: i for s, i in items.items() if s != slot} == {
+        s: i for s, i in intact.items() if s != "B2"
+    }
+    dumps = {p.name for p in dump_dir.iterdir()}
+    assert dumps == {p.name for p in (tmp_path / "intact").iterdir()} - {"B2.tris"} | {
+        f"#{proxy_id}.tris"
+    }
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{",
+        b"\xff\xfe",
+        b'{"items": []}',
+        b"[]",
+        b'{"precision": 1e-05, "items": [{"expected_validity": {"valid": true, "reasons": []}}]}',
+        b'{"precision": 1e-05, "items": [{"slot": "A1", "expected_validity": true}]}',
+        b'{"precision": null, "items": []}',
+    ],
+    ids=["truncated", "not-utf8", "no-precision", "list", "no-slot", "bare-validity",
+         "null-precision"],
+)
+def test_malformed_manifest_is_usage_error(capsys, tmp_path, suite_file, content):
+    out, _ = suite_file
+    capsys.readouterr()
+    manifest = tmp_path / "broken.json"
+    manifest.write_bytes(content)
+    code, stdout, err = run(capsys, "check", str(out), "--manifest", str(manifest))
+    assert code == 2
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {manifest}: not a suite manifest (")

@@ -234,3 +234,19 @@ def test_unterminated_header_record_fails_fast(unit):
     with pytest.raises(MalformedFile):
         parse_spf(data)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("params", ["1,", "(1,", "IFCX(", "(", "$,(#1,(", "'a', /* c */ "])
+def test_early_end_is_malformed(params):
+    with pytest.raises(MalformedFile, match="expected attribute value near ''") as caught:
+        parse_attributes(params)
+    assert caught.value.offset == len(params)
+
+
+def test_materialize_checks_without_keeping_values():
+    graph = parse_spf(MINIMAL.replace(b"'B'", b"'B \\Q'"))
+    materialize(graph)
+    assert [d.code for d in graph.diagnostics] == ["unknown-escape"]
+    inst = graph.resolve(1)
+    assert inst._attrs is None  # checked, not kept
+    assert inst.attributes[2] == Text("B \\Q", "B \\Q")

@@ -3,7 +3,23 @@ from hypothesis import strategies as st
 
 from ifcaudit.census import census
 from ifcaudit.errors import MalformedFile
-from ifcaudit.spf import materialize, parse_spf, write_spf
+from ifcaudit.spf import (
+    DERIVED,
+    UNSET,
+    Binary,
+    EnumToken,
+    Integer,
+    ListValue,
+    Real,
+    Reference,
+    Text,
+    TypedValue,
+    format_value,
+    materialize,
+    parse_spf,
+    write_spf,
+)
+from ifcaudit.spf.attrparse import MAX_NESTING, parse_attributes
 
 
 def test_roundtrip_suite_2x3(suite_2x3):
@@ -83,3 +99,52 @@ def test_parser_total_on_adversarial_text(body):
         materialize(parse_spf(data))
     except MalformedFile:
         pass
+
+
+def _depth(value) -> int:
+    if isinstance(value, ListValue):
+        return 1 + max(map(_depth, value.items), default=0)
+    if isinstance(value, TypedValue):
+        return 1 + _depth(value.value)
+    return 0
+
+
+TYPE_NAMES = st.from_regex(r"[A-Z_][A-Z0-9_]{0,20}", fullmatch=True)
+LEAVES = st.one_of(
+    st.just(UNSET),
+    st.just(DERIVED),
+    st.builds(Integer, st.integers()),
+    st.builds(Real.of, st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(Text.of, st.text()),
+    st.builds(EnumToken, TYPE_NAMES),
+    st.builds(Reference, st.integers(min_value=0)),
+    st.builds(Binary, st.from_regex(r"[0-9A-F]*", fullmatch=True)),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda items: ListValue(tuple(items))),
+        st.builds(TypedValue, TYPE_NAMES, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def parameter_trees(draw):
+    """Parameter values whose deepest one is wrapped up to MAX_NESTING deep."""
+    values = draw(st.lists(TREES.filter(lambda v: _depth(v) <= MAX_NESTING), max_size=6))
+    if values:
+        i = draw(st.integers(0, len(values) - 1))
+        wraps = draw(st.integers(0, MAX_NESTING - _depth(values[i])))
+        typed, name = draw(st.integers(0, 2**wraps - 1)), draw(TYPE_NAMES)  # bit k: typed
+        for k in range(wraps):
+            wrapped = values[i]
+            values[i] = TypedValue(name, wrapped) if typed >> k & 1 else ListValue((wrapped,))
+    return tuple(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parameter_trees())
+def test_written_values_parse_back(values):
+    assert parse_attributes(",".join(map(format_value, values))) == values
