@@ -1,7 +1,9 @@
 """Build script for the optional compiled record scanner.
 
-The package is fully functional without the extension: ifcaudit.spf.backend
-falls back to the pure-Python scanner when the compiled one is missing.
+The extension is cythonized from _scan.pyx when Cython is installed and built
+from the shipped, generated _scan.c otherwise. The package is fully
+functional without it: ifcaudit.spf.backend falls back to the pure-Python
+scanner when the compiled one is missing.
 Package metadata lives in pyproject.toml; the src layout is repeated here so
 legacy setup.py code paths resolve it too.
 """
@@ -10,8 +12,14 @@ from setuptools import Extension, find_packages, setup
 
 try:
     from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
+except ImportError:  # build the shipped C file instead
+    ext_modules = [
+        Extension(
+            "ifcaudit.spf._scan",
+            ["src/ifcaudit/spf/_scan.c"],
+            extra_compile_args=["-O3"],
+        )
+    ]
 else:
     ext_modules = cythonize(
         [

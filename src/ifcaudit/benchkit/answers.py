@@ -115,7 +115,15 @@ def _parse_value(category: Category, raw: str):
         return raw
 
 
+_REQUIRED = ("software", "category", "question", "value")
+
+
 def _record_from_mapping(row: dict[str, str]) -> AnswerRecord:
+    if not isinstance(row, dict):
+        raise ValueError(f"not an object: {row!r}")
+    for name in _REQUIRED:
+        if row.get(name) is None:  # absent, null, or a short CSV row
+            raise ValueError(f"missing field {name!r}")
     category = Category(row["category"])
     return AnswerRecord(
         software=row["software"],
@@ -130,7 +138,8 @@ def _record_from_mapping(row: dict[str, str]) -> AnswerRecord:
 
 
 def read_answers_csv(text: str) -> list[AnswerRecord]:
-    """Read records from CSV with a '#answers-schema: N' header row."""
+    """Read records from CSV with a '#answers-schema: N' header row; a row
+    that is not a record is a ValueError naming its line."""
     lines = text.splitlines()
     if not lines:
         return []
@@ -140,23 +149,35 @@ def read_answers_csv(text: str) -> list[AnswerRecord]:
             raise ValueError(f"unsupported answers schema header: {lines[0]!r}")
         start = 1
     reader = csv.DictReader(io.StringIO("\n".join(lines[start:])))
-    return [_record_from_mapping(row) for row in reader]
+    records = []
+    try:
+        for row in reader:
+            records.append(_record_from_mapping(row))
+    except (csv.Error, TypeError, ValueError) as exc:
+        raise ValueError(f"line {start + reader.line_num}: {exc}") from None
+    return records
 
 
 def read_answers_jsonl(text: str) -> list[AnswerRecord]:
     """Read records from JSON lines; a first object with 'answers_schema'
-    declares the version."""
+    declares the version. A line that is not a record is a ValueError naming
+    it."""
     records = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        if "answers_schema" in obj:
-            if obj["answers_schema"] != ANSWERS_SCHEMA_VERSION:
-                raise ValueError(f"unsupported answers schema {obj['answers_schema']}")
-            continue
-        records.append(_record_from_mapping(obj))
+        try:
+            obj = json.loads(line)
+            if isinstance(obj, dict) and "answers_schema" in obj:
+                if obj["answers_schema"] != ANSWERS_SCHEMA_VERSION:
+                    raise ValueError(f"unsupported answers schema {obj['answers_schema']}")
+                continue
+            records.append(_record_from_mapping(obj))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: not JSON ({exc.msg})") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return records
 
 

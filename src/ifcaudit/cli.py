@@ -305,11 +305,13 @@ def cmd_report_answers(args) -> int:
     path = Path(args.records)
     if not path.exists():
         raise SystemExit_(f"no such file: {args.records}")
-    text = path.read_text(encoding="utf-8")
+    read = read_answers_csv
     if path.suffix.lower() in (".jsonl", ".ndjson"):
-        records = read_answers_jsonl(text)
-    else:
-        records = read_answers_csv(text)
+        read = read_answers_jsonl
+    try:
+        records = read(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not shaped as answer records
+        raise SystemExit_(f"{args.records}: {exc}") from None
 
     matrix = synthesis_matrix(records)
     slots = sorted(

@@ -7,8 +7,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import MalformedFile, UnsupportedShape
 from ..geomgen.suite import ShapeKind
 from ..spf.model import (
@@ -20,6 +18,7 @@ from ..spf.model import (
     Reference,
 )
 from ..spf.values import number, numbers, text, walk
+from ._np import np
 from .mesh import TriMesh
 from .tessellate import (
     box_mesh,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import io
 from functools import cached_property
 
-import numpy as np
+from ._np import np
 
 
 class TriMesh:

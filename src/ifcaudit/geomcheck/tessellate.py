@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._np import np
 from .mesh import TriMesh
 
 

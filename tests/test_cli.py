@@ -531,3 +531,33 @@ def test_malformed_manifest_is_usage_error(capsys, tmp_path, suite_file, content
     assert stdout == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {manifest}: not a suite manifest (")
+
+
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        ("a.csv", "garbage\n1,2\n", "line 2: missing field 'software'"),
+        ("a.jsonl", '{"x":1}\n', "line 1: missing field 'software'"),
+        ("a.jsonl", "not json\n", "line 1: not JSON ("),
+        ("a.csv", "#answers-schema: 99\nsoftware\n", "unsupported answers schema header"),
+        ("a.jsonl", '{"answers_schema": 99}\n', "line 1: unsupported answers schema 99"),
+        ("a.csv", "software,category,question,value\nX,bogus,q,1\n",
+         "line 2: 'bogus' is not a valid Category"),
+        ("a.csv", "software,category,question,value\nX,Semantics,q\n",
+         "line 2: missing field 'value'"),
+        ("a.jsonl", "[1]\n", "line 1: not an object: [1]"),
+        ("a.csv", "\udcff\n", "'utf-8' codec can't decode"),
+    ],
+    ids=["csv-no-columns", "jsonl-no-fields", "not-json", "csv-schema-99", "jsonl-schema-99",
+         "bad-category", "short-row", "jsonl-list", "not-utf8"],
+)
+def test_malformed_answers_is_usage_error(capsys, tmp_path, name, content, reason):
+    records = tmp_path / name
+    records.write_bytes(content.encode("utf-8", "surrogateescape"))
+    code, stdout, err = run(capsys, "report", "answers", str(records), "--out",
+                            str(tmp_path / "report"))
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {records}: {reason}")
+    assert not (tmp_path / "report").exists()
