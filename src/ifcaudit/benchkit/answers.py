@@ -116,6 +116,8 @@ def _parse_value(category: Category, raw: str):
 
 
 _REQUIRED = ("software", "category", "question", "value")
+#: Fields read as text; JSON lines may hold any value in them.
+_TEXT = ("software", "version", "dataset", "question", "value", "slot")
 
 
 def _record_from_mapping(row: dict[str, str]) -> AnswerRecord:
@@ -124,6 +126,9 @@ def _record_from_mapping(row: dict[str, str]) -> AnswerRecord:
     for name in _REQUIRED:
         if row.get(name) is None:  # absent, null, or a short CSV row
             raise ValueError(f"missing field {name!r}")
+    for name in _TEXT:
+        if row.get(name) is not None and not isinstance(row[name], str):
+            raise ValueError(f"field {name!r} is not text: {row[name]!r}")
     category = Category(row["category"])
     return AnswerRecord(
         software=row["software"],

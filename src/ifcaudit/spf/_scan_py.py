@@ -1,6 +1,6 @@
 """Pure-Python record scanner for the DATA section.
 
-Twin of the compiled scanner in ``_scan.pyx``; both expose
+Twin of the compiled scanner in ``_scan.c``; both expose
 ``scan_records(data, start)`` and accept one grammar, so either can back the
 parser. A record's parameters end at the first ``)`` that closes the record's
 own ``(``: parentheses are counted, and strings (with ``''`` doubling),

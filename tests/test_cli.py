@@ -547,9 +547,16 @@ def test_malformed_manifest_is_usage_error(capsys, tmp_path, suite_file, content
          "line 2: missing field 'value'"),
         ("a.jsonl", "[1]\n", "line 1: not an object: [1]"),
         ("a.csv", "\udcff\n", "'utf-8' codec can't decode"),
+        ("a.jsonl",
+         '{"software":"a","category":"GeometryItem","question":"q","value":"1","slot":"A1"}\n'
+         '{"software":"b","category":"GeometryItem","question":"q","value":"1","slot":5}\n',
+         "line 2: field 'slot' is not text: 5"),
+        ("a.jsonl", '{"software":["a"],"category":"Semantics","question":"q","value":"1"}\n',
+         "line 1: field 'software' is not text: ['a']"),
     ],
     ids=["csv-no-columns", "jsonl-no-fields", "not-json", "csv-schema-99", "jsonl-schema-99",
-         "bad-category", "short-row", "jsonl-list", "not-utf8"],
+         "bad-category", "short-row", "jsonl-list", "not-utf8", "jsonl-int-slot",
+         "jsonl-list-software"],
 )
 def test_malformed_answers_is_usage_error(capsys, tmp_path, name, content, reason):
     records = tmp_path / name

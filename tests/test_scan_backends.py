@@ -1,7 +1,6 @@
 """The compiled and pure-Python scanners must be observationally identical."""
 
 import importlib.util
-import re
 import shutil
 import subprocess
 import sys
@@ -23,16 +22,17 @@ SPF_DIR = Path(ifcaudit.spf.__file__).parent
 
 
 def build_compiled(out_dir: Path):
-    """Compile the shipped ``_scan.c`` into ``out_dir`` and load it without
-    installing it, so the package keeps the backend it selected."""
+    """Compile ``_scan.c`` into ``out_dir`` and load it without installing
+    it, so the package keeps the backend it selected. Any compiler warning
+    fails the build."""
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
     compiler = shutil.which(cc) or shutil.which("cc")
     if compiler is None:
         pytest.skip("no C compiler to build _scan.c")
     target = out_dir / ("_scan" + sysconfig.get_config_var("EXT_SUFFIX"))
     subprocess.run(
-        [compiler, "-O1", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"],
-         str(SPF_DIR / "_scan.c"), "-o", str(target)],
+        [compiler, "-O1", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+         "-I" + sysconfig.get_paths()["include"], str(SPF_DIR / "_scan.c"), "-o", str(target)],
         check=True, capture_output=True,
     )
     spec = importlib.util.spec_from_file_location("ifcaudit.spf._scan", target)
@@ -44,26 +44,29 @@ def build_compiled(out_dir: Path):
 
 @pytest.fixture(scope="module")
 def scanners(tmp_path_factory):
-    """The pure and the compiled scanner, the latter built here when the
-    package was installed without it."""
+    """The pure and the compiled scanner by backend name, the latter built
+    here when the package was installed without it."""
     found = dict(BACKENDS)
     if "compiled" not in found:
         found["compiled"] = build_compiled(tmp_path_factory.mktemp("scan"))
-    return found["python"], found["compiled"]
+    return found
 
 
 def run_scan(scan, data: bytes):
+    """A scan's results, or the type, reason and offset of what it raised."""
     start = data.find(b"DATA;") + 5
     try:
         records, refs, diags, end = scan(data, start)
-        return ("ok", records, sorted(refs), diags, end)
     except MalformedFile as exc:
-        return ("malformed",)
+        return ("MalformedFile", exc.reason, exc.offset)
+    except ValueError as exc:  # int() refuses digit strings past its limit
+        return ("ValueError", str(exc))
+    return ("ok", records, sorted(refs), diags, end)
 
 
 def assert_agree(scanners, data: bytes):
-    pure, compiled = (run_scan(scan, data) for scan in scanners)
-    assert pure == compiled, data
+    pure, compiled = (run_scan(scanners[name], data) for name in ("python", "compiled"))
+    assert pure == compiled, data[:200]
     return pure
 
 
@@ -121,25 +124,20 @@ def test_backends_agree_on_tricky_records(scanners):
         b"DATA;#1=A(/* #9 */);ENDSEC;",
         b"DATA;#1=A(\"'#3\");ENDSEC;",
     ]
+    # the compiled scanner reads up to 18 digits natively and hands longer
+    # ones to int(), which refuses more than 4300
+    for digits in (b"9" * 18, b"1" + b"0" * 18, b"9" * 19, b"9" * 20, b"7" * 5000):
+        cases += [
+            b"DATA;#" + digits + b"=A(#" + digits + b",#2);ENDSEC;",
+            b"DATA;#1=A(#" + digits + b");#" + digits + b"=(B());ENDSEC;",
+        ]
+    cases += [
+        b"DATA;#" + b"7" * 5000 + b"=A(;ENDSEC;",
+        b"DATA;#1=A(#" + b"7" * 5000 + b",;ENDSEC;",
+        b"DATA;#1=A(#" + b"7" * 5000 + b",#" + b"8" * 4400 + b");ENDSEC;",
+    ]
     for data in cases:
         assert_agree(scanners, data)
-
-
-def test_shipped_c_matches_pyx():
-    """``_scan.c`` quotes the ``_scan.pyx`` line each block was generated
-    from; an edited ``.pyx`` needs a regenerated ``.c``."""
-    pyx = (SPF_DIR / "_scan.pyx").read_text(encoding="utf-8").splitlines()
-    c_source = (SPF_DIR / "_scan.c").read_text(encoding="utf-8")
-    marker = "             # <<<<<<<<<<<<<<"
-    blocks = re.findall(
-        r'^[ \t]*/\* "ifcaudit/spf/_scan\.pyx":(\d+)\n(.*?)^\*/$', c_source, re.M | re.S
-    )
-    assert blocks
-    for lineno, body in blocks:
-        (quoted,) = [line for line in body.splitlines() if line.endswith(marker)]
-        quoted = quoted.removeprefix(" * ").removesuffix(marker)
-        quoted = quoted.replace("[inserted by cython to avoid comment start]", "")
-        assert quoted == pyx[int(lineno) - 1], f"_scan.pyx:{lineno}"
 
 
 def test_active_backend_is_compiled_when_built():
@@ -150,17 +148,17 @@ def test_active_backend_is_compiled_when_built():
     assert scan is BACKENDS[name]
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
+@pytest.mark.parametrize("name", ["compiled", "python"])
 @pytest.mark.parametrize("unit", [b"/*/", b"''", b"(", b"()", b"(a", b"0123456789"])
-def test_unterminated_record_fails_fast(name, unit):
+def test_unterminated_record_fails_fast(scanners, name, unit):
     data = b"DATA;#1=A(" + unit * (200_000 // len(unit))
     start = time.perf_counter()
     with pytest.raises(MalformedFile):
-        BACKENDS[name](data, 5)
+        scanners[name](data, 5)
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_unterminated_comment_in_record_is_malformed(name):
+@pytest.mark.parametrize("name", ["compiled", "python"])
+def test_unterminated_comment_in_record_is_malformed(scanners, name):
     with pytest.raises(MalformedFile):
-        BACKENDS[name](b"DATA; #1=A(/*); ENDSEC;", 5)
+        scanners[name](b"DATA; #1=A(/*); ENDSEC;", 5)
