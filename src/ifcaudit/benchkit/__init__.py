@@ -1,53 +1,33 @@
-"""Benchmark answer aggregation and round-trip interoperability reporting."""
+"""Benchmark answer aggregation and round-trip interoperability reporting.
 
-from .answers import (
-    ANSWERS_SCHEMA_VERSION,
-    AnswerRecord,
-    Category,
-    SupportScore,
-    TimingBucket,
-    read_answers_csv,
-    read_answers_jsonl,
-    write_answers_csv,
-)
-from .metrics import (
-    FOLLOW_UP_QUESTIONS,
-    SynthesisMatrix,
-    consistency,
-    pairwise_equality,
-    reduce_scores,
-    synthesis_csv,
-    synthesis_markdown,
-    synthesis_matrix,
-    visibility_ratio,
-)
-from .roundtrip import (
-    SIZE_RATIO_BAND,
-    InteropReport,
-    report_as_json,
-    roundtrip_report,
-)
+The submodules load on first use (see ``ifcaudit._lazy``).
+"""
 
-__all__ = [
-    "ANSWERS_SCHEMA_VERSION",
-    "AnswerRecord",
-    "Category",
-    "FOLLOW_UP_QUESTIONS",
-    "InteropReport",
-    "SIZE_RATIO_BAND",
-    "SupportScore",
-    "SynthesisMatrix",
-    "TimingBucket",
-    "consistency",
-    "pairwise_equality",
-    "read_answers_csv",
-    "read_answers_jsonl",
-    "reduce_scores",
-    "report_as_json",
-    "roundtrip_report",
-    "synthesis_csv",
-    "synthesis_markdown",
-    "synthesis_matrix",
-    "visibility_ratio",
-    "write_answers_csv",
-]
+from .._lazy import lazy_exports
+
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "ANSWERS_SCHEMA_VERSION": "answers",
+    "AnswerRecord": "answers",
+    "Category": "answers",
+    "FOLLOW_UP_QUESTIONS": "metrics",
+    "InteropReport": "roundtrip",
+    "SIZE_RATIO_BAND": "roundtrip",
+    "SupportScore": "answers",
+    "SynthesisMatrix": "metrics",
+    "TimingBucket": "answers",
+    "consistency": "metrics",
+    "pairwise_equality": "metrics",
+    "read_answers_csv": "answers",
+    "read_answers_jsonl": "answers",
+    "reduce_scores": "metrics",
+    "report_as_json": "roundtrip",
+    "roundtrip_report": "roundtrip",
+    "synthesis_csv": "metrics",
+    "synthesis_markdown": "metrics",
+    "synthesis_matrix": "metrics",
+    "visibility_ratio": "metrics",
+    "write_answers_csv": "answers",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, ("answers", "metrics", "roundtrip"), _EXPORTS)

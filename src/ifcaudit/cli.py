@@ -13,37 +13,18 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
-from .benchkit import (
-    consistency,
-    read_answers_csv,
-    read_answers_jsonl,
-    report_as_json,
-    roundtrip_report,
-    synthesis_csv,
-    synthesis_markdown,
-    synthesis_matrix,
-    visibility_ratio,
-)
-from .benchkit.answers import Category
-from .census import census, diff, diff_csv, diff_markdown
+from . import __version__, benchkit, geomcheck, geomgen
+from ._lazy import lazy
 from .errors import IfcAuditError, NoAnswers, TooFewRespondents
-from .geomcheck import (
-    check_validity,
-    context_precision,
-    evaluate_item,
-    item_fragment,
-    suite_proxies,
-)
-from .geomgen import (
-    DEFAULT_PRECISION,
-    DEFAULT_SPACING,
-    generate_geometry_suite,
-)
-from .georef import detect_georef, report_as_dict
-from .schema import SchemaVersion
 from .spf import load, materialize, save
 from .spf.values import text
+
+# Each command reads its functions off these modules when it runs, so it
+# loads only the modules it calls (see ``ifcaudit._lazy``); a module-level
+# ``from .census import census`` would load the module at import.
+census = lazy("ifcaudit.census")
+georef = lazy("ifcaudit.georef")
+schema = lazy("ifcaudit.schema")
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -96,7 +77,7 @@ def cmd_parse(args) -> int:
 
 def cmd_census(args) -> int:
     graph = _load(args.file)
-    c = census(graph)
+    c = census.census(graph)
     if args.format == "csv":
         lines = ["type,count"]
         lines += [f"{t},{n}" for t, n in sorted(c.counts.items())]
@@ -121,15 +102,15 @@ def cmd_census(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    ref = census(_load(args.reference))
-    exp = census(_load(args.exported))
-    d = diff(ref, exp)
+    ref = census.census(_load(args.reference))
+    exp = census.census(_load(args.exported))
+    d = census.diff(ref, exp)
     for message in d.diagnostics:
         print(message, file=sys.stderr)
     if args.format == "csv":
-        _emit(diff_csv(ref, exp, d), args.out)
+        _emit(census.diff_csv(ref, exp, d), args.out)
     elif args.format == "markdown":
-        _emit(diff_markdown(ref, exp, d), args.out)
+        _emit(census.diff_markdown(ref, exp, d), args.out)
     else:
         _emit(
             _json_dump(
@@ -156,17 +137,20 @@ def cmd_diff(args) -> int:
 
 def cmd_georef(args) -> int:
     graph = _load(args.file)
-    report = detect_georef(graph)
-    _emit(_json_dump(report_as_dict(report)), args.out)
+    report = georef.detect_georef(graph)
+    _emit(_json_dump(georef.report_as_dict(report)), args.out)
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
-    schema = SchemaVersion.IFC2X3 if args.schema == "ifc2x3" else SchemaVersion.IFC4
-    graph, manifest = generate_geometry_suite(
-        schema,
-        spacing=args.spacing,
-        precision=args.precision,
+    versions = schema.SchemaVersion
+    version = versions.IFC2X3 if args.schema == "ifc2x3" else versions.IFC4
+    spacing = geomgen.DEFAULT_SPACING if args.spacing is None else args.spacing
+    precision = geomgen.DEFAULT_PRECISION if args.precision is None else args.precision
+    graph, manifest = geomgen.generate_geometry_suite(
+        version,
+        spacing=spacing,
+        precision=precision,
         include_below_precision_item=args.extra_below_precision,
     )
     save(graph, args.out)
@@ -218,16 +202,19 @@ def cmd_check(args) -> int:
         if precision is None:
             precision = manifest_precision
     if precision is None:
-        precision = context_precision(graph) or DEFAULT_PRECISION
+        precision = geomcheck.context_precision(graph) or geomgen.DEFAULT_PRECISION
 
     results = []
     mismatches = 0
-    for proxy in suite_proxies(graph):
+    for proxy in geomcheck.suite_proxies(graph):
         slot = name = None
         try:
             slot, name = text(proxy.attr(3)) or "", text(proxy.attr(2)) or ""
-            verdict = check_validity(graph, item_fragment(graph, proxy), precision)
-            outcome = evaluate_item(graph, proxy, segments=args.segments, precision=precision)
+            fragment = geomcheck.item_fragment(graph, proxy)
+            verdict = geomcheck.check_validity(graph, fragment, precision)
+            outcome = geomcheck.evaluate_item(
+                graph, proxy, segments=args.segments, precision=precision
+            )
         except IfcAuditError as exc:
             # one broken item is reported on its own; the others still count
             unread = slot is None  # the proxy record itself is broken
@@ -278,8 +265,8 @@ def cmd_check(args) -> int:
 def cmd_report_roundtrip(args) -> int:
     reference = _load(args.reference)
     exported = _load(args.exported)
-    report = roundtrip_report(reference, exported)
-    payload = report_as_json(report)
+    report = benchkit.roundtrip_report(reference, exported)
+    payload = benchkit.report_as_json(report)
     if args.format == "markdown":
         ref_census = report.reference_census
         exp_census = report.export_census
@@ -290,7 +277,7 @@ def cmd_report_roundtrip(args) -> int:
             f"- size ratio: {report.size_ratio:.4f}",
             f"- family balances: {report.family_balances}",
             "",
-            diff_markdown(ref_census, exp_census, report.diff),
+            census.diff_markdown(ref_census, exp_census, report.diff),
         ]
         _emit("\n".join(lines), args.out)
     else:
@@ -305,34 +292,33 @@ def cmd_report_answers(args) -> int:
     path = Path(args.records)
     if not path.exists():
         raise SystemExit_(f"no such file: {args.records}")
-    read = read_answers_csv
+    read = benchkit.read_answers_csv
     if path.suffix.lower() in (".jsonl", ".ndjson"):
-        read = read_answers_jsonl
+        read = benchkit.read_answers_jsonl
     try:
         records = read(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not shaped as answer records
         raise SystemExit_(f"{args.records}: {exc}") from None
 
-    matrix = synthesis_matrix(records)
-    slots = sorted(
-        {r.item_slot for r in records if r.category is Category.GEOMETRY_ITEM and r.item_slot}
-    )
+    matrix = benchkit.synthesis_matrix(records)
+    geometry = benchkit.Category.GEOMETRY_ITEM
+    slots = sorted({r.item_slot for r in records if r.category is geometry and r.item_slot})
     visibility = {}
     consistency_scores = {}
     for slot in slots:
         try:
-            visibility[slot] = visibility_ratio(records, slot)
+            visibility[slot] = benchkit.visibility_ratio(records, slot)
         except NoAnswers:
             pass
         try:
-            consistency_scores[slot] = consistency(records, slot)
+            consistency_scores[slot] = benchkit.consistency(records, slot)
         except (TooFewRespondents, NoAnswers):
             pass
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "synthesis.md").write_text(synthesis_markdown(matrix), encoding="utf-8")
-    (out_dir / "scores.csv").write_text(synthesis_csv(matrix), encoding="utf-8")
+    (out_dir / "synthesis.md").write_text(benchkit.synthesis_markdown(matrix), encoding="utf-8")
+    (out_dir / "scores.csv").write_text(benchkit.synthesis_csv(matrix), encoding="utf-8")
     (out_dir / "metrics.json").write_text(
         _json_dump(
             {
@@ -391,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate the geometry conformance suite")
     p.add_argument("--schema", choices=["ifc2x3", "ifc4"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--spacing", type=float, default=DEFAULT_SPACING)
-    p.add_argument("--precision", type=float, default=DEFAULT_PRECISION)
+    p.add_argument("--spacing", type=float, default=None)
+    p.add_argument("--precision", type=float, default=None)
     p.add_argument("--manifest")
     p.add_argument(
         "--extra-below-precision",

@@ -1,41 +1,30 @@
-"""Geometric validity rules, shape evaluation and validation properties."""
+"""Geometric validity rules, shape evaluation and validation properties.
 
-from .evaluate import (
-    DEFAULT_SEGMENTS,
-    EvaluationOutcome,
-    Observation,
-    TupleClassification,
-    TupleFlag,
-    ZRelation,
-    classify_tuple,
-    classify_z,
-    context_precision,
-    evaluate_item,
-    item_fragment,
-    placement_matrix,
-    shape_roots,
-    suite_proxies,
-)
-from .mesh import TriMesh
-from .validity import DIRECTION_DOT_TOLERANCE, ValidityVerdict, check_validity
+The submodules load on first use (see ``ifcaudit._lazy``).
+"""
 
-__all__ = [
-    "DEFAULT_SEGMENTS",
-    "DIRECTION_DOT_TOLERANCE",
-    "EvaluationOutcome",
-    "Observation",
-    "TriMesh",
-    "TupleClassification",
-    "TupleFlag",
-    "ValidityVerdict",
-    "ZRelation",
-    "check_validity",
-    "classify_tuple",
-    "classify_z",
-    "context_precision",
-    "evaluate_item",
-    "item_fragment",
-    "placement_matrix",
-    "shape_roots",
-    "suite_proxies",
-]
+from .._lazy import lazy_exports
+
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "DEFAULT_SEGMENTS": "evaluate",
+    "DIRECTION_DOT_TOLERANCE": "validity",
+    "EvaluationOutcome": "evaluate",
+    "Observation": "evaluate",
+    "TriMesh": "mesh",
+    "TupleClassification": "evaluate",
+    "TupleFlag": "evaluate",
+    "ValidityVerdict": "validity",
+    "ZRelation": "evaluate",
+    "check_validity": "validity",
+    "classify_tuple": "evaluate",
+    "classify_z": "evaluate",
+    "context_precision": "evaluate",
+    "evaluate_item": "evaluate",
+    "item_fragment": "evaluate",
+    "placement_matrix": "evaluate",
+    "shape_roots": "evaluate",
+    "suite_proxies": "evaluate",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, ("evaluate", "mesh", "tessellate", "validity"), _EXPORTS)

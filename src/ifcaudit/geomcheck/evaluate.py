@@ -7,6 +7,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+from .._lazy import lazy
 from ..errors import MalformedFile, UnsupportedShape
 from ..geomgen.suite import ShapeKind
 from ..spf.model import (
@@ -18,7 +19,6 @@ from ..spf.model import (
     Reference,
 )
 from ..spf.values import number, numbers, text, walk
-from ._np import np
 from .mesh import TriMesh
 from .tessellate import (
     box_mesh,
@@ -30,6 +30,8 @@ from .tessellate import (
     revolve_polygon,
     tube_mesh,
 )
+
+np = lazy("numpy")  # only evaluating geometry loads numpy
 
 DEFAULT_SEGMENTS = 64
 SMOOTH_SEGMENT_THRESHOLD = 32

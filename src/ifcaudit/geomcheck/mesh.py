@@ -9,7 +9,9 @@ from __future__ import annotations
 import io
 from functools import cached_property
 
-from ._np import np
+from .._lazy import lazy
+
+np = lazy("numpy")  # only evaluating geometry loads numpy
 
 
 class TriMesh:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 
-from ._np import np
+from .._lazy import lazy
 from .mesh import TriMesh
+
+np = lazy("numpy")  # only evaluating geometry loads numpy
 
 
 def polygon_area(points: np.ndarray) -> float:

@@ -1,49 +1,32 @@
-"""Synthetic geometry conformance suite generation."""
+"""Synthetic geometry conformance suite generation.
 
-from .generate import (
-    FULL_SWEEP_RADIANS,
-    TIMESTAMP_ENV,
-    deterministic_guid,
-    generate_geometry_suite,
-    generate_item,
-)
-from .suite import (
-    BELOW_PRECISION_ITEM,
-    DEFAULT_PRECISION,
-    DEFAULT_SPACING,
-    SLANT_COMPONENT,
-    IFC4_EXCLUDED_SLOTS,
-    SUITE_ITEMS,
-    ExpectedValidity,
-    GeometryTestItem,
-    InvalidReason,
-    Profile,
-    ShapeKind,
-    SuiteManifest,
-    Variant,
-    item_by_slot,
-    items_for,
-)
+The submodules load on first use (see ``ifcaudit._lazy``).
+"""
 
-__all__ = [
-    "BELOW_PRECISION_ITEM",
-    "DEFAULT_PRECISION",
-    "DEFAULT_SPACING",
-    "ExpectedValidity",
-    "FULL_SWEEP_RADIANS",
-    "GeometryTestItem",
-    "IFC4_EXCLUDED_SLOTS",
-    "InvalidReason",
-    "Profile",
-    "ShapeKind",
-    "SLANT_COMPONENT",
-    "SUITE_ITEMS",
-    "SuiteManifest",
-    "TIMESTAMP_ENV",
-    "Variant",
-    "deterministic_guid",
-    "generate_geometry_suite",
-    "generate_item",
-    "item_by_slot",
-    "items_for",
-]
+from .._lazy import lazy_exports
+
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "BELOW_PRECISION_ITEM": "suite",
+    "DEFAULT_PRECISION": "suite",
+    "DEFAULT_SPACING": "suite",
+    "ExpectedValidity": "suite",
+    "FULL_SWEEP_RADIANS": "generate",
+    "GeometryTestItem": "suite",
+    "IFC4_EXCLUDED_SLOTS": "suite",
+    "InvalidReason": "suite",
+    "Profile": "suite",
+    "ShapeKind": "suite",
+    "SLANT_COMPONENT": "suite",
+    "SUITE_ITEMS": "suite",
+    "SuiteManifest": "suite",
+    "TIMESTAMP_ENV": "generate",
+    "Variant": "suite",
+    "deterministic_guid": "generate",
+    "generate_geometry_suite": "generate",
+    "generate_item": "generate",
+    "item_by_slot": "suite",
+    "items_for": "suite",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, ("generate", "suite"), _EXPORTS)

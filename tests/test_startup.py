@@ -1,23 +1,30 @@
-"""Start-up: only ``check`` loads numpy.
+"""Start-up: each command loads only the modules it calls.
 
-The geometry modules bind ``np`` to a lazily loaded numpy, so every other
-command starts and finishes without it. The test modules import numpy
-themselves, so these checks run in a fresh interpreter.
+``ifcaudit.cli`` binds the package's heavier modules, and the geometry
+modules bind numpy, through ``ifcaudit._lazy``: each loads on its first
+attribute access, so only ``check`` loads numpy and the geometry code, and
+the read commands load neither the generator nor the answer code. The test
+modules import all of these themselves, so these checks run in a fresh
+interpreter.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import numpy  # noqa: F401  loaded on purpose: the in-process check below is the eager side
+import pytest
 
 import ifcaudit
 from ifcaudit.cli import main
 
 SRC = Path(ifcaudit.__file__).resolve().parents[1]
+TRACECLI = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
 
 #: the modules perfbench's tracer patches by name after ``import ifcaudit.cli``
 TRACED_MODULES = [
@@ -123,12 +130,123 @@ def test_lazy_numpy_check_matches_eager(tmp_path):
         import json, sys
         from ifcaudit.cli import main
         before = sorted(m for m in sys.modules if m.startswith("numpy."))
-        lazy = type(sys.modules["numpy"]).__name__
+        absent = "numpy" not in sys.modules
         code = main({argv + ["--out", str(tmp_path / "lazy.json")]!r})
         after = any(m.startswith("numpy.") for m in sys.modules)
-        print(json.dumps([before, lazy, code, after]))
+        print(json.dumps([before, absent, code, after]))
         """,
         tmp_path,
     )
-    assert json.loads(out) == [[], "_LazyModule", 0, True]
+    assert json.loads(out) == [[], True, 0, True]
     assert (tmp_path / "lazy.json").read_bytes() == (tmp_path / "eager.json").read_bytes()
+
+
+#: the modules ``import ifcaudit.cli`` registers without running them
+LAZY_MODULES = {
+    "census", "schema", "georef",
+    "geomcheck.evaluate", "geomcheck.mesh", "geomcheck.tessellate", "geomcheck.validity",
+    "geomgen.generate", "geomgen.suite",
+    "benchkit.answers", "benchkit.metrics", "benchkit.roundtrip",
+}
+GEOMETRY = {"geomcheck.evaluate", "geomcheck.mesh", "geomcheck.tessellate", "geomcheck.validity"}
+
+#: command -> the lazily registered modules it loads (names without ``ifcaudit.``)
+FOOTPRINT = {
+    "--version": set(),
+    "parse a.ifc": set(),
+    "census a.ifc": {"census", "schema"},
+    "diff a.ifc b.ifc": {"census", "schema"},
+    "georef b.ifc": {"georef", "schema"},
+    "report roundtrip a.ifc b.ifc": {"benchkit.roundtrip", "census", "georef", "schema"},
+    "report answers answers.csv --out report": {"benchkit.answers", "benchkit.metrics"},
+    "generate --schema ifc4 --out c.ifc": {"geomgen.generate", "geomgen.suite", "schema"},
+    "check a.ifc --segments 16": GEOMETRY | {"geomgen.suite", "schema"},
+}
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    (tmp_path / "answers.csv").write_text(ANSWERS, encoding="utf-8")
+    for schema, name in (("ifc2x3", "a.ifc"), ("ifc4", "b.ifc")):
+        assert main(["generate", "--schema", schema, "--out", str(tmp_path / name)]) == 0
+    seen = {}
+    for command in FOOTPRINT:
+        out = fresh(
+            f"""
+            import importlib.util, json, sys
+            from ifcaudit.cli import main
+
+            def lazy():
+                return {{m.removeprefix("ifcaudit.") for m, module in sys.modules.items()
+                        if isinstance(module, importlib.util._LazyModule)}}
+
+            before = lazy()
+            try:
+                code = main({command.split()!r})
+            except SystemExit as exc:  # --version
+                code = exc.code
+            print(json.dumps([sorted(before), code, sorted(before - lazy())]))
+            """,
+            tmp_path,
+        )
+        before, code, loaded = json.loads(out.splitlines()[-1])
+        assert set(before) == LAZY_MODULES, command
+        seen[command] = (code, set(loaded))
+    assert seen == {command: (0, loaded) for command, loaded in FOOTPRINT.items()}
+
+
+PACKAGES = ["ifcaudit.spf", "ifcaudit.geomcheck", "ifcaudit.geomgen", "ifcaudit.benchkit"]
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_package_api(name):
+    package = importlib.import_module(name)
+    submodules = [
+        importlib.import_module(f"{name}.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)
+    ]
+    for attr in package.__all__:
+        value = getattr(package, attr)
+        homes = [m for m in submodules if attr in vars(m)]
+        assert homes, attr
+        assert all(vars(m)[attr] is value for m in homes), attr
+    star = {}
+    exec(f"from {name} import *", star)
+    assert {attr: star[attr] for attr in package.__all__} == {
+        attr: getattr(package, attr) for attr in package.__all__
+    }
+    with pytest.raises(AttributeError, match=rf"module '{name}' has no attribute 'no_such_name'"):
+        package.no_such_name
+
+
+def test_geomgen_suite_submodule_import():
+    from ifcaudit.geomgen import suite
+
+    assert suite is sys.modules["ifcaudit.geomgen.suite"]
+    assert suite.SUITE_ITEMS is ifcaudit.geomgen.SUITE_ITEMS
+
+
+def test_tracer_wraps_lazy_modules(tmp_path):
+    """perfbench's tracer wraps functions on the modules after ``import
+    ifcaudit.cli``; the commands must call those wrappers."""
+    (tmp_path / "answers.csv").write_text(ANSWERS, encoding="utf-8")
+    assert main(["generate", "--schema", "ifc4", "--out", str(tmp_path / "b.ifc")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    spans, ear_clips = set(), 0
+    for i, argv in enumerate([
+        ["census", "b.ifc"],
+        ["georef", "b.ifc"],
+        ["check", "b.ifc", "--segments", "16"],
+        ["report", "answers", "answers.csv", "--out", "report"],
+    ]):
+        trace = tmp_path / f"trace{i}.json"
+        done = subprocess.run(
+            [sys.executable, str(TRACECLI), str(trace), *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        recorded = json.loads(trace.read_text(encoding="utf-8"))
+        spans |= {span[0] for span in recorded["spans"]}
+        ear_clips += recorded["counted"].get("geomcheck.ear_clip", [0])[0]
+    assert {"spf.parse", "census.census", "georef.detect", "geomcheck.evaluate",
+            "benchkit.answers"} <= spans
+    assert ear_clips > 0
