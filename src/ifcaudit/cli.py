@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -142,7 +143,15 @@ def cmd_georef(args) -> int:
     return EXIT_OK
 
 
+def _require_positive(option: str, value: float | None) -> None:
+    """A usage error unless ``value`` is unset, finite and above 0."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise SystemExit_(f"{option} must be a finite number above 0, not {value}")
+
+
 def cmd_generate(args) -> int:
+    _require_positive("--spacing", args.spacing)
+    _require_positive("--precision", args.precision)
     versions = schema.SchemaVersion
     version = versions.IFC2X3 if args.schema == "ifc2x3" else versions.IFC4
     spacing = geomgen.DEFAULT_SPACING if args.spacing is None else args.spacing
@@ -177,7 +186,10 @@ def _read_manifest(path: str) -> tuple[float, dict[str, tuple[bool, set[str]]]]:
             )
             for entry in manifest["items"]
         }
-        return float(manifest["precision"]), expected
+        precision = float(manifest["precision"])
+        if not (math.isfinite(precision) and precision > 0):
+            raise ValueError(f"precision {precision} is not a finite number above 0")
+        return precision, expected
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not shaped as a manifest
         raise SystemExit_(f"{path}: not a suite manifest ({type(exc).__name__}: {exc})") from None
 
@@ -195,6 +207,7 @@ def _dump_name(slot: str, proxy_id: int) -> str:
 def cmd_check(args) -> int:
     if args.segments < 3:
         raise SystemExit_(f"--segments must be at least 3, not {args.segments}")
+    _require_positive("--precision", args.precision)
     graph = _load(args.file)
     precision, expected = args.precision, {}
     if args.manifest:

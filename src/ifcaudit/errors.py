@@ -24,10 +24,6 @@ class NotAReference(IfcAuditError, TypeError):
     """An attribute that must name an instance holds another value."""
 
 
-class UnknownType(IfcAuditError, KeyError):
-    """A type name is not present in the registry."""
-
-
 class UnavailableItem(IfcAuditError):
     """A suite item was requested for a schema version that lacks it."""
 

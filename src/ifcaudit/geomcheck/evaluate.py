@@ -28,6 +28,7 @@ from .tessellate import (
     ishape_polygon,
     rectangle_polygon,
     revolve_polygon,
+    triangulate_face,
     tube_mesh,
 )
 
@@ -201,7 +202,7 @@ def context_precision(graph: InstanceGraph) -> float | None:
     context, if any."""
     for context in graph.by_type("IFCGEOMETRICREPRESENTATIONCONTEXT"):
         value = number(context.attr(3))
-        if value is not None and value > 0:
+        if value is not None and 0 < value < math.inf:
             return value
     return None
 
@@ -410,34 +411,39 @@ def directrix_range(
 
 def _face_mesh(graph: InstanceGraph, shell: EntityInstance) -> TriMesh:
     vertices: list[np.ndarray] = []
-    tris: list[tuple[int, int, int]] = []
+    tris: list[np.ndarray] = []
+    base = 0  # index of the face's first vertex
     faces = shell.attr(0)
     if not isinstance(faces, ListValue):
         raise UnsupportedShape("shell without face list")
     for face_ref in faces.items:
         face = graph.deref(face_ref)
         bounds = face.attr(0)
-        if not isinstance(bounds, ListValue):
-            continue
-        for bound_ref in bounds.items:
+        loops: list[np.ndarray] = []
+        outer = None
+        for bound_ref in bounds.items if isinstance(bounds, ListValue) else ():
             bound = graph.deref(bound_ref)
             loop = graph.deref(bound.attr(0))
             if loop.type_name != "IFCPOLYLOOP":
                 raise UnsupportedShape(f"face bound loop {loop.type_name}")
             pts = loop.attr(0)
-            if not isinstance(pts, ListValue):
-                continue
-            coords = [_point(graph, p) for p in pts.items]
+            coords = [_point(graph, p) for p in pts.items] if isinstance(pts, ListValue) else []
             orientation = bound.attr(1)
             if isinstance(orientation, EnumToken) and orientation.name == "F":
                 coords = coords[::-1]
-            base = len(vertices)
-            vertices.extend(coords)
-            for k in range(1, len(coords) - 1):
-                tris.append((base, base + k, base + k + 1))
+            if outer is None and bound.type_name == "IFCFACEOUTERBOUND":
+                outer = len(loops)
+            loops.append(np.array(coords).reshape(-1, 3))
+        try:
+            face_tris = triangulate_face(loops, outer)
+        except ValueError as exc:
+            raise UnsupportedShape(f"face #{face.id}: {exc}") from None
+        tris.append(face_tris + base)
+        vertices.extend(loops)
+        base += sum(map(len, loops))
     if not tris:
         raise UnsupportedShape(f"shell #{shell.id} has no triangles")
-    return TriMesh(np.array(vertices), np.array(tris, dtype=np.int64))
+    return TriMesh(np.vstack(vertices), np.vstack(tris))
 
 
 def _eval_faces(

@@ -27,33 +27,180 @@ def ear_clip(points: np.ndarray) -> np.ndarray:
 
     Each pass clips the first convex corner, counted from vertex 1, whose
     triangle holds no other remaining vertex, so a convex outline comes out
-    as the fan ``(0, i, i+1)``.
+    as the fan ``(0, i, i+1)``. A vertex at one of the triangle's corners
+    does not count, so the two ends of a hole's bridge (see
+    ``bridge_holes``), each in the ring twice, do not block ears.
     """
     n = len(points)
     if n < 3:
         raise ValueError("polygon needs at least 3 points")
     x, y = points[:, 0], points[:, 1]
+    z = x + 1j * y  # one value per point, to find a corner's copies
     remaining = np.arange(n)
     triangles: list[tuple[int, int, int]] = []
     while len(remaining) > 3:
         # corner k is remaining[k + 1], between remaining[k] and remaining[k + 2]
-        a, b, c = remaining, np.roll(remaining, -1), np.roll(remaining, -2)
-        ax, ay, bx, by, cx, cy = x[a], y[a], x[b], y[b], x[c], y[c]
+        a = remaining  # np.roll costs more than slicing on short rings
+        b = np.concatenate([a[1:], a[:1]])
+        c = np.concatenate([a[2:], a[:2]])
+        ax, ay, bx, by, cx, cy, za = x[a], y[a], x[b], y[b], x[c], y[c], z[a]
         turn = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
         ear = 0  # only collinear candidates remain: clip the first to terminate
         for k in np.flatnonzero(turn > 1e-15):
             d1 = (bx[k] - ax[k]) * (ay - ay[k]) - (by[k] - ay[k]) * (ax - ax[k])
             d2 = (cx[k] - bx[k]) * (ay - by[k]) - (cy[k] - by[k]) * (ax - bx[k])
             d3 = (ax[k] - cx[k]) * (ay - cy[k]) - (ay[k] - cy[k]) * (ax - cx[k])
-            inside = ~(((d1 < 0) | (d2 < 0) | (d3 < 0)) & ((d1 > 0) | (d2 > 0) | (d3 > 0)))
-            inside[[k, (k + 1) % len(a), (k + 2) % len(a)]] = False
+            # in the closed (counter-clockwise) triangle, and not at a corner
+            inside = (d1 >= 0) & (d2 >= 0) & (d3 >= 0)
+            inside &= (za != za[k]) & (za != z[b[k]]) & (za != z[c[k]])
             if not inside.any():
                 ear = k
                 break
         triangles.append((a[ear], b[ear], c[ear]))
-        remaining = np.delete(remaining, (ear + 1) % len(a))
+        clipped = (ear + 1) % len(a)
+        remaining = np.concatenate([a[:clipped], a[clipped + 1 :]])
     triangles.append(tuple(remaining))
     return np.array(triangles, dtype=np.int64)
+
+
+def _cross2(o, p, q):
+    """z of ``(p - o) x (q - o)`` for 2D points; arrays broadcast."""
+    po, qo = p - o, q - o
+    return po[..., 0] * qo[..., 1] - po[..., 1] * qo[..., 0]
+
+
+def _crossing(p, q, a, b):
+    """Whether segment ``p-q`` crosses segment ``a-b`` at a point inside
+    both; arrays broadcast."""
+    return (_cross2(p, q, a) * _cross2(p, q, b) < 0) & (
+        _cross2(a, b, p) * _cross2(a, b, q) < 0
+    )
+
+
+def _inside(points: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """Which 2D points lie inside a closed 2D ring (crossing count)."""
+    a, b = ring[None, :, :], np.roll(ring, -1, axis=0)[None, :, :]
+    p = points[:, None, :]
+    spans = (a[..., 1] > p[..., 1]) != (b[..., 1] > p[..., 1])
+    # a spanning edge crosses the ray to +x when p is left of it going up
+    crosses = spans & ((_cross2(a, b, p) > 0) == (b[..., 1] > a[..., 1]))
+    return crosses.sum(axis=1) % 2 == 1
+
+
+def _touching(points: np.ndarray, following: np.ndarray, loop_of: np.ndarray) -> bool:
+    """Whether a 2D point lies on an edge ``points[i]``-``following[i]`` of
+    another loop, to within 1e-9 of the longest edge."""
+    edge = following - points
+    length = np.sqrt((edge**2).sum(axis=1))[:, None]
+    slack = 1e-9 * length.max() * length
+    off = abs(_cross2(points[:, None], following[:, None], points))  # length x distance
+    along = ((points - points[:, None]) * edge[:, None]).sum(axis=2)  # length x position
+    on_edge = (off <= slack) & (-slack <= along) & (along <= length**2 + slack)
+    return bool((on_edge & (length > 0) & (loop_of[:, None] != loop_of)).any())
+
+
+def bridge_holes(points: np.ndarray, ring: list[int], holes: list[list[int]]) -> list[int]:
+    """One ring of indices into the 2D ``points`` that runs along the CCW
+    outer ``ring`` and, over a bridge walked both ways, around each CW hole.
+
+    Holes are joined rightmost first, each from its rightmost vertex to the
+    nearest ring vertex it sees (Eberly, "Triangulation by Ear Clipping",
+    2002): the bridge leaves that vertex into the polygon and meets no edge
+    and no other vertex. The bridge's two ends appear twice in the result.
+    """
+    holes = sorted(holes, key=lambda hole: -points[hole, 0].max())
+    for h, hole in enumerate(holes):
+        start = int(np.argmax(points[hole, 0]))
+        hole = hole[start:] + hole[:start]
+        m = points[hole[0]]
+        loops = [ring, *holes[h:]]
+        edge_a = points[np.concatenate(loops)]
+        edge_b = points[np.concatenate([loop[1:] + loop[:1] for loop in loops])]
+        order = np.argsort(((points[ring] - m) ** 2).sum(axis=1), kind="stable")
+        for j in order:
+            v = points[ring[j]]
+            prev, nxt = points[ring[j - 1]], points[ring[(j + 1) % len(ring)]]
+            # the bridge must leave v into the polygon: left of the edges at v
+            left_in, left_out = _cross2(prev, v, m) > 0, _cross2(v, nxt, m) > 0
+            convex = _cross2(prev, v, nxt) > 0
+            if not (left_in and left_out if convex else left_in or left_out):
+                continue
+            between = ((edge_a - m) * (edge_a - v)).sum(axis=1) < 0
+            on_bridge = (_cross2(m, v, edge_a) == 0) & between
+            if not (_crossing(m, v, edge_a, edge_b).any() or on_bridge.any()):
+                ring = ring[: j + 1] + hole + hole[:1] + ring[j:]
+                break
+        else:
+            raise ValueError("inner bound has no bridge to the outer bound")
+    return ring
+
+
+def _newell(loop: np.ndarray) -> tuple[np.ndarray, float]:
+    """Newell normal of a 3D loop (twice its vector area) and the largest
+    coordinate step along its edges, the loop's scale."""
+    following = np.concatenate([loop[1:], loop[:1]])
+    step, total = loop - following, loop + following
+    return (step[:, [1, 2, 0]] * total[:, [2, 0, 1]]).sum(axis=0), abs(step).max()
+
+
+def _cross3(a, b) -> np.ndarray:
+    """``a x b`` of two 3-vectors, without ``np.cross``'s per-call cost."""
+    return np.array(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
+
+
+def triangulate_face(loops: list[np.ndarray], outer: int | None) -> np.ndarray:
+    """Triangles of a planar face, as indices into its loops' vertices taken
+    in order, each loop an ``(n, 3)`` array in its own winding.
+
+    The outer loop is ``loops[outer]``, or the one with the longest Newell
+    normal when ``outer`` is None; its winding gives the face's normal. The
+    face is projected onto the plane of that normal, each inner loop is
+    wound opposite to the outer one and bridged into it, and ``ear_clip``
+    triangulates the merged ring, so no vertex is added and a convex face
+    without holes comes out as the fan ``(0, i, i+1)``. Raises ValueError
+    for a loop of fewer than 3 points, a loop without area, edges that
+    cross, loops that touch, and an inner loop outside the outer one.
+    """
+    if not loops:
+        raise ValueError("face has no bounds")
+    normals, rings, start = [], [], 0
+    for loop in loops:
+        if len(loop) < 3:
+            raise ValueError(f"bound has {len(loop)} point(s), fewer than 3")
+        normal, scale = _newell(loop)
+        if normal @ normal <= (1e-12 * scale * scale) ** 2:
+            raise ValueError("bound has zero projected area")
+        normals.append(normal)
+        rings.append(list(range(start, start + len(loop))))
+        start += len(loop)
+    if outer is None:
+        outer = max(range(len(loops)), key=lambda i: normals[i] @ normals[i])
+    w = normals[outer] / np.linalg.norm(normals[outer])
+    u = _cross3(w, np.eye(3)[np.argmin(abs(w))])
+    u /= np.linalg.norm(u)
+    points = np.vstack(loops) @ np.column_stack([u, _cross3(w, u)])  # (u, v, w) right-handed
+
+    holes = [
+        ring if normals[i] @ normals[outer] < 0 else ring[::-1]
+        for i, ring in enumerate(rings)
+        if i != outer
+    ]
+    # every edge against every other: edges that share a vertex do not cross
+    following = points[sum((ring[1:] + ring[:1] for ring in rings), [])]
+    if _crossing(points[:, None], following[:, None], points, following).any():
+        raise ValueError("bound edges cross")
+    if holes:
+        # touching bounds, such as windows sharing an edge, would make the
+        # bridged ring overlap itself
+        loop_of = np.repeat(np.arange(len(rings)), [len(ring) for ring in rings])
+        if _touching(points, following, loop_of):
+            raise ValueError("bounds touch")
+        if not _inside(points[sum(holes, [])], points[rings[outer]]).all():
+            raise ValueError("inner bound lies outside the outer bound")
+    merged = np.array(bridge_holes(points, rings[outer], holes))
+    return merged[ear_clip(points[merged])]
 
 
 def rectangle_polygon(x_dim: float, y_dim: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from datetime import datetime, timezone
 
@@ -369,10 +370,10 @@ def generate_geometry_suite(
     Identical arguments produce byte-identical files; the timestamp can be
     pinned explicitly or through the IFCAUDIT_TIMESTAMP environment variable.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    if precision <= 0:
-        raise ValueError("precision must be positive")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be finite and positive, not {spacing}")
+    if not (math.isfinite(precision) and precision > 0):
+        raise ValueError(f"precision must be finite and positive, not {precision}")
     writer = _SuiteWriter(schema, precision, _timestamp(timestamp))
     items = list(items_for(schema))
     if include_below_precision_item:
@@ -395,9 +396,6 @@ def generate_geometry_suite(
         precision=precision,
         notes=notes,
     )
-    from ..spf.writer import write_spf
-
-    graph.byte_size = len(write_spf(graph))
     return graph, manifest
 
 

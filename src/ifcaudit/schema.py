@@ -1,4 +1,4 @@
-"""Data-driven registry of IFC type names, supertype edges and report groups.
+"""Data-driven registry of IFC type names, report groups and availability.
 
 Not an EXPRESS compiler: the registry covers the entity subset exercised by
 the audit tasks (census grouping, suite generation, georeferencing) and maps
@@ -10,8 +10,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from importlib import resources
-
-from .errors import UnknownType
 
 
 class SchemaVersion(enum.Enum):
@@ -46,7 +44,6 @@ class ReportGroup(enum.Enum):
 @dataclass(frozen=True)
 class TypeEntry:
     name: str
-    supertype: str | None
     group: ReportGroup
     versions: frozenset[SchemaVersion]
 
@@ -62,12 +59,11 @@ _AVAILABILITY = {
 class TypeRegistry:
     def __init__(self, entries: dict[str, TypeEntry]):
         self.entries = entries
-        self._check_acyclic()
 
     @classmethod
     def from_text(cls, text: str) -> "TypeRegistry":
         """Parse the line-oriented registry format
-        ``TYPE;SUPERTYPE;GROUP;IFC2X3|IFC4|BOTH``."""
+        ``TYPE;GROUP;IFC2X3|IFC4|BOTH``."""
         entries: dict[str, TypeEntry] = {}
         groups = {g.value.upper(): g for g in ReportGroup}
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -75,31 +71,19 @@ class TypeRegistry:
             if not line or line.startswith("#"):
                 continue
             parts = line.split(";")
-            if len(parts) != 4:
-                raise ValueError(f"registry line {lineno}: expected 4 fields, got {line!r}")
-            name, supertype, group, avail = (p.strip().upper() for p in parts)
+            if len(parts) != 3:
+                raise ValueError(f"registry line {lineno}: expected 3 fields, got {line!r}")
+            name, group, avail = (p.strip().upper() for p in parts)
             if group not in groups:
                 raise ValueError(f"registry line {lineno}: unknown group {group!r}")
             if avail not in _AVAILABILITY:
                 raise ValueError(f"registry line {lineno}: bad availability {avail!r}")
             entries[name] = TypeEntry(
                 name=name,
-                supertype=supertype if supertype != "-" else None,
                 group=groups[group],
                 versions=_AVAILABILITY[avail],
             )
         return cls(entries)
-
-    def _check_acyclic(self) -> None:
-        for name in self.entries:
-            seen = {name}
-            cursor = self.entries[name].supertype
-            while cursor is not None:
-                if cursor in seen:
-                    raise ValueError(f"supertype cycle through {cursor}")
-                seen.add(cursor)
-                entry = self.entries.get(cursor)
-                cursor = entry.supertype if entry else None
 
     def __contains__(self, name: str) -> bool:
         return name.upper() in self.entries
@@ -107,26 +91,6 @@ class TypeRegistry:
     def available_in(self, name: str, version: SchemaVersion) -> bool:
         entry = self.entries.get(name.upper())
         return entry is not None and version in entry.versions
-
-    def supertype_chain(self, name: str) -> list[str]:
-        """Names from ``name`` up to the root, inclusive."""
-        upper = name.upper()
-        if upper not in self.entries:
-            raise UnknownType(upper)
-        chain = [upper]
-        cursor = self.entries[upper].supertype
-        while cursor is not None:
-            chain.append(cursor)
-            entry = self.entries.get(cursor)
-            cursor = entry.supertype if entry else None
-        return chain
-
-    def is_subtype_of(self, a: str, b: str) -> bool:
-        """Reflexive-transitive subtype test over the supertype edges."""
-        b_upper = b.upper()
-        if b_upper not in self.entries:
-            raise UnknownType(b_upper)
-        return b_upper in self.supertype_chain(a)
 
     def group_of(self, name: str) -> ReportGroup:
         """Report group for a type; unknown names fall back to Other."""

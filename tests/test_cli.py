@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -421,6 +422,39 @@ def test_check_segments_below_three_is_usage_error(capsys, suite_file, segments)
     assert err.splitlines() == [f"error: --segments must be at least 3, not {segments}"]
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e999"])
+@pytest.mark.parametrize(
+    "command, option",
+    [("generate", "--spacing"), ("generate", "--precision"), ("check", "--precision")],
+)
+def test_numeric_option_must_be_finite_and_positive(
+    capsys, tmp_path, suite_file, command, option, value
+):
+    out, _ = suite_file
+    written = tmp_path / "written.ifc"
+    argv = ["check", str(out)]
+    if command == "generate":
+        argv = ["generate", "--schema", "ifc2x3", "--out", str(written)]
+    capsys.readouterr()
+    code, stdout, err = run(capsys, *argv, option, value)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == [
+        f"error: {option} must be a finite number above 0, not {float(value)}"
+    ]
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("option", ["spacing", "precision"])
+def test_suite_options_must_be_finite_and_positive(option, value):
+    from ifcaudit.geomgen import generate_geometry_suite
+    from ifcaudit.schema import SchemaVersion
+
+    with pytest.raises(ValueError, match=f"{option} must be finite and positive"):
+        generate_geometry_suite(SchemaVersion.IFC2X3, **{option: value})
+
+
 def trailing_comma_in_site(path):
     """Writes a site record whose parameters end in a comma; returns the
     offset where a value is missing."""
@@ -517,9 +551,11 @@ def test_mesh_dump_stays_in_its_directory(capsys, tmp_path, suite_file, raw):
         b'{"precision": 1e-05, "items": [{"expected_validity": {"valid": true, "reasons": []}}]}',
         b'{"precision": 1e-05, "items": [{"slot": "A1", "expected_validity": true}]}',
         b'{"precision": null, "items": []}',
+        b'{"precision": NaN, "items": []}',
+        b'{"precision": -1e-05, "items": []}',
     ],
     ids=["truncated", "not-utf8", "no-precision", "list", "no-slot", "bare-validity",
-         "null-precision"],
+         "null-precision", "nan-precision", "negative-precision"],
 )
 def test_malformed_manifest_is_usage_error(capsys, tmp_path, suite_file, content):
     out, _ = suite_file
@@ -568,3 +604,88 @@ def test_malformed_answers_is_usage_error(capsys, tmp_path, name, content, reaso
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {records}: {reason}")
     assert not (tmp_path / "report").exists()
+
+
+# Mutations of one face's loops (outer bound first), as ``prism_faces`` and
+# ``wall_face`` give them.
+def two_point_loop(loops):
+    loops[0] = loops[0][:2]
+
+
+def repeated_closing_point(loops):
+    loops[0] = loops[0] + loops[0][:1]
+
+
+def collinear_loop(loops):
+    x, y, z = loops[0][0]
+    loops[0] = [(x + t, y, z) for t in (0.0, 1.0, 2.0, 3.0)]
+
+
+def hole_outside(loops):
+    loops[1] = [(x + 10.0, y, z) for x, y, z in loops[1]]
+
+
+def hole_on_edge(loops):
+    loops[1] = [(x - 1.0, y, z) for x, y, z in loops[1]]
+
+
+def hole_across_edge(loops):
+    loops[1] = [(x - 1.5, y, z) for x, y, z in loops[1]]
+
+
+def bow_tie(loops):
+    # corners 0, 1, 3, then 2 moved out so that the two lobes differ in area
+    p0, p1, p2, p3 = loops[0]
+    loops[0] = [p0, p1, p3, tuple(c + (c - d) / 2 for c, d in zip(p2, p3))]
+
+
+def hole_same_winding(loops):
+    loops[1] = loops[1][::-1]
+
+
+@pytest.mark.parametrize(
+    "mutation, error",
+    [
+        (two_point_loop, "bound has 2 point(s), fewer than 3"),
+        (repeated_closing_point, None),
+        (collinear_loop, "bound has zero projected area"),
+        (hole_outside, "inner bound lies outside the outer bound"),
+        (hole_on_edge, "bounds touch"),
+        (hole_across_edge, "bound edges cross"),
+        (bow_tie, "bound edges cross"),
+        (hole_same_winding, None),
+    ],
+)
+@pytest.mark.parametrize("slot", ["H", "W"])  # a brep's top face, a surface model's wall
+def test_check_reports_broken_faces(capsys, tmp_path, slot, mutation, error):
+    from tests_helpers import face_model, holed_face_items
+
+    from ifcaudit.spf import write_spf
+
+    path = tmp_path / "faces.ifc"
+
+    def check(items):
+        path.write_bytes(write_spf(face_model(items)))
+        code, stdout, err = run(capsys, "check", str(path))
+        assert code == 0
+        assert "Traceback" not in err
+        return {i["slot"]: i for i in json.loads(stdout)["items"]}, err
+
+    items = holed_face_items()
+    intact, err = check(items)
+    assert err == ""
+    faces = next(faces for s, _, faces in items if s == slot)
+    mutation(faces[0])
+    mutated, err = check(items)
+    assert {s: i for s, i in mutated.items() if s != slot} == {
+        s: i for s, i in intact.items() if s != slot
+    }
+    if error is None:  # tolerated: the same shape
+        assert err == ""
+        for key in ("area", "volume"):
+            assert mutated[slot][key] == pytest.approx(intact[slot][key], rel=1e-9, abs=1e-12)
+        assert mutated[slot]["centroid"] == pytest.approx(intact[slot]["centroid"], rel=1e-9)
+        return
+    (line,) = err.splitlines()
+    assert re.fullmatch(rf"{slot}: error: face #\d+: {re.escape(error)}", line)
+    assert mutated[slot] == {"slot": slot, "definition": slot, "error": line.split(": error: ")[1]}

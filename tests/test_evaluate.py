@@ -11,8 +11,11 @@ from ifcaudit.geomcheck import (
     classify_tuple,
     classify_z,
     evaluate_item,
+    suite_proxies,
 )
+from ifcaudit.geomcheck.evaluate import _face_mesh
 from ifcaudit.geomgen import SLANT_COMPONENT
+from ifcaudit.spf.values import text
 from oracles import (
     column_volume,
     crane_rail_outline,
@@ -22,6 +25,7 @@ from oracles import (
     shoelace_area,
     tube_volume,
 )
+from tests_helpers import face_model, holed_face_items
 
 ELLIPSE_AREA = math.pi * 1.0 * 0.5
 ISHAPE_AREA = ishape_area(0.5, 1.0, 0.1, 0.15, 0.05)
@@ -211,6 +215,51 @@ def test_centroid_positions(suite_2x3, proxies_by_slot):
     outcome = evaluate(proxies_by_slot, suite_2x3, "B2")
     # slot B2: column 2, row B -> grid offset (5, 5); prism centroid z = 1
     assert np.allclose(outcome.mesh.centroid, [5.0, 5.0, 1.0], atol=1e-9)
+
+
+# --- faces: concave outlines and inner bounds -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def holed_items():
+    graph = face_model(holed_face_items())
+    return {text(p.attr(3)): evaluate_item(graph, p) for p in suite_proxies(graph)}
+
+
+def test_concave_prism_faces(holed_items):
+    mesh = holed_items["U"].mesh
+    assert mesh.surface_area == pytest.approx(30.0, rel=1e-9)
+    assert mesh.volume == pytest.approx(7.0, rel=1e-9)
+
+
+def test_holed_prism_faces(holed_items):
+    mesh = holed_items["H"].mesh
+    assert mesh.surface_area == pytest.approx(32.0, rel=1e-9)
+    assert mesh.volume == pytest.approx(8.0, rel=1e-9)
+
+
+def test_wall_face_with_windows(holed_items):
+    outcome = holed_items["W"]
+    assert outcome.is_surface_model
+    assert outcome.mesh.surface_area == pytest.approx(14.0, rel=1e-9)
+    assert outcome.mesh.centroid == pytest.approx([39.75 / 14, 0.0, 1.5], rel=1e-9)
+    assert len(outcome.mesh.triangles) == 14  # n + 2h - 2: 12 vertices, 2 holes
+
+
+@pytest.mark.parametrize("suite", ["suite_2x3", "suite_ifc4"])
+def test_convex_suite_faces_keep_the_fan(request, suite):
+    graph, _ = request.getfixturevalue(suite)
+    faces = 0
+    for shell in graph.by_type("IFCCLOSEDSHELL") + graph.by_type("IFCOPENSHELL"):
+        base, fans = 0, []
+        for face_ref in shell.attr(0).items:
+            (bound_ref,) = graph.deref(face_ref).attr(0).items
+            n = len(graph.deref(graph.deref(bound_ref).attr(0)).attr(0).items)
+            fans += [[base, base + i, base + i + 1] for i in range(1, n - 1)]
+            base += n
+            faces += 1
+        assert _face_mesh(graph, shell).triangles.tolist() == fans
+    assert faces == len(graph.by_type("IFCFACE")) > 0
 
 
 # --- the exported/imported/valid tuple -----------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ifcaudit.geomcheck.mesh import TriMesh
 from ifcaudit.geomcheck.tessellate import (
     box_mesh,
+    bridge_holes,
     crane_rail_polygon,
     ear_clip,
     ellipse_polygon,
@@ -17,9 +18,11 @@ from ifcaudit.geomcheck.tessellate import (
     polygon_area,
     rectangle_polygon,
     revolve_polygon,
+    triangulate_face,
     tube_mesh,
 )
 from oracles import column_volume, ishape_area, shoelace_area
+from tests_helpers import wall_face
 
 
 def test_box_properties():
@@ -91,26 +94,102 @@ def test_ear_clip_fans_convex_outlines(polygon):
     assert ear_clip(polygon).tolist() == np.column_stack([0 * i, i, i + 1]).tolist()
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 719), st.integers(1, 100)),
-        min_size=3, max_size=60, unique_by=lambda vertex: vertex[0],
-    )
-)
-def test_ear_clip_star_shaped_polygons(vertices):
+@st.composite
+def star_polygons(draw, max_size=60):
     # vertices in angle order around the origin, with no gap of half a turn
     # or more, form a simple counter-clockwise polygon the origin sees whole
+    vertices = draw(
+        st.lists(
+            st.tuples(st.integers(0, 719), st.integers(1, 100)),
+            min_size=3, max_size=max_size, unique_by=lambda vertex: vertex[0],
+        )
+    )
     angle, radius = np.array(sorted(vertices), dtype=np.float64).T
     assume(np.diff(angle, append=angle[0] + 720).max() < 360)
     angle *= math.pi / 360.0
-    poly = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_polygons())
+def test_ear_clip_star_shaped_polygons(poly):
     tris = ear_clip(poly)
     assert len(tris) == len(poly) - 2
     a, b, c = poly[tris[:, 0]], poly[tris[:, 1]], poly[tris[:, 2]]
     doubled = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
     assert (doubled >= 0).all()
     assert doubled.sum() / 2 == pytest.approx(polygon_area(poly), rel=1e-9)
+
+
+def _inradius(poly: np.ndarray) -> float:
+    """Distance from the origin to the nearest edge of a closed polygon."""
+    a, b = poly, np.roll(poly, -1, axis=0)
+    t = np.clip(-(a * (b - a)).sum(axis=1) / ((b - a) ** 2).sum(axis=1), 0.0, 1.0)
+    return float(np.linalg.norm(a + t[:, None] * (b - a), axis=1).min())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    star_polygons(),
+    star_polygons(max_size=20),
+    st.floats(0.1, 0.9),
+    st.booleans(),
+    st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+    st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+)
+def test_face_with_star_hole(outer, hole, shrink, reverse_hole, matrix, offset):
+    # the hole fits in the disc about the origin that the outer polygon holds
+    hole = hole * (shrink * _inradius(outer) / np.linalg.norm(hole, axis=1).max())
+    if reverse_hole:
+        hole = hole[::-1]
+    # a random rotation takes the xy-plane to the face's plane
+    rotation, _ = np.linalg.qr(np.array(matrix).reshape(3, 3))  # orthogonal even if singular
+    rotation *= np.linalg.det(rotation)
+    normal = rotation[:, 2]
+    loops = [np.column_stack([p, np.zeros(len(p))]) @ rotation.T + offset for p in (outer, hole)]
+
+    tris = triangulate_face(loops, 0)
+    n, h = len(outer) + len(hole), 1
+    assert len(tris) == n + 2 * h - 2
+    corners = np.vstack(loops)[tris]
+    doubled = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]) @ normal
+    assert (doubled >= -1e-9 * np.abs(outer).max() ** 2).all()  # none clockwise
+    expected = polygon_area(outer) - abs(polygon_area(hole))
+    assert doubled.sum() / 2 == pytest.approx(expected, rel=1e-9)
+
+
+def test_second_bridge_to_a_bridged_vertex():
+    # both holes see the spike (11, 5) nearest; the second bridge leaves
+    # from the copy of it whose corner the bridge enters, so the ring stays
+    # weakly simple: spike, lower hole, spike, upper hole, spike
+    points = np.array([
+        (0, 0), (10, 0), (11, 5), (10, 10), (0, 10),  # outer, 0-4
+        (8, 3.2), (9.8, 3), (8, 2),  # lower hole, clockwise, 5-7
+        (9, 6.4), (9.7, 6), (9, 5.6),  # upper hole, clockwise, 8-10
+    ])
+    ring = bridge_holes(points, [0, 1, 2, 3, 4], [[5, 6, 7], [8, 9, 10]])
+    assert ring == [0, 1, 2, 6, 7, 5, 6, 2, 9, 10, 8, 9, 2, 3, 4]
+
+
+def test_face_without_outer_bound_takes_the_largest_loop():
+    outer, *windows = (np.array(loop) for loop in wall_face())
+    loops = [windows[0], outer, windows[1]]
+    tris = triangulate_face(loops, None)
+    assert tris.tolist() == triangulate_face(loops, 1).tolist()
+    a, b, c = np.vstack(loops)[tris].transpose(1, 0, 2)
+    assert len(tris) == 14
+    assert np.linalg.norm(np.cross(b - a, c - a), axis=1).sum() / 2 == pytest.approx(14.0, rel=1e-9)
+
+
+def test_face_with_touching_holes_is_refused():
+    # two windows sharing an edge: bridging one to the other makes a ring
+    # that overlaps itself along that edge
+    square = lambda x, y: np.array([(x, y, 0), (x + 2, y, 0), (x + 2, y + 2, 0), (x, y + 2, 0)])
+    loops = [square(0, 0) * 5, square(2, 2), square(4, 2)]
+    with pytest.raises(ValueError, match="bounds touch"):
+        triangulate_face(loops, 0)
+    loops[2] = square(5, 2)
+    assert len(triangulate_face(loops, 0)) == 12 + 2 * 2 - 2
 
 
 def test_ear_clip_fine_ishape_is_fast():
