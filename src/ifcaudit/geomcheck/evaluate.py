@@ -19,7 +19,7 @@ from ..spf.model import (
     Reference,
 )
 from ..spf.values import number, numbers, text, walk
-from .mesh import TriMesh
+from .mesh import TriMesh, cross3
 from .tessellate import (
     box_mesh,
     crane_rail_polygon,
@@ -98,6 +98,16 @@ def _direction(
     return np.array(ratios[: len(default)], dtype=np.float64)
 
 
+def _unit(ref: AttributeValue, direction: np.ndarray) -> np.ndarray:
+    """``direction``, read from ``ref``, scaled to length 1. A direction
+    without a finite, nonzero length is an error of its item: dividing by
+    it would give NaN coordinates."""
+    norm = np.linalg.norm(direction)
+    if not 0.0 < norm < math.inf:
+        raise UnsupportedShape(f"direction #{ref.id} has length {norm:g}")
+    return direction / norm
+
+
 def axis2_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
     """4x4 matrix of an IfcAxis2Placement3D (identity when unset)."""
     m = np.eye(4)
@@ -107,8 +117,7 @@ def axis2_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
     if inst.type_name != "IFCAXIS2PLACEMENT3D":
         raise UnsupportedShape(f"unsupported placement {inst.type_name}")
     location = _point(graph, inst.attr(0)) if isinstance(inst.attr(0), Reference) else np.zeros(3)
-    z = _direction(graph, inst.attr(1), (0.0, 0.0, 1.0))
-    z = z / np.linalg.norm(z)
+    z = _unit(inst.attr(1), _direction(graph, inst.attr(1), (0.0, 0.0, 1.0)))
     x_hint = _direction(graph, inst.attr(2), (1.0, 0.0, 0.0))
     x = x_hint - (x_hint @ z) * z
     norm = np.linalg.norm(x)
@@ -117,7 +126,7 @@ def axis2_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
         x = x - (x @ z) * z
         norm = np.linalg.norm(x)
     x = x / norm
-    y = np.cross(z, x)
+    y = cross3(z, x)
     m[:3, 0], m[:3, 1], m[:3, 2], m[:3, 3] = x, y, z, location
     return m
 
@@ -187,10 +196,9 @@ def _profile_polygon(
             if isinstance(a2d.attr(0), Reference)
             else np.zeros(2)
         )
-        ref_dir = _direction(graph, a2d.attr(1), (1.0, 0.0))
-        ref_dir = ref_dir / np.linalg.norm(ref_dir)
+        ref_dir = _unit(a2d.attr(1), _direction(graph, a2d.attr(1), (1.0, 0.0)))
         rot = np.array([[ref_dir[0], -ref_dir[1]], [ref_dir[1], ref_dir[0]]])
-        poly = poly @ rot.T + offset
+        poly = np.einsum("ij,kj->ik", poly, rot) + offset
     return poly, name
 
 
@@ -349,7 +357,7 @@ def _eval_revolution(
     angle = number(root.attr(3)) or 0.0
     if abs(angle - 2.0 * math.pi) > 1e-6:
         raise UnsupportedShape("only full-sweep revolutions are supported")
-    mesh = revolve_polygon(polygon, axis_point, axis_dir, segments)
+    mesh = revolve_polygon(polygon, axis_point, _unit(axis.attr(1), axis_dir), segments)
     mesh = mesh.transformed(axis2_matrix(graph, root.attr(1)))
     return EvaluationOutcome(
         shape_class, mesh, smooth_curves=segments >= SMOOTH_SEGMENT_THRESHOLD

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .._lazy import lazy
-from .mesh import TriMesh
+from .mesh import TriMesh, cross3
 
 np = lazy("numpy")  # only evaluating geometry loads numpy
 
@@ -30,37 +31,121 @@ def ear_clip(points: np.ndarray) -> np.ndarray:
     as the fan ``(0, i, i+1)``. A vertex at one of the triangle's corners
     does not count, so the two ends of a hole's bridge (see
     ``bridge_holes``), each in the ring twice, do not block ears.
+
+    The ring is walked as Python lists, so a small ring pays no array
+    overhead. A corner found reflex, or blocked by a point, stays rejected
+    until a neighbour of it or that point is clipped, and each pass resumes
+    at the first corner that may have changed. The points are held in runs
+    of about ``sqrt(n)`` consecutive vertices, so that ``_blocker`` can rule
+    out a whole run by its bounding box.
     """
     n = len(points)
     if n < 3:
         raise ValueError("polygon needs at least 3 points")
-    x, y = points[:, 0], points[:, 1]
-    z = x + 1j * y  # one value per point, to find a corner's copies
-    remaining = np.arange(n)
+    xs, ys = points[:, 0].tolist(), points[:, 1].tolist()
+    xy = list(zip(xs, ys))
+    size = math.isqrt(n)
+    runs = [
+        _Run(xs[i : i + size], ys[i : i + size], range(i, min(i + size, n)), xy[i : i + size])
+        for i in range(0, n, size)
+    ]
+    live = runs[:]  # the runs that still hold points
+    prev, next_ = [n - 1, *range(n - 1)], [*range(1, n), 0]
+    first, left = 0, n  # the lowest remaining vertex, whose corner comes last
+    rejected = [False] * n  # reflex, or blocked by a point still in the ring
+    blocked: dict[tuple[float, float], list[int]] = {}  # point -> corners it blocked
     triangles: list[tuple[int, int, int]] = []
-    while len(remaining) > 3:
-        # corner k is remaining[k + 1], between remaining[k] and remaining[k + 2]
-        a = remaining  # np.roll costs more than slicing on short rings
-        b = np.concatenate([a[1:], a[:1]])
-        c = np.concatenate([a[2:], a[:2]])
-        ax, ay, bx, by, cx, cy, za = x[a], y[a], x[b], y[b], x[c], y[c], z[a]
-        turn = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        ear = 0  # only collinear candidates remain: clip the first to terminate
-        for k in np.flatnonzero(turn > 1e-15):
-            d1 = (bx[k] - ax[k]) * (ay - ay[k]) - (by[k] - ay[k]) * (ax - ax[k])
-            d2 = (cx[k] - bx[k]) * (ay - by[k]) - (cy[k] - by[k]) * (ax - bx[k])
-            d3 = (ax[k] - cx[k]) * (ay - cy[k]) - (ay[k] - cy[k]) * (ax - cx[k])
-            # in the closed (counter-clockwise) triangle, and not at a corner
-            inside = (d1 >= 0) & (d2 >= 0) & (d3 >= 0)
-            inside &= (za != za[k]) & (za != z[b[k]]) & (za != z[c[k]])
-            if not inside.any():
-                ear = k
+    corner = 1  # where the scan starts: corners go 1, 2, ..., n - 1, then 0
+    while left > 3:
+        ear = next_[first]  # only collinear candidates remain: clip the first
+        while True:
+            if not rejected[corner]:
+                pa, pb, pc = xy[prev[corner]], xy[corner], xy[next_[corner]]
+                (ax, ay), (bx, by), (cx, cy) = pa, pb, pc
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 1e-15:
+                    p = _blocker(live, pa, pb, pc)
+                    if p is None:
+                        ear = corner
+                        break
+                    blocked.setdefault(p, []).append(corner)
+                rejected[corner] = True
+            if corner == first:
                 break
-        triangles.append((a[ear], b[ear], c[ear]))
-        clipped = (ear + 1) % len(a)
-        remaining = np.concatenate([a[:clipped], a[clipped + 1 :]])
-    triangles.append(tuple(remaining))
+            corner = next_[corner]
+        a, c = prev[ear], next_[ear]
+        triangles.append((a, ear, c))
+        next_[a], prev[c], next_[ear] = c, a, -1
+        left -= 1
+        if runs[ear // size].remove(ear):
+            live = [run for run in live if run.vertices]
+        if ear == first:
+            first = c
+        # the clipped corner's neighbours and the live corners its point
+        # blocked may now be ears; every corner before them stays rejected
+        changed = [a, c, *(k for k in blocked.pop(xy[ear], ()) if next_[k] >= 0)]
+        for k in changed:
+            rejected[k] = False
+        corner = min(changed, key=lambda k: n if k == first else k)
+    triangles.append((first, next_[first], next_[next_[first]]))
     return np.array(triangles, dtype=np.int64)
+
+
+class _Run:
+    """Consecutive ring vertices still in the ring, their points, and the
+    bounding box of the points they started with."""
+
+    __slots__ = ("box", "vertices", "points")
+
+    def __init__(self, xs, ys, vertices, points):
+        # min and max skip a NaN unless it comes first; then the box is
+        # NaN, and a NaN box never rules its points out
+        self.box = (min(xs), max(xs), min(ys), max(ys))
+        self.vertices = list(vertices)
+        self.points = points
+
+    def remove(self, vertex: int) -> bool:
+        """Drop a vertex; True when the run is then empty."""
+        at = bisect_left(self.vertices, vertex)
+        del self.vertices[at], self.points[at]
+        return not self.vertices
+
+
+def _blocker(runs: list[_Run], pa, pb, pc) -> tuple[float, float] | None:
+    """A point of the runs in the closed CCW triangle ``pa``-``pb``-``pc``
+    and not at one of its corners, or None.
+
+    Side ``s``-``t`` holds ``p`` when ``(tx - sx) * (py - sy) - (ty - sy) *
+    (px - sx) >= 0``. Rounding is monotonic, so that value, computed as
+    written, is largest over a box at one corner of it; a run whose box
+    fails a side there has no point that passes it.
+    """
+    (ax, ay), (bx, by), (cx, cy) = pa, pb, pc
+    # sides c-a (the chord, which rules out most points), a-b and b-c
+    ux, uy, vx, vy, wx, wy = ax - cx, ay - cy, bx - ax, by - ay, cx - bx, cy - by
+    # box = (xmin, xmax, ymin, ymax): each side's best corner
+    ux_, uy_ = (0 if uy >= 0 else 1), (3 if ux >= 0 else 2)
+    vx_, vy_ = (0 if vy >= 0 else 1), (3 if vx >= 0 else 2)
+    wx_, wy_ = (0 if wy >= 0 else 1), (3 if wx >= 0 else 2)
+    for run in runs:
+        box = run.box
+        if (
+            ux * (box[uy_] - cy) - uy * (box[ux_] - cx) < 0
+            or vx * (box[vy_] - ay) - vy * (box[vx_] - ax) < 0
+            or wx * (box[wy_] - by) - wy * (box[wx_] - bx) < 0
+        ):
+            continue
+        for p in run.points:
+            px, py = p
+            if (
+                ux * (py - cy) - uy * (px - cx) >= 0
+                and vx * (py - ay) - vy * (px - ax) >= 0
+                and wx * (py - by) - wy * (px - bx) >= 0
+                and p != pa
+                and p != pb
+                and p != pc
+            ):
+                return p
+    return None
 
 
 def _cross2(o, p, q):
@@ -143,13 +228,6 @@ def _newell(loop: np.ndarray) -> tuple[np.ndarray, float]:
     return (step[:, [1, 2, 0]] * total[:, [2, 0, 1]]).sum(axis=0), abs(step).max()
 
 
-def _cross3(a, b) -> np.ndarray:
-    """``a x b`` of two 3-vectors, without ``np.cross``'s per-call cost."""
-    return np.array(
-        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-    )
-
-
 def triangulate_face(loops: list[np.ndarray], outer: int | None) -> np.ndarray:
     """Triangles of a planar face, as indices into its loops' vertices taken
     in order, each loop an ``(n, 3)`` array in its own winding.
@@ -178,9 +256,10 @@ def triangulate_face(loops: list[np.ndarray], outer: int | None) -> np.ndarray:
     if outer is None:
         outer = max(range(len(loops)), key=lambda i: normals[i] @ normals[i])
     w = normals[outer] / np.linalg.norm(normals[outer])
-    u = _cross3(w, np.eye(3)[np.argmin(abs(w))])
+    u = cross3(w, np.eye(3)[np.argmin(abs(w))])
     u /= np.linalg.norm(u)
-    points = np.vstack(loops) @ np.column_stack([u, _cross3(w, u)])  # (u, v, w) right-handed
+    # (u, v, w) right-handed; einsum, as for every point transform, not BLAS
+    points = np.einsum("ij,kj->ik", np.vstack(loops), [u, cross3(w, u)])
 
     holes = [
         ring if normals[i] @ normals[outer] < 0 else ring[::-1]
@@ -209,8 +288,8 @@ def rectangle_polygon(x_dim: float, y_dim: float) -> np.ndarray:
 
 
 def ellipse_polygon(semi1: float, semi2: float, segments: int) -> np.ndarray:
-    theta = np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
-    return np.column_stack([semi1 * np.cos(theta), semi2 * np.sin(theta)])
+    cos, sin = _cos_sin(np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False))
+    return np.column_stack([semi1 * cos, semi2 * sin])
 
 
 def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,11 +408,11 @@ def revolve_polygon(
     segments: int,
 ) -> TriMesh:
     """Full-sweep solid of revolution of a polygon in the z=0 plane about an
-    axis lying in that plane."""
+    axis lying in that plane, through ``axis_point`` along the unit vector
+    ``axis_dir``."""
     polygon = np.asarray(polygon, dtype=np.float64)
     axis_point = np.asarray(axis_point, dtype=np.float64)
-    axis_dir = np.asarray(axis_dir, dtype=np.float64)
-    k = axis_dir / np.linalg.norm(axis_dir)
+    k = np.asarray(axis_dir, dtype=np.float64)
 
     # Rodrigues' rotation of every ring at once, one ring per angle
     p = np.column_stack([polygon, np.zeros(len(polygon))]) - axis_point
@@ -341,8 +420,8 @@ def revolve_polygon(
     cos, sin = cos[:, None, None], sin[:, None, None]
     rings = (
         p * cos
-        + np.cross(np.broadcast_to(k, p.shape), p) * sin
-        + np.outer(p @ k, k) * (1.0 - cos)
+        + cross3(k, p.T).T * sin
+        + np.outer(np.einsum("ij,j->i", p, k), k) * (1.0 - cos)
     ) + axis_point
     index = np.arange(segments * len(p)).reshape(segments, len(p))
     tris = strip_triangles(index, np.roll(index, -1, axis=0))
@@ -364,12 +443,12 @@ def tube_mesh(
     helper = np.array([0.0, 0.0, 1.0])
     if abs(axis @ helper) > 0.9:
         helper = np.array([0.0, 1.0, 0.0])
-    u = np.cross(axis, helper)
+    u = cross3(axis, helper)
     u /= np.linalg.norm(u)
-    v = np.cross(axis, u)
+    v = cross3(axis, u)
 
-    theta = np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
-    circle = radius * (np.outer(np.cos(theta), u) + np.outer(np.sin(theta), v))
+    cos, sin = _cos_sin(np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False))
+    circle = radius * (np.outer(cos, u) + np.outer(sin, v))
     ring_a = start + circle
     ring_b = end + circle
     vertices = np.vstack([ring_a, ring_b, start[None, :], end[None, :]])

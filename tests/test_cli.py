@@ -6,6 +6,7 @@ import pytest
 
 from ifcaudit.cli import main
 from ifcaudit.spf import ListValue
+from ifcaudit.spf.values import text
 
 
 def run(capsys, *argv):
@@ -689,3 +690,59 @@ def test_check_reports_broken_faces(capsys, tmp_path, slot, mutation, error):
     (line,) = err.splitlines()
     assert re.fullmatch(rf"{slot}: error: face #\d+: {re.escape(error)}", line)
     assert mutated[slot] == {"slot": slot, "definition": slot, "error": line.split(": error: ")[1]}
+
+
+def _zero_direction_target(graph, case):
+    """(slot, record, attribute index, dimension) of the direction to zero."""
+    from ifcaudit.geomcheck import shape_roots
+
+    proxies = {text(p.attr(3)): p for p in graph.by_type("IFCBUILDINGELEMENTPROXY")}
+    if case == "placement axis":  # the Axis of A4's IfcAxis2Placement3D
+        return "A4", graph.deref(graph.deref(proxies["A4"].attr(5)).attr(1)), 1, 3
+    if case == "profile reference direction":  # of A4's extruded operand
+        operand = graph.deref(shape_roots(graph, proxies["A4"])[0].attr(1))
+        return "A4", graph.deref(graph.deref(operand.attr(0)).attr(2)), 1, 2
+    (revolution,) = shape_roots(graph, proxies["E5"])  # its IfcAxis1Placement
+    return "E5", graph.deref(revolution.attr(2)), 1, 3
+
+
+@pytest.mark.parametrize(
+    "case", ["placement axis", "profile reference direction", "revolution axis"]
+)
+def test_zero_length_direction_is_an_item_error(capsys, tmp_path, suite_file, case):
+    # scaled by a zero length, such a direction would give a NaN centroid
+    # (invalid JSON), a volume of 0 or an empty boolean result
+    from ifcaudit.spf import load
+
+    out, _ = suite_file
+    capsys.readouterr()  # what generate printed
+    code, stdout, err = run(capsys, "check", str(out))
+    assert code == 0 and err == ""
+    intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
+
+    slot, record, index, dim = _zero_direction_target(load(out), case)
+
+    def point_at_zero(match):
+        args = match[2].split(",")
+        args[index] = "#99999"
+        return f"{match[1]}({','.join(args)});"
+
+    data = re.sub(rf"^(#{record.id}=\w+)\((.*)\);$", point_at_zero, out.read_text(), flags=re.M)
+    zero = ",".join(["0."] * dim)
+    data = data.replace("ENDSEC;\nEND-ISO", f"#99999=IFCDIRECTION(({zero}));\nENDSEC;\nEND-ISO")
+    path = tmp_path / "zero.ifc"
+    path.write_text(data)
+
+    code, stdout, err = run(capsys, "check", str(path))
+    assert code == 0
+    assert err == f"{slot}: error: direction #99999 has length 0\n"
+
+    def no_constant(name):
+        raise AssertionError(f"{name} in JSON output")
+
+    items = {i["slot"]: i for i in json.loads(stdout, parse_constant=no_constant)["items"]}
+    assert items.pop(slot) == {
+        "slot": slot, "definition": intact[slot]["definition"],
+        "error": "direction #99999 has length 0",
+    }
+    assert items == {s: i for s, i in intact.items() if s != slot}

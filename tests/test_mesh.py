@@ -1,3 +1,4 @@
+import io
 import math
 import time
 
@@ -21,6 +22,7 @@ from ifcaudit.geomcheck.tessellate import (
     triangulate_face,
     tube_mesh,
 )
+import reference_geometry
 from oracles import column_volume, ishape_area, shoelace_area
 from tests_helpers import wall_face
 
@@ -303,3 +305,144 @@ def test_tube_is_watertight(segments):
 
 def test_box_is_watertight():
     assert_watertight(box_mesh((0, 0, 0), (2, 3, 4)))
+
+
+# --- differential tests against the array kernel in reference_geometry ------
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_polygons())
+def test_ear_clip_matches_reference_on_stars(poly):
+    assert ear_clip(poly).tolist() == reference_geometry.ear_clip(poly).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_polygons())
+def test_ear_clip_matches_reference_on_rounded_stars(poly):
+    # radii of 0.05 to 5 on a 0.1 grid: collinear and repeated points
+    poly = np.round(poly / 20.0, 1)
+    assert ear_clip(poly).tolist() == reference_geometry.ear_clip(poly).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=40),
+        st.lists(st.tuples(*[st.floats(-10.0, 10.0)] * 2), min_size=3, max_size=40),
+        # overflow, infinities and NaN, where skipping a run by its box must
+        # still agree with testing every point
+        st.lists(
+            st.tuples(*[st.floats() | st.sampled_from([1e300, -1e300])] * 2),
+            min_size=3, max_size=40,
+        ),
+    )
+)
+def test_ear_clip_matches_reference_on_self_crossing_rings(ring):
+    poly = np.array(ring, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        expected = reference_geometry.ear_clip(poly)
+    assert ear_clip(poly).tolist() == expected.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_polygons(), star_polygons(max_size=20), st.floats(0.1, 0.9))
+def test_ear_clip_matches_reference_on_bridged_rings(outer, hole, shrink):
+    hole = hole[::-1] * (shrink * _inradius(outer) / np.linalg.norm(hole, axis=1).max())
+    points = np.vstack([outer, hole])
+    ring = bridge_holes(points, list(range(len(outer))), [list(range(len(outer), len(points)))])
+    poly = points[ring]
+    assert ear_clip(poly).tolist() == reference_geometry.ear_clip(poly).tolist()
+
+
+@pytest.mark.parametrize("segments", [4, 64, 512, 1024])
+@pytest.mark.parametrize("outline", ["ellipse", "ishape", "ellipse-and-ishape"])
+def test_ear_clip_matches_reference_on_fine_outlines(outline, segments):
+    ellipse = ellipse_polygon(2.0, 1.0, segments)
+    ishape = ishape_polygon(0.5, 1.0, 0.1, 0.15, 0.05, segments)
+    # the last is one ring that runs round the ellipse, then jumps inside it
+    # and runs round a smaller I-shape the other way
+    rings = {"ellipse": ellipse, "ishape": ishape}
+    rings["ellipse-and-ishape"] = np.vstack([ellipse, ishape[::-1] * 0.5])
+    poly = rings[outline]
+    assert ear_clip(poly).tolist() == reference_geometry.ear_clip(poly).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=30),
+    st.lists(st.tuples(*[st.floats(-0.6, 0.6)] * 3), min_size=30, max_size=30),
+    st.lists(st.tuples(*[st.integers(0, 29)] * 3), max_size=40),
+)
+def test_weld_matches_reference(grid, jitter, triangles):
+    # grid points moved by up to 0.6 of the tolerance: near-duplicates that
+    # weld on either side of a rounding boundary
+    tol = 1e-3
+    vertices = (np.array(grid) + np.array(jitter[: len(grid)])) * tol
+    triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3) % len(vertices)
+    mesh = TriMesh(vertices, triangles).welded(tol)
+    expected_vertices, expected_triangles = reference_geometry.welded(vertices, triangles, tol)
+    assert mesh.vertices.tolist() == expected_vertices.tolist()
+    assert mesh.triangles.tolist() == expected_triangles.tolist()
+
+
+def _placement(matrix, offset):
+    rotation, _ = np.linalg.qr(np.array(matrix).reshape(3, 3))  # orthogonal even if singular
+    m = np.eye(4)
+    m[:3, :3], m[:3, 3] = rotation, offset
+    return m
+
+
+def _assert_properties_match_reference(mesh):
+    v, t = mesh.vertices, mesh.triangles
+    assert mesh.signed_volume == pytest.approx(reference_geometry.signed_volume(v, t), rel=1e-12)
+    assert mesh.surface_area == pytest.approx(reference_geometry.surface_area(v, t), rel=1e-12)
+    expected = reference_geometry.centroid(v, t)
+    assert np.abs(mesh.centroid - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    star_polygons(),
+    st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.5, 10.0)),
+    st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+    st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+)
+def test_solid_properties_match_reference(poly, sweep, matrix, offset):
+    local = extrude_polygon(poly, np.array(sweep))
+    matrix = _placement(matrix, offset)
+    mesh = local.transformed(matrix)
+    expected = reference_geometry.transformed(local.vertices, matrix)
+    assert np.abs(mesh.vertices - expected).max() <= 1e-12 * np.abs(expected).max()
+    _assert_properties_match_reference(mesh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_polygons(), st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)))
+def test_surface_properties_match_reference(poly, offset):
+    # a face in the plane z = 0 has no volume against the origin, exactly:
+    # its centroid is the area centroid
+    vertices = np.column_stack([poly + offset, np.zeros(len(poly))])
+    mesh = TriMesh(vertices, ear_clip(poly))
+    assert mesh.signed_volume == 0.0
+    _assert_properties_match_reference(mesh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([0.0, -0.0, 1e-300, -5e-324, 1e300, 123456789.0, 0.1]),
+        max_size=90,
+    ),
+    st.integers(0, 5000),
+)
+def test_dump_matches_savetxt(coordinates, repeat):
+    # repeated rows cross the block boundary of dump_ascii
+    vertices = np.array(coordinates[: len(coordinates) // 3 * 3]).reshape(-1, 3)
+    triangles = np.arange(len(vertices) // 3 * 3).reshape(-1, 3)
+    if len(triangles) and repeat:
+        triangles = np.tile(triangles, (repeat // len(triangles) + 1, 1))
+    mesh = TriMesh(vertices, triangles)
+    out = io.StringIO()
+    np.savetxt(out, np.hstack(reference_geometry.corners(vertices, triangles)), fmt="%.9g")
+    assert mesh.dump_ascii() == (out.getvalue() or "\n")
