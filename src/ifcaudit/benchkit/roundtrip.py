@@ -3,9 +3,9 @@ georeferencing before/after for a reference model and its re-export."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
+from .._record import Record
 from ..census import FAMILIES, Census, CensusDiff, census, diff, family_balance
 from ..georef import LoGeoRefReport, detect_georef, report_as_dict
 from ..spf.model import InstanceGraph
@@ -15,17 +15,31 @@ from ..spf.model import InstanceGraph
 SIZE_RATIO_BAND = (0.98, 1.02)
 
 
-@dataclass
-class InteropReport:
-    reference_census: Census
-    export_census: Census
-    diff: CensusDiff
-    family_balances: dict[str, int]
-    unchanged: bool
-    georef_before: LoGeoRefReport
-    georef_after: LoGeoRefReport
-    size_ratio: float
-    diagnostics: list[str] = field(default_factory=list)
+class InteropReport(Record):
+    _fields = ("reference_census", "export_census", "diff", "family_balances", "unchanged",
+               "georef_before", "georef_after", "size_ratio", "diagnostics")
+
+    def __init__(
+        self,
+        reference_census: Census,
+        export_census: Census,
+        diff: CensusDiff,
+        family_balances: dict[str, int],
+        unchanged: bool,
+        georef_before: LoGeoRefReport,
+        georef_after: LoGeoRefReport,
+        size_ratio: float,
+        diagnostics: list[str] | None = None,
+    ):
+        self.reference_census = reference_census
+        self.export_census = export_census
+        self.diff = diff
+        self.family_balances = family_balances
+        self.unchanged = unchanged
+        self.georef_before = georef_before
+        self.georef_after = georef_after
+        self.size_ratio = size_ratio
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def roundtrip_report(

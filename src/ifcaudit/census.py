@@ -8,8 +8,8 @@ cases and so on) stays visible in the raw numbers.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
 
+from ._record import FrozenRecord, Record, set_field
 from .schema import ReportGroup, SchemaVersion, TypeRegistry, default_registry
 from .spf.model import InstanceGraph
 
@@ -27,27 +27,42 @@ FAMILIES: dict[str, frozenset[str]] = {
 }
 
 
-@dataclass(frozen=True)
-class Census:
-    counts: dict[str, int]
-    total: int
-    byte_size: int
-    schema: SchemaVersion | None
+class Census(FrozenRecord):
+    _fields = ("counts", "total", "byte_size", "schema")
+
+    def __init__(
+        self, counts: dict[str, int], total: int, byte_size: int, schema: SchemaVersion | None
+    ):
+        set_field(self, "counts", counts)
+        set_field(self, "total", total)
+        set_field(self, "byte_size", byte_size)
+        set_field(self, "schema", schema)
 
     def count(self, type_name: str) -> int:
         return self.counts.get(type_name.upper(), 0)
 
 
-@dataclass
-class CensusDiff:
+class CensusDiff(Record):
     """Signed per-type differences, exported minus reference."""
 
-    deltas: dict[str, int]
-    lost_types: frozenset[str]
-    gained_types: frozenset[str]
-    grouped_deltas: dict[ReportGroup, int]
-    size_delta_bytes: int
-    diagnostics: list[str] = field(default_factory=list)
+    _fields = ("deltas", "lost_types", "gained_types", "grouped_deltas", "size_delta_bytes",
+               "diagnostics")
+
+    def __init__(
+        self,
+        deltas: dict[str, int],
+        lost_types: frozenset[str],
+        gained_types: frozenset[str],
+        grouped_deltas: dict[ReportGroup, int],
+        size_delta_bytes: int,
+        diagnostics: list[str] | None = None,
+    ):
+        self.deltas = deltas
+        self.lost_types = lost_types
+        self.gained_types = gained_types
+        self.grouped_deltas = grouped_deltas
+        self.size_delta_bytes = size_delta_bytes
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def empty(self) -> bool:

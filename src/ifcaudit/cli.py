@@ -14,10 +14,10 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, benchkit, geomcheck, geomgen
+from . import __version__, benchkit, geomcheck, geomgen, spf
 from ._lazy import lazy
 from .errors import IfcAuditError, NoAnswers, TooFewRespondents
-from .spf import load, materialize, save
+from .spf import load, materialize
 from .spf.values import text
 
 # Each command reads its functions off these modules when it runs, so it
@@ -162,7 +162,7 @@ def cmd_generate(args) -> int:
         precision=precision,
         include_below_precision_item=args.extra_below_precision,
     )
-    save(graph, args.out)
+    spf.save(graph, args.out)
     if args.manifest:
         Path(args.manifest).write_text(
             _json_dump(manifest.to_dict()), encoding="utf-8"

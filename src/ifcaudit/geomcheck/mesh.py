@@ -90,8 +90,9 @@ class TriMesh:
         """Merge vertices closer than ``tol`` (grid snapping)."""
         if tol <= 0 or not len(self.vertices):
             return self
-        # x, y and z keys, one contiguous row each
-        keys = np.round(self.vertices / tol).T.astype(np.int64, order="C")
+        # x, y and z keys, one contiguous row each; floats, which an integer
+        # cast would overflow far from the origin, sort and compare the same
+        keys = np.round(self.vertices / tol).T.copy()
         # a stable sort, x key first: the order, first indices and inverse
         # of np.unique(keys.T, axis=0), without its structured row copies
         order = np.lexsort(keys[::-1])

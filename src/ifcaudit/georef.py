@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
+from ._record import FrozenRecord, Record, set_field
 from .errors import BadLength, MixedSign
 from .schema import SchemaVersion
 from .spf.model import UNSET, EntityInstance, EnumToken, InstanceGraph, Reference
@@ -31,16 +31,24 @@ class LoGeoRefLevel(enum.IntEnum):
     L50 = 50
 
 
-@dataclass(frozen=True)
-class GeoParams:
-    level: LoGeoRefLevel
-    payload: dict[str, Any]
+class GeoParams(FrozenRecord):
+    _fields = ("level", "payload")
+
+    def __init__(self, level: LoGeoRefLevel, payload: dict[str, Any]):
+        set_field(self, "level", level)
+        set_field(self, "payload", payload)
 
 
-@dataclass
-class LoGeoRefReport:
-    detected: dict[LoGeoRefLevel, GeoParams] = field(default_factory=dict)
-    diagnostics: list[str] = field(default_factory=list)
+class LoGeoRefReport(Record):
+    _fields = ("detected", "diagnostics")
+
+    def __init__(
+        self,
+        detected: dict[LoGeoRefLevel, GeoParams] | None = None,
+        diagnostics: list[str] | None = None,
+    ):
+        self.detected = {} if detected is None else detected
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def levels(self) -> list[int]:

@@ -8,8 +8,9 @@ everything else to the Other group.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from importlib import resources
+
+from ._record import FrozenRecord, set_field
 
 
 class SchemaVersion(enum.Enum):
@@ -41,11 +42,13 @@ class ReportGroup(enum.Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class TypeEntry:
-    name: str
-    group: ReportGroup
-    versions: frozenset[SchemaVersion]
+class TypeEntry(FrozenRecord):
+    _fields = ("name", "group", "versions")
+
+    def __init__(self, name: str, group: ReportGroup, versions: frozenset[SchemaVersion]):
+        set_field(self, "name", name)
+        set_field(self, "group", group)
+        set_field(self, "versions", versions)
 
 
 _BOTH = frozenset({SchemaVersion.IFC2X3, SchemaVersion.IFC4})

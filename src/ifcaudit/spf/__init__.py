@@ -1,5 +1,10 @@
-"""STEP Physical File (ISO 10303-21) reading and writing."""
+"""STEP Physical File (ISO 10303-21) reading and writing.
 
+The writer loads on first use (see ``ifcaudit._lazy``): read commands never
+run it.
+"""
+
+from .._lazy import lazy_exports
 from .model import (
     DERIVED,
     FALSE,
@@ -22,7 +27,6 @@ from .model import (
     real_lexeme,
 )
 from .parser import load, materialize, parse_spf
-from .writer import format_instance, format_value, save, write_spf
 
 __all__ = [
     "AttributeValue",
@@ -52,3 +56,8 @@ __all__ = [
     "save",
     "write_spf",
 ]
+__getattr__ = lazy_exports(
+    __name__,
+    ("writer",),
+    dict.fromkeys(("format_instance", "format_value", "save", "write_spf"), "writer"),
+)

@@ -95,7 +95,7 @@ static PyObject *to_int(Buf s, Py_ssize_t a, Py_ssize_t b)
 /* Each skip_* takes the offset of a lexeme's first byte and returns the
  * offset just past the lexeme, or -1 when the data ends inside it. */
 
-/* _STRING: a quote not followed by another ends it, '' is a quote inside. */
+/* lexemes.STRING: a quote not followed by another ends it, '' is a quote inside. */
 static Py_ssize_t skip_string(Buf s, Py_ssize_t i, Py_ssize_t n)
 {
     for (i++; i < n; i++) {
@@ -109,14 +109,14 @@ static Py_ssize_t skip_string(Buf s, Py_ssize_t i, Py_ssize_t n)
     return -1;
 }
 
-/* _BINARY: runs to the next double quote. */
+/* lexemes.BINARY: runs to the next double quote. */
 static Py_ssize_t skip_binary(Buf s, Py_ssize_t i, Py_ssize_t n)
 {
     const unsigned char *end = memchr(s + i + 1, '"', n - i - 1);
     return end == NULL ? -1 : end - s + 1;
 }
 
-/* _COMMENT: runs to the first star-slash after the opening slash-star. */
+/* lexemes.COMMENT: runs to the first star-slash after the opening slash-star. */
 static Py_ssize_t skip_comment(Buf s, Py_ssize_t i, Py_ssize_t n)
 {
     for (i += 2; i + 1 < n; i++) {
@@ -133,7 +133,7 @@ static Py_ssize_t skip_ws(Buf s, Py_ssize_t i, Py_ssize_t n)
     return i;
 }
 
-/* TRIVIA: blanks and whole comments; stops before an unterminated one. */
+/* lexemes.TRIVIA: blanks and whole comments; stops before an unterminated one. */
 static Py_ssize_t skip_trivia(Buf s, Py_ssize_t i, Py_ssize_t n)
 {
     while (i < n) {

@@ -11,6 +11,9 @@ are disjoint (a string ends at a quote not followed by another, a comment at
 its first ``*/``, a lone slash is not followed by ``*``; digits and ``#`` are
 ordinary characters), so each input has one way to match and a failed match
 cannot backtrack exponentially.
+
+``backend`` imports this module only when the compiled scanner is missing or
+a caller asks for both backends, so its patterns are compiled only then.
 """
 
 from __future__ import annotations
@@ -18,12 +21,10 @@ from __future__ import annotations
 import re
 
 from ..errors import MalformedFile
+from .lexemes import BINARY, COMMENT, STRING, TRIVIA
 
-_COMMENT = rb"/\*(?:[^*]|\*(?!/))*\*/"
-_STRING = rb"'(?:[^']|'')*'(?!')"
-_BINARY = rb'"[^"]*"'
 # strings, binaries and comments: a ';', '(', ')' or '#' inside means nothing
-_OPAQUE = _STRING + rb"|" + _BINARY + rb"|" + _COMMENT
+_OPAQUE = STRING + rb"|" + BINARY + rb"|" + COMMENT
 _ATOM = rb"[^;'\"/()]|/(?!\*)|" + _OPAQUE
 
 #: Parenthesised groups nest this deep inside parameters that ``_RECORD``
@@ -34,14 +35,11 @@ _PARAMS = rb"(?:" + _ATOM + rb")*"
 for _ in range(_NESTING):
     _PARAMS = rb"(?:" + _ATOM + rb"|\(" + _PARAMS + rb"\))*"
 
-#: Blanks and comments between records (and around header records).
-TRIVIA = re.compile(rb"(?:[ \t\r\n]|" + _COMMENT + rb")*")
-
 _HEAD = re.compile(rb"#(\d+)[ \t\r\n]*=[ \t\r\n]*([A-Za-z_][A-Za-z0-9_]*)[ \t\r\n]*\(")
 _RECORD = re.compile(_HEAD.pattern + rb"(" + _PARAMS + rb")\)[ \t\r\n]*;")
 # a complex instance runs to the first ';' outside strings and comments
 _COMPLEX = re.compile(
-    rb"#(\d+)[ \t\r\n]*=[ \t\r\n]*\((?:[^;'/]|/(?!\*)|" + _STRING + rb"|" + _COMMENT + rb")*;"
+    rb"#(\d+)[ \t\r\n]*=[ \t\r\n]*\((?:[^;'/]|/(?!\*)|" + STRING + rb"|" + COMMENT + rb")*;"
 )
 _ENDSEC = re.compile(rb"ENDSEC" + TRIVIA.pattern + rb";")
 _TOKEN = re.compile(rb"[^;'\"/()]+|/(?!\*)|[()]|" + _OPAQUE)

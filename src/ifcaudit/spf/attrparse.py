@@ -4,7 +4,7 @@ One token pattern is read left to right: optional blanks and comments, then
 one lexeme. The lists and typed values still open sit on an explicit stack,
 so nesting depth is a count, checked against ``MAX_NESTING``, and never
 recursion. Strings, binaries and comments are the record scanner's own
-patterns, so both read each lexeme alike.
+patterns (``lexemes``), so both read each lexeme alike.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import re
 
 from ..errors import MalformedFile
-from ._scan_py import _BINARY, _STRING, TRIVIA
+from .lexemes import BINARY, STRING, TRIVIA
 from .model import (
     DERIVED,
     UNSET,
@@ -48,11 +48,11 @@ _TOKEN = re.compile(
     + "|([+-]?[0-9]+)(?![.eE0-9])"
     # a real, or a lexeme that is not a number at all: '+', '1E', '+.'
     + r"|([+\-0-9][0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?)"
-    + f"|({_STRING.decode('ascii')})"
+    + f"|({STRING.decode('ascii')})"
     + r"|\.([^.]*)\."
     + f"|({_KEYWORD}){_TRIVIA}\\("
     + r"|(\*)"
-    + f"|({_BINARY.decode('ascii')})"
+    + f"|({BINARY.decode('ascii')})"
     + "|())"  # nothing readable here, or the end of the text
 )
 _TRIVIA_RE = re.compile(_TRIVIA)

@@ -2,14 +2,13 @@
 
 The compiled scanner is used whenever its extension module imports, the
 pure-Python twin otherwise; :func:`available_backends` reaches either one
-directly.
+directly. The twin is imported on first use, so a process that scans with
+the compiled one never compiles its patterns.
 """
 
 from __future__ import annotations
 
 from typing import Callable
-
-from . import _scan_py
 
 try:
     from . import _scan as _scan_ext
@@ -20,6 +19,8 @@ ScanFunc = Callable[[bytes, int], tuple]
 
 
 def available_backends() -> dict[str, ScanFunc]:
+    from . import _scan_py
+
     backends: dict[str, ScanFunc] = {"python": _scan_py.scan_records}
     if _scan_ext is not None:
         backends["compiled"] = _scan_ext.scan_records
@@ -29,4 +30,6 @@ def available_backends() -> dict[str, ScanFunc]:
 def active_backend() -> tuple[str, ScanFunc]:
     if _scan_ext is not None:
         return "compiled", _scan_ext.scan_records
+    from . import _scan_py
+
     return "python", _scan_py.scan_records

@@ -9,9 +9,9 @@ re-emitted without changing any printed number; strings keep the raw
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Union
 
+from .._record import FrozenRecord, Record, set_field
 from ..errors import MalformedFile, NotAReference, NotFound
 from .strings import encode_step_string
 
@@ -32,21 +32,25 @@ UNSET = _Sentinel("UNSET")
 DERIVED = _Sentinel("DERIVED")
 
 
-@dataclass(frozen=True, slots=True)
-class Integer:
-    value: int
+class Integer(FrozenRecord):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
     def __repr__(self) -> str:
         return f"Integer({self.value})"
 
 
-@dataclass(frozen=True, slots=True)
-class Real:
+class Real(FrozenRecord):
     """A real number together with the lexeme it was read from or will be
     written as."""
 
-    value: float
-    lexeme: str
+    __slots__ = _fields = ("value", "lexeme")
+
+    def __init__(self, value: float, lexeme: str):
+        set_field(self, "value", value)
+        set_field(self, "lexeme", lexeme)
 
     @classmethod
     def of(cls, value: float) -> "Real":
@@ -56,10 +60,12 @@ class Real:
         return f"Real({self.lexeme})"
 
 
-@dataclass(frozen=True, slots=True)
-class Text:
-    value: str
-    raw: str  # source form between the quotes, escapes intact
+class Text(FrozenRecord):
+    __slots__ = _fields = ("value", "raw")
+
+    def __init__(self, value: str, raw: str):
+        set_field(self, "value", value)
+        set_field(self, "raw", raw)  # source form between the quotes, escapes intact
 
     @classmethod
     def of(cls, value: str) -> "Text":
@@ -69,11 +75,13 @@ class Text:
         return f"Text({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class EnumToken:
+class EnumToken(FrozenRecord):
     """Enumeration value; ``name`` excludes the surrounding dots."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
     def __repr__(self) -> str:
         return f".{self.name}."
@@ -83,28 +91,34 @@ TRUE = EnumToken("T")
 FALSE = EnumToken("F")
 
 
-@dataclass(frozen=True, slots=True)
-class Reference:
-    id: int
+class Reference(FrozenRecord):
+    __slots__ = _fields = ("id",)
+
+    def __init__(self, id: int):
+        set_field(self, "id", id)
 
     def __repr__(self) -> str:
         return f"#{self.id}"
 
 
-@dataclass(frozen=True, slots=True)
-class TypedValue:
+class TypedValue(FrozenRecord):
     """Explicitly typed value, e.g. IFCPOSITIVELENGTHMEASURE(2.)."""
 
-    name: str
-    value: "AttributeValue"
+    __slots__ = _fields = ("name", "value")
+
+    def __init__(self, name: str, value: "AttributeValue"):
+        set_field(self, "name", name)
+        set_field(self, "value", value)
 
     def __repr__(self) -> str:
         return f"{self.name}({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class ListValue:
-    items: tuple["AttributeValue", ...]
+class ListValue(FrozenRecord):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple["AttributeValue", ...]):
+        set_field(self, "items", items)
 
     def __repr__(self) -> str:
         return "(" + ",".join(repr(i) for i in self.items) + ")"
@@ -116,9 +130,11 @@ class ListValue:
         return len(self.items)
 
 
-@dataclass(frozen=True, slots=True)
-class Binary:
-    text: str  # hex payload between the double quotes
+class Binary(FrozenRecord):
+    __slots__ = _fields = ("text",)
+
+    def __init__(self, text: str):
+        set_field(self, "text", text)  # hex payload between the double quotes
 
 
 AttributeValue = Union[
@@ -146,45 +162,70 @@ def real_lexeme(value: float) -> str:
     return s
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(FrozenRecord):
     """Recoverable anomaly noticed while reading or analysing a file."""
 
-    code: str
-    message: str
+    __slots__ = _fields = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        set_field(self, "code", code)
+        set_field(self, "message", message)
 
     def __str__(self) -> str:
         return f"[{self.code}] {self.message}"
 
 
-@dataclass(frozen=True, slots=True)
-class Source:
+class Source(FrozenRecord):
     """Text of a parsed file, shared by the instances read from it. A syntax
     error met when a record is first read names ``path``, when it is set."""
 
-    text: str
-    path: str | None = None
+    __slots__ = _fields = ("text", "path")
+
+    def __init__(self, text: str, path: str | None = None):
+        set_field(self, "text", text)
+        set_field(self, "path", path)
 
 
-@dataclass
-class FileName:
-    """Payload of a FILE_NAME header record."""
+class FileName(Record):
+    """Payload of a FILE_NAME header record; the lists default to new empty
+    ones."""
 
-    name: str = ""
-    timestamp: str = ""
-    authors: list[str] = field(default_factory=list)
-    organizations: list[str] = field(default_factory=list)
-    preprocessor_version: str = ""
-    originating_system: str = ""
-    authorization: str = ""
+    _fields = ("name", "timestamp", "authors", "organizations", "preprocessor_version",
+               "originating_system", "authorization")
+
+    def __init__(
+        self,
+        name: str = "",
+        timestamp: str = "",
+        authors: list[str] | None = None,
+        organizations: list[str] | None = None,
+        preprocessor_version: str = "",
+        originating_system: str = "",
+        authorization: str = "",
+    ):
+        self.name = name
+        self.timestamp = timestamp
+        self.authors = [] if authors is None else authors
+        self.organizations = [] if organizations is None else organizations
+        self.preprocessor_version = preprocessor_version
+        self.originating_system = originating_system
+        self.authorization = authorization
 
 
-@dataclass
-class SpfHeader:
-    description: list[str] = field(default_factory=list)
-    implementation_level: str = "2;1"
-    file_name: FileName = field(default_factory=FileName)
-    file_schema: list[str] = field(default_factory=list)
+class SpfHeader(Record):
+    _fields = ("description", "implementation_level", "file_name", "file_schema")
+
+    def __init__(
+        self,
+        description: list[str] | None = None,
+        implementation_level: str = "2;1",
+        file_name: FileName | None = None,
+        file_schema: list[str] | None = None,
+    ):
+        self.description = [] if description is None else description
+        self.implementation_level = implementation_level
+        self.file_name = FileName() if file_name is None else file_name
+        self.file_schema = [] if file_schema is None else file_schema
 
 
 class EntityInstance:

@@ -7,9 +7,9 @@ import re
 from pathlib import Path
 
 from ..errors import MalformedFile
-from ._scan_py import TRIVIA
 from .attrparse import parse_parameter_list
 from .backend import active_backend
+from .lexemes import TRIVIA
 from .model import (
     UNSET,
     Diagnostic,

@@ -385,6 +385,24 @@ def test_check_survives_broken_item(capsys, suite_file, slot, breakage, error):
     assert lines[1:] == ["1 item(s) disagree with the manifest"]
 
 
+def test_check_far_from_the_origin(capsys, suite_file):
+    from ifcaudit.geomcheck import suite_proxies
+    from ifcaudit.spf import load
+
+    out, manifest = suite_file
+    graph = load(out)
+    proxy = next(p for p in suite_proxies(graph) if text(p.attr(3)) == "A4")
+    point = graph.deref(graph.deref(graph.deref(proxy.attr(5)).attr(1)).attr(0))
+    # at precision 1e-5, the weld's grid keys reach 1e20
+    rewrite_once(out, rf"(#{point.id}=IFCCARTESIANPOINT\(\()[^,]*", r"\g<1>1.E15")
+    capsys.readouterr()
+    code, stdout, err = run(capsys, "check", str(out), "--manifest", str(manifest), "--expect-match")
+    assert (code, err) == (0, "")
+    a4 = next(i for i in json.loads(stdout)["items"] if i["slot"] == "A4")
+    assert a4["displayed"] is True
+    assert (a4["volume"], a4["area"]) == (pytest.approx(0.5), pytest.approx(4.0))
+
+
 @pytest.mark.parametrize(
     "command",
     ["georef", "parse", "report roundtrip GOOD BAD", "report roundtrip BAD GOOD"],

@@ -61,6 +61,19 @@ def test_weld_drops_collapsed_triangles():
     assert len(mesh.triangles) == 0
 
 
+def test_weld_far_from_the_origin():
+    # grid keys of 1e20 at 1e15 / 1e-5: past the range of a 64-bit integer
+    box = box_mesh((0, 0, 0), (1, 1, 1))
+    n = len(box.vertices)
+    doubled = TriMesh(np.vstack([box.vertices] * 2), np.vstack([box.triangles, box.triangles + n]))
+    shift = np.array([1e15, 0.0, 0.0])
+    near = doubled.welded(1e-5)
+    far = TriMesh(doubled.vertices + shift, doubled.triangles).welded(1e-5)
+    assert len(near.vertices) == n
+    assert far.vertices.tolist() == (near.vertices + shift).tolist()
+    assert far.triangles.tolist() == near.triangles.tolist()
+
+
 def test_index_range_validation():
     with pytest.raises(ValueError):
         TriMesh([(0, 0, 0)], [(0, 1, 2)])

@@ -3,9 +3,9 @@
 ``ifcaudit.cli`` binds the package's heavier modules, and the geometry
 modules bind numpy, through ``ifcaudit._lazy``: each loads on its first
 attribute access, so only ``check`` loads numpy and the geometry code, and
-the read commands load neither the generator nor the answer code. The test
-modules import all of these themselves, so these checks run in a fresh
-interpreter.
+the read commands load neither the generator, the writer nor the answer
+code, nor ``dataclasses``. The test modules import all of these themselves,
+so these checks run in a fresh interpreter.
 """
 
 import importlib
@@ -22,6 +22,7 @@ import pytest
 
 import ifcaudit
 from ifcaudit.cli import main
+from test_scan_backends import build_compiled
 
 SRC = Path(ifcaudit.__file__).resolve().parents[1]
 TRACECLI = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
@@ -143,7 +144,7 @@ def test_lazy_numpy_check_matches_eager(tmp_path):
 
 #: the modules ``import ifcaudit.cli`` registers without running them
 LAZY_MODULES = {
-    "census", "schema", "georef",
+    "census", "schema", "georef", "spf.writer",
     "geomcheck.evaluate", "geomcheck.mesh", "geomcheck.tessellate", "geomcheck.validity",
     "geomgen.generate", "geomgen.suite",
     "benchkit.answers", "benchkit.metrics", "benchkit.roundtrip",
@@ -159,9 +160,14 @@ FOOTPRINT = {
     "georef b.ifc": {"georef", "schema"},
     "report roundtrip a.ifc b.ifc": {"benchkit.roundtrip", "census", "georef", "schema"},
     "report answers answers.csv --out report": {"benchkit.answers", "benchkit.metrics"},
-    "generate --schema ifc4 --out c.ifc": {"geomgen.generate", "geomgen.suite", "schema"},
+    "generate --schema ifc4 --out c.ifc": {
+        "geomgen.generate", "geomgen.suite", "schema", "spf.writer"},
     "check a.ifc --segments 16": GEOMETRY | {"geomgen.suite", "schema"},
 }
+#: the commands that read files, and ``--version``: none loads these
+#: standard modules, which the others load for their dataclasses
+READ_COMMANDS = [c for c in FOOTPRINT if not c.startswith(("generate", "check", "report answers"))]
+HEAVY_STDLIB = ["dataclasses", "inspect"]
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
@@ -184,14 +190,54 @@ def test_each_command_loads_only_its_modules(tmp_path):
                 code = main({command.split()!r})
             except SystemExit as exc:  # --version
                 code = exc.code
-            print(json.dumps([sorted(before), code, sorted(before - lazy())]))
+            stdlib = [m for m in {HEAVY_STDLIB!r} if m in sys.modules]
+            print(json.dumps([sorted(before), code, sorted(before - lazy()), stdlib]))
             """,
             tmp_path,
         )
-        before, code, loaded = json.loads(out.splitlines()[-1])
+        before, code, loaded, stdlib = json.loads(out.splitlines()[-1])
         assert set(before) == LAZY_MODULES, command
-        seen[command] = (code, set(loaded))
-    assert seen == {command: (0, loaded) for command, loaded in FOOTPRINT.items()}
+        seen[command] = (code, set(loaded), stdlib)
+    assert seen == {
+        command: (0, loaded, [] if command in READ_COMMANDS else HEAVY_STDLIB)
+        for command, loaded in FOOTPRINT.items()
+    }
+
+
+def test_compiled_scanner_leaves_pure_patterns_uncompiled(tmp_path, monkeypatch):
+    """With the compiled scanner active, the read commands never import the
+    pure scanner, so its record patterns are not compiled; asking for both
+    backends still reaches it, and the outputs are the pure path's."""
+    build_compiled(tmp_path)
+    extension = next(tmp_path.glob("_scan*"))
+    monkeypatch.chdir(tmp_path)
+    for schema, name in (("ifc2x3", "a.ifc"), ("ifc4", "b.ifc")):
+        assert main(["generate", "--schema", schema, "--out", str(tmp_path / name)]) == 0
+    commands = [c.split() for c in READ_COMMANDS if c != "--version"]
+    for i, argv in enumerate(commands):
+        assert main(argv + ["--out", str(tmp_path / f"pure{i}.out")]) == 0
+    out = fresh(
+        f"""
+        import importlib.util, json, sys
+        spec = importlib.util.spec_from_file_location("ifcaudit.spf._scan", {str(extension)!r})
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+        from ifcaudit.cli import main
+        from ifcaudit.spf.backend import active_backend, available_backends
+
+        codes = [main(argv + ["--out", f"compiled{{i}}.out"])
+                 for i, argv in enumerate({commands!r})]
+        pure_before = "ifcaudit.spf._scan_py" in sys.modules
+        backends = sorted(available_backends())
+        pure_after = "ifcaudit.spf._scan_py" in sys.modules
+        print(json.dumps([active_backend()[0], codes, pure_before, backends, pure_after]))
+        """,
+        tmp_path,
+    )
+    assert json.loads(out) == ["compiled", [0] * len(commands), False, ["compiled", "python"], True]
+    for i in range(len(commands)):
+        compiled = (tmp_path / f"compiled{i}.out").read_bytes()
+        assert compiled == (tmp_path / f"pure{i}.out").read_bytes(), commands[i]
 
 
 PACKAGES = ["ifcaudit.spf", "ifcaudit.geomcheck", "ifcaudit.geomgen", "ifcaudit.benchkit"]
