@@ -208,8 +208,9 @@ static Py_ssize_t close_parameters(Buf s, Py_ssize_t i, Py_ssize_t n, PyObject *
     return malformed("unterminated parameter list", i);
 }
 
-/* The type name s[a:b], upper-cased. */
-static PyObject *type_name(Buf s, Py_ssize_t a, Py_ssize_t b)
+/* The type name s[a:b], upper-cased: a new reference to the one object in
+ * names that holds this name, added there when the scan meets it first. */
+static PyObject *type_name(Buf s, Py_ssize_t a, Py_ssize_t b, PyObject *names)
 {
     PyObject *name = PyUnicode_New(b - a, 127);
     if (name == NULL)
@@ -217,7 +218,10 @@ static PyObject *type_name(Buf s, Py_ssize_t a, Py_ssize_t b)
     Py_UCS1 *out = PyUnicode_1BYTE_DATA(name);
     for (; a < b; a++)
         *out++ = (s[a] >= 'a' && s[a] <= 'z') ? s[a] - ('a' - 'A') : s[a];
-    return name;
+    PyObject *shared = PyDict_SetDefault(names, name, name);
+    Py_XINCREF(shared);
+    Py_DECREF(name);
+    return shared;
 }
 
 /* _COMPLEX from just past its '(' (inner ')' and '"' are plain bytes here):
@@ -249,10 +253,11 @@ static Py_ssize_t read_complex(Buf s, Py_ssize_t at, Py_ssize_t id_end, Py_ssize
     return i + 1;
 }
 
-/* One record from its '#' at offset at (_RECORD, or _HEAD and the walk, or
- * _COMPLEX); returns the offset past its ';', or -1 with an error set. */
+/* One record from its '#' at offset at (a match of _RUN, or _HEAD and the
+ * walk, or _COMPLEX); returns the offset past its ';', or -1 with an error
+ * set. */
 static Py_ssize_t read_record(Buf s, Py_ssize_t at, Py_ssize_t n, PyObject *records, PyObject *refs,
-                              PyObject *diagnostics)
+                              PyObject *names, PyObject *diagnostics)
 {
     Py_ssize_t i = at + 1, id_end, name_start, name_end, pstart, pend;
     int deferred = 0;
@@ -287,7 +292,7 @@ static Py_ssize_t read_record(Buf s, Py_ssize_t at, Py_ssize_t n, PyObject *reco
         return -1;
     PyTuple_SET_ITEM(record, 0, to_int(s, at + 1, id_end));
     if (PyTuple_GET_ITEM(record, 0) != NULL) {
-        PyTuple_SET_ITEM(record, 1, type_name(s, name_start, name_end));
+        PyTuple_SET_ITEM(record, 1, type_name(s, name_start, name_end, names));
         PyTuple_SET_ITEM(record, 2, PyLong_FromSsize_t(pstart));
         PyTuple_SET_ITEM(record, 3, PyLong_FromSsize_t(pend));
     }
@@ -307,7 +312,7 @@ static Py_ssize_t read_record(Buf s, Py_ssize_t at, Py_ssize_t n, PyObject *reco
 
 static PyObject *scan_records(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *data, *records, *refs, *diagnostics, *result = NULL;
+    PyObject *data, *records, *refs, *names, *diagnostics, *result = NULL;
     Py_ssize_t start;
     if (!PyArg_ParseTuple(args, "Sn:scan_records", &data, &start))
         return NULL;
@@ -317,11 +322,12 @@ static PyObject *scan_records(PyObject *Py_UNUSED(module), PyObject *args)
 
     records = PyList_New(0);
     refs = PySet_New(NULL);
+    names = PyDict_New();
     diagnostics = PyList_New(0);
-    while (records != NULL && refs != NULL && diagnostics != NULL) {
+    while (records != NULL && refs != NULL && names != NULL && diagnostics != NULL) {
         i = skip_trivia(s, i, n);
         if (i < n && s[i] == '#') {
-            i = read_record(s, i, n, records, refs, diagnostics);
+            i = read_record(s, i, n, records, refs, names, diagnostics);
             if (i < 0)
                 break;
             continue;
@@ -343,6 +349,7 @@ static PyObject *scan_records(PyObject *Py_UNUSED(module), PyObject *args)
     }
     Py_XDECREF(records);
     Py_XDECREF(refs);
+    Py_XDECREF(names);
     Py_XDECREF(diagnostics);
     return result;
 }

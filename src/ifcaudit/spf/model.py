@@ -176,13 +176,15 @@ class Diagnostic(FrozenRecord):
 
 
 class Source(FrozenRecord):
-    """Text of a parsed file, shared by the instances read from it. A syntax
-    error met when a record is first read names ``path``, when it is set."""
+    """Bytes of a parsed file, shared by the instances read from it: each
+    record's span is decoded (as latin-1) when it is first read, so the file
+    is never held twice. A syntax error met then names ``path``, when it is
+    set."""
 
-    __slots__ = _fields = ("text", "path")
+    __slots__ = _fields = ("data", "path")
 
-    def __init__(self, text: str, path: str | None = None):
-        set_field(self, "text", text)
+    def __init__(self, data: bytes, path: str | None = None):
+        set_field(self, "data", data)
         set_field(self, "path", path)
 
 
@@ -232,7 +234,7 @@ class EntityInstance:
     """One ``#id=TYPE(...)`` record.
 
     Attribute trees are built lazily: instances created by the parser keep a
-    span into the source text and only materialize attribute values when
+    span into the source bytes and only materialize attribute values when
     accessed. Instances built programmatically carry their attributes
     directly. The memoization is idempotent, so concurrent readers may race
     on it harmlessly.
@@ -261,7 +263,7 @@ class EntityInstance:
         """Source text between the outer parentheses, if parsed from text."""
         if self._src is None:
             return None
-        return self._src.text[self._pstart : self._pend]
+        return self._src.data[self._pstart : self._pend].decode("latin-1")
 
     @property
     def attributes(self) -> tuple[AttributeValue, ...]:

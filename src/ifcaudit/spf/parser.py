@@ -40,11 +40,14 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
     tokens. :func:`materialize` checks them all and records string-escape
     anomalies in the graph diagnostics. A syntax error met in a record when
     its attributes are first read names ``path``, the file's name.
+
+    The instances share ``data`` itself: a record's parameters are decoded
+    (as latin-1) when they are first read, and only the header is decoded
+    up front.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_spf expects bytes; use load() for paths")
     data = bytes(data)
-    source = data.decode("latin-1")
     diagnostics: list[Diagnostic] = []
 
     pos = _skip_trivia(data, 0)
@@ -54,7 +57,7 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
 
     if data[pos : pos + 7] != b"HEADER;":
         raise MalformedFile("missing HEADER section", pos)
-    header, pos = _parse_header(data, source, pos + 7, diagnostics)
+    header, pos = _parse_header(data, pos + 7, diagnostics)
 
     pos = _skip_trivia(data, pos)
     if data[pos : pos + 5] != b"DATA;":
@@ -74,9 +77,8 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
             Diagnostic("missing-end-sentinel", "file does not end with END-ISO-10303-21;")
         )
 
-    shared = Source(source, path)
+    shared = Source(data, path)
     index: dict[int, EntityInstance] = {}  # first position, last definition
-    name_cache: dict[str, str] = {}
     for i in range(len(raw_records)):
         inst_id, name, pstart, pend = raw_records[i]
         raw_records[i] = None  # free scan tuples as we go; large files care
@@ -84,9 +86,8 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
             diagnostics.append(
                 Diagnostic("duplicate-id", f"instance #{inst_id} defined twice; last kept")
             )
-        index[inst_id] = EntityInstance(
-            inst_id, name_cache.setdefault(name, name), _src=shared, _pstart=pstart, _pend=pend
-        )
+        # positional: keyword arguments cost twice as much per record
+        index[inst_id] = EntityInstance(inst_id, name, None, shared, pstart, pend)
 
     dangling = referenced - index.keys()
     for ref in sorted(dangling):
@@ -130,10 +131,16 @@ def materialize(graph: InstanceGraph) -> None:
 
 
 def _parse_header(
-    data: bytes, source: str, pos: int, diagnostics: list[Diagnostic]
+    data: bytes, pos: int, diagnostics: list[Diagnostic]
 ) -> tuple[SpfHeader, int]:
-    """Read ``KEYWORD(params);`` records up to ENDSEC; ``source`` is
-    ``data`` decoded as latin-1, so offsets agree."""
+    """Read ``KEYWORD(params);`` records up to ENDSEC.
+
+    Parameters are read from ``data`` decoded as latin-1, so offsets agree;
+    only the bytes up to the first ``ENDSEC`` are decoded. A parameter list
+    that fails there may run past it (inside a string), so it is read again
+    from the whole file before its error counts."""
+    end = data.find(b"ENDSEC", pos)
+    source = data[: len(data) if end < 0 else end].decode("latin-1")
     header = SpfHeader()
     seen: set[str] = set()
     while True:
@@ -145,7 +152,14 @@ def _parse_header(
         if m is None:
             raise MalformedFile("unparseable header record", pos)
         keyword = m.group().upper().decode("ascii")
-        attrs, pos = parse_parameter_list(source, _BLANKS.match(data, m.end()).end())
+        pos = _BLANKS.match(data, m.end()).end()
+        try:
+            attrs, pos = parse_parameter_list(source, pos)
+        except MalformedFile:
+            if len(source) == len(data):
+                raise
+            source = data.decode("latin-1")
+            attrs, pos = parse_parameter_list(source, pos)
         pos = _BLANKS.match(data, pos).end()
         if data[pos : pos + 1] != b";":
             raise MalformedFile(f"header record {keyword} without ';'", pos)

@@ -1,0 +1,95 @@
+"""Every read command stays total on mutated files: it exits 0 or 2, raises
+nothing, and writes JSON without NaN or Infinity."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from tests_helpers import georef_fixture_l50
+
+from ifcaudit.cli import main
+from ifcaudit.spf import write_spf
+
+HOSTILE = [b"9" * 5000, b"1.E999", b"$", b"*", b"#0", b"#999999", b"'", b"/*", b"(" * 100]
+NON_ASCII = [b"\xe9", b"\xff\xfe", b"\x00", "é中".encode("utf-8")]
+COMMANDS = [
+    ["census", "{m}"],
+    ["georef", "{m}"],
+    ["parse", "{m}"],
+    ["diff", "{b}", "{m}"],
+    ["report", "roundtrip", "{m}", "{b}"],
+]
+
+
+@pytest.fixture(scope="module")
+def bases(tmp_path_factory, suite_2x3, suite_ifc4):
+    """The unmutated files, written once, with the directory for mutants."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for name, graph in (("2x3", suite_2x3[0]), ("ifc4", suite_ifc4[0]),
+                        ("l50", georef_fixture_l50())):
+        path = root / f"{name}.ifc"
+        path.write_bytes(write_spf(graph))
+        paths.append(path)
+    return root, paths
+
+
+# each mutation: (kind, line index, byte index, payload); indexes wrap around
+mutations = st.lists(
+    st.tuples(
+        st.sampled_from(["truncate", "delete", "duplicate", "renumber", "insert"]),
+        st.integers(0, 1 << 20),
+        st.integers(0, 1 << 20),
+        st.sampled_from(HOSTILE + NON_ASCII),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(data: bytes, steps) -> bytes:
+    for kind, line, at, payload in steps:
+        if kind == "truncate":
+            data = data[: at % (len(data) + 1)]
+            continue
+        lines = data.split(b"\n")
+        i = line % len(lines)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "renumber":
+            lines[i] = lines[i].replace(b"#", b"#1", 1)
+        else:
+            j = at % (len(lines[i]) + 1)
+            lines[i] = lines[i][:j] + payload + lines[i][j:]
+        data = b"\n".join(lines)
+    return data
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 2), steps=mutations)
+def test_read_commands_are_total_on_mutants(bases, base, steps):
+    root, paths = bases
+    mutant = root / "mutant.ifc"
+    mutant.write_bytes(mutate(paths[base].read_bytes(), steps))
+    out = root / "out.json"
+    for command in COMMANDS:
+        argv = [arg.format(m=mutant, b=paths[base]) for arg in command]
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(out)])
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+            assert not out.exists()
+        else:
+            json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse_constant)

@@ -149,7 +149,9 @@ def test_active_backend_is_compiled_when_built():
 
 
 @pytest.mark.parametrize("name", ["compiled", "python"])
-@pytest.mark.parametrize("unit", [b"/*/", b"''", b"(", b"()", b"(a", b"0123456789"])
+@pytest.mark.parametrize(
+    "unit", [b"/*/", b"''", b"(", b"()", b"(a", b"0123456789", b"/", b"/x", b"'x''"]
+)
 def test_unterminated_record_fails_fast(scanners, name, unit):
     data = b"DATA;#1=A(" + unit * (200_000 // len(unit))
     start = time.perf_counter()
@@ -162,3 +164,47 @@ def test_unterminated_record_fails_fast(scanners, name, unit):
 def test_unterminated_comment_in_record_is_malformed(scanners, name):
     with pytest.raises(MalformedFile):
         scanners[name](b"DATA; #1=A(/*); ENDSEC;", 5)
+
+
+DEEP5 = b"(" * 5 + b"#2" + b")" * 5  # one level past the pure scanner's run pattern
+DEEP50 = b"(" * 50 + b"#3" + b")" * 50
+
+
+@pytest.mark.parametrize(
+    "section, expected, refs",
+    [
+        (
+            b"#1=IFCWALL('a',#2);\r\n#2=IFCDEEP(" + DEEP5 + b");/* ; ) */\r\n#3=ifcwall(#1);\r\n"
+            b"#4=(IFCA()IFCB(#9));\r\n/* c */#5 = IFCDEEP (" + DEEP50 + b") ;\r\n#6=IFCWALL($);"
+            b"#7=IFCDEEP(" + DEEP5 + b");ENDSEC;",
+            [(1, "IFCWALL", b"'a',#2"), (2, "IFCDEEP", DEEP5), (3, "IFCWALL", b"#1"),
+             (5, "IFCDEEP", DEEP50), (6, "IFCWALL", b"$"), (7, "IFCDEEP", DEEP5)],
+            [1, 2, 3],
+        ),
+        (
+            b"\r\n#2=IFCDEEP(" + DEEP50 + b");#4=(IFCA());#1=IFCWALL(#2,'x;)');\r\nENDSEC\r\n;",
+            [(2, "IFCDEEP", DEEP50), (1, "IFCWALL", b"#2,'x;)'")],
+            [2, 3],
+        ),
+        (b"#1=IFCWALL(#3);#4=(IFCA(#1));ENDSEC;", [(1, "IFCWALL", b"#3")], [3]),
+    ],
+    ids=["mixed", "deep-first", "complex-last"],
+)
+def test_runs_resume_after_slow_records(scanners, section, expected, refs):
+    """Records nested past the run pattern's depth and complex instances
+    end a run of ordinary records; the next record starts a new one."""
+    data = b"DATA;" + section
+    status, records, *rest = assert_agree(scanners, data)
+    assert status == "ok"
+    assert [(i, name, data[a:b]) for i, name, a, b in records] == expected
+    complex_4 = ("complex-instance", "unsupported complex entity instance #4 skipped")
+    assert rest == [refs, [complex_4], len(data)]
+
+
+@pytest.mark.parametrize("name", ["compiled", "python"])
+def test_records_of_one_type_share_one_name(scanners, name):
+    data = b"DATA;#1=IFCWALL();#2=IfcWall(#1);#3=IFCWALL(" + DEEP50 + b");#4=IFCDOOR();ENDSEC;"
+    records, *_ = scanners[name](data, 5)
+    walls = [record[1] for record in records[:3]]
+    assert walls == ["IFCWALL"] * 3
+    assert walls[0] is walls[1] is walls[2]

@@ -211,11 +211,11 @@ def test_header_record_diagnostics():
 
 def test_header_strings_and_comments():
     data = MINIMAL.replace(
-        b"FILE_NAME('mini',", b"FILE_NAME \t('a;b) /* c */ d''e' /* x; ) */ ,"
+        b"FILE_NAME('mini',", b"FILE_NAME \t('a;b) /* c */ d''e ENDSEC;' /* x; ) */ ,"
     )
     data = data.replace(b"FILE_SCHEMA(('IFC2X3'));", b"FILE_SCHEMA (('IFC2X3'))\n ;")
     graph = parse_spf(data)
-    assert graph.header.file_name.name == "a;b) /* c */ d'e"
+    assert graph.header.file_name.name == "a;b) /* c */ d'e ENDSEC;"
     assert graph.header.file_name.timestamp == "2020-01-01T00:00:00"
     assert graph.header.file_schema == ["IFC2X3"]
     assert graph.diagnostics == []

@@ -69,8 +69,8 @@ CASES = [
     (Binary, ("text",), ("0FF",), Binary("1"), "Binary(text='0FF')", True, True, ("text",)),
     (Diagnostic, ("code", "message"), ("c", "m"), Diagnostic("c", "n"),
      "Diagnostic(code='c', message='m')", True, True, ("code", "message")),
-    (Source, ("text", "path"), ("abc", "f.ifc"), Source("abc"), "Source(text='abc', path='f.ifc')",
-     True, True, ("text", "path")),
+    (Source, ("data", "path"), (b"abc", "f.ifc"), Source(b"abc"),
+     "Source(data=b'abc', path='f.ifc')", True, True, ("data", "path")),
     (FileName, ("name", "timestamp", "authors", "organizations", "preprocessor_version",
                 "originating_system", "authorization"),
      ("m.ifc", "2020", ["a"], ["o"], "p", "s", "z"), FileName(), FILE_NAME_REPR, False, False, None),
