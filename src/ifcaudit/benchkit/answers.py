@@ -18,19 +18,17 @@ class SupportScore(enum.Enum):
     NOT_APPLICABLE = "n/a"
 
     @classmethod
-    def from_value(cls, raw: str | float) -> "SupportScore":
-        if isinstance(raw, str):
-            normalized = raw.strip().lower()
-            aliases = {
-                "1": cls.FULL, "1.0": cls.FULL, "full": cls.FULL,
-                "0.5": cls.PARTIAL, "partial": cls.PARTIAL,
-                "0": cls.NONE, "0.0": cls.NONE, "none": cls.NONE, "no": cls.NONE,
-                "n/a": cls.NOT_APPLICABLE, "na": cls.NOT_APPLICABLE,
-            }
-            if normalized in aliases:
-                return aliases[normalized]
-            raise ValueError(f"not a support score: {raw!r}")
-        return {1.0: cls.FULL, 0.5: cls.PARTIAL, 0.0: cls.NONE}[float(raw)]
+    def from_value(cls, raw: str) -> "SupportScore":
+        normalized = raw.strip().lower()
+        aliases = {
+            "1": cls.FULL, "1.0": cls.FULL, "full": cls.FULL,
+            "0.5": cls.PARTIAL, "partial": cls.PARTIAL,
+            "0": cls.NONE, "0.0": cls.NONE, "none": cls.NONE, "no": cls.NONE,
+            "n/a": cls.NOT_APPLICABLE, "na": cls.NOT_APPLICABLE,
+        }
+        if normalized in aliases:
+            return aliases[normalized]
+        raise ValueError(f"not a support score: {raw!r}")
 
 
 class TimingBucket(enum.Enum):
@@ -111,7 +109,7 @@ def _parse_value(category: Category, raw: str):
         return raw
     try:
         return SupportScore.from_value(raw)
-    except (ValueError, KeyError):
+    except ValueError:
         return raw
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Any
 
 from .._record import Record
-from ..census import FAMILIES, Census, CensusDiff, census, diff, family_balance
+from ..census import FAMILIES, Census, CensusDiff, census, diff, diff_as_dict, family_balance
 from ..georef import LoGeoRefReport, detect_georef, report_as_dict
 from ..spf.model import InstanceGraph
 
@@ -79,14 +79,7 @@ def report_as_json(report: InteropReport) -> dict[str, Any]:
         "size_ratio": report.size_ratio,
         "total_reference": report.reference_census.total,
         "total_exported": report.export_census.total,
-        "deltas": dict(sorted(report.diff.deltas.items())),
-        "lost_types": sorted(report.diff.lost_types),
-        "gained_types": sorted(report.diff.gained_types),
-        "grouped_deltas": {
-            g.value: d for g, d in sorted(
-                report.diff.grouped_deltas.items(), key=lambda kv: kv[0].value
-            )
-        },
+        **diff_as_dict(report.diff),
         "family_balances": report.family_balances,
         "georef_before": report_as_dict(report.georef_before),
         "georef_after": report_as_dict(report.georef_after),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 
 from ._record import FrozenRecord, Record, set_field
-from .schema import ReportGroup, SchemaVersion, TypeRegistry, default_registry
+from .schema import ReportGroup, SchemaVersion, default_registry
 from .spf.model import InstanceGraph
 
 #: Families of alternative representations discussed in round-trip analysis.
@@ -72,21 +72,19 @@ class CensusDiff(Record):
 def census(graph: InstanceGraph) -> Census:
     """Count instances per exact type name (zero entries omitted)."""
     counts: dict[str, int] = {}
-    for inst in graph.instances:
+    for inst in graph:
         name = inst.type_name
         counts[name] = counts.get(name, 0) + 1
     return Census(
         counts=counts,
-        total=len(graph.instances),
+        total=len(graph),
         byte_size=graph.byte_size,
         schema=SchemaVersion.from_name(graph.schema_name()),
     )
 
 
-def diff(
-    reference: Census, exported: Census, registry: TypeRegistry | None = None
-) -> CensusDiff:
-    registry = registry or default_registry()
+def diff(reference: Census, exported: Census) -> CensusDiff:
+    registry = default_registry()
     diagnostics: list[str] = []
     if reference.schema != exported.schema:
         diagnostics.append(
@@ -131,29 +129,31 @@ def family_balance(d: CensusDiff, family: frozenset[str] | set[str]) -> int:
     return sum(d.deltas.get(name.upper(), 0) for name in family)
 
 
-def _sorted_types(d: CensusDiff, registry: TypeRegistry) -> list[str]:
-    return sorted(d.deltas, key=lambda t: (registry.group_of(t).value, t))
+def diff_as_dict(d: CensusDiff) -> dict:
+    """The deltas, lost and gained types and group deltas of ``d`` as JSON
+    values, each sorted."""
+    return {
+        "deltas": dict(sorted(d.deltas.items())),
+        "lost_types": sorted(d.lost_types),
+        "gained_types": sorted(d.gained_types),
+        "grouped_deltas": {
+            g.value: n for g, n in sorted(d.grouped_deltas.items(), key=lambda kv: kv[0].value)
+        },
+    }
 
 
 def diff_rows(
-    reference: Census,
-    exported: Census,
-    d: CensusDiff,
-    registry: TypeRegistry | None = None,
+    reference: Census, exported: Census, d: CensusDiff
 ) -> list[tuple[str, int, int, int, str]]:
     """(type, reference, exported, delta, group) rows sorted by group then
     name."""
-    registry = registry or default_registry()
-    return [
-        (
-            t,
-            reference.counts.get(t, 0),
-            exported.counts.get(t, 0),
-            d.deltas[t],
-            registry.group_of(t).value,
-        )
-        for t in _sorted_types(d, registry)
+    group_of = default_registry().group_of
+    rows = [
+        (t, reference.counts.get(t, 0), exported.counts.get(t, 0), delta, group_of(t).value)
+        for t, delta in d.deltas.items()
     ]
+    rows.sort(key=lambda row: (row[4], row[0]))
+    return rows
 
 
 def diff_csv(reference: Census, exported: Census, d: CensusDiff) -> str:

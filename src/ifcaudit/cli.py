@@ -113,23 +113,9 @@ def cmd_diff(args) -> int:
     elif args.format == "markdown":
         _emit(census.diff_markdown(ref, exp, d), args.out)
     else:
-        _emit(
-            _json_dump(
-                {
-                    "deltas": dict(sorted(d.deltas.items())),
-                    "lost_types": sorted(d.lost_types),
-                    "gained_types": sorted(d.gained_types),
-                    "grouped_deltas": {
-                        g.value: n
-                        for g, n in sorted(
-                            d.grouped_deltas.items(), key=lambda kv: kv[0].value
-                        )
-                    },
-                    "size_delta_bytes": d.size_delta_bytes,
-                }
-            ),
-            args.out,
-        )
+        payload = census.diff_as_dict(d)
+        payload["size_delta_bytes"] = d.size_delta_bytes
+        _emit(_json_dump(payload), args.out)
     if args.expect_unchanged and not d.empty:
         print("census differs but --expect-unchanged was given", file=sys.stderr)
         return EXIT_FINDINGS

@@ -1,7 +1,9 @@
 """Triangle meshes and their validation properties.
 
 Volume and volume centroid come from the divergence theorem over signed
-tetrahedra against the origin; surface area is the plain triangle-area sum.
+tetrahedra against the bounding-box centre, so georeferenced coordinates far
+from the origin lose no digits to cancellation; surface area is the plain
+triangle-area sum.
 """
 
 from __future__ import annotations
@@ -37,11 +39,15 @@ class TriMesh:
         """Signed volume, surface area and centroid from one gather of the
         corners. A triangle's doubled vector area ``n = (b - a) x (c - a)``
         gives its area and, as ``a . n = a . (b x c)``, six times the signed
-        volume of its tetrahedron against the origin."""
+        volume of its tetrahedron against the bounding-box centre: the corners
+        are taken relative to it, and it is added back to the centroid."""
         t = self.triangles
         if not len(t):
             return 0.0, 0.0, self.vertices.mean(axis=0)
-        v = np.ascontiguousarray(self.vertices.T)  # x, y and z rows
+        lo, hi = self.bbox
+        centre = (lo + hi) / 2.0
+        # x, y and z rows, relative to the centre
+        v = np.subtract(self.vertices.T, centre[:, None], order="C")
         a, b, c = (v.take(t[:, k], axis=1) for k in range(3))
         b -= a  # edges, in place: three corner-sized arrays at most
         c -= a
@@ -56,10 +62,10 @@ class TriMesh:
         a += c
         if abs(volume) > 1e-12:
             # volume centroid of a closed mesh
-            centroid = np.einsum("ij,j->i", a, tet) / (4.0 * tet.sum())
+            centroid = np.einsum("ij,j->i", a, tet) / (4.0 * tet.sum()) + centre
         elif area:
             # area centroid of an open surface model
-            centroid = np.einsum("ij,j->i", a, doubled) / (3.0 * doubled.sum())
+            centroid = np.einsum("ij,j->i", a, doubled) / (3.0 * doubled.sum()) + centre
         else:
             centroid = self.vertices.mean(axis=0)
         return volume, area, centroid

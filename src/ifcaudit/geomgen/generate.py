@@ -416,6 +416,5 @@ def generate_item(
     writer.b = GraphBuilder(schema.value)
     writer._seed = f"ifcaudit:{schema.value}:{item.slot}"
     root, _ = build_geometry(writer, item, precision)
-    instances = writer.b.graph.instances
-    assert any(i.id == root.id for i in instances)
-    return instances
+    assert root.id in writer.b.graph
+    return list(writer.b.graph)

@@ -97,13 +97,10 @@ def length_unit(graph: InstanceGraph) -> tuple[str, float]:
     return "unknown", 1.0
 
 
-def detect_georef(
-    graph: InstanceGraph, schema: SchemaVersion | None = None
-) -> LoGeoRefReport:
+def detect_georef(graph: InstanceGraph) -> LoGeoRefReport:
     """Inspect a parsed model for each georeferencing level; read-only."""
     report = LoGeoRefReport()
-    if schema is None:
-        schema = SchemaVersion.from_name(graph.schema_name())
+    schema = SchemaVersion.from_name(graph.schema_name())
     unit_name, unit_scale = length_unit(graph)
 
     sites = graph.by_type("IFCSITE")

@@ -67,7 +67,6 @@ class GraphBuilder:
         schema: str,
         model_name: str = "model",
         timestamp: str = "1970-01-01T00:00:00",
-        originating_system: str = "ifcaudit",
     ):
         header = SpfHeader(
             description=["ViewDefinition [CoordinationView]"],
@@ -78,7 +77,7 @@ class GraphBuilder:
                 authors=[""],
                 organizations=[""],
                 preprocessor_version="ifcaudit",
-                originating_system=originating_system,
+                originating_system="ifcaudit",
                 authorization="",
             ),
             file_schema=[schema.upper()],

@@ -259,13 +259,6 @@ class EntityInstance:
         self._pend = _pend
 
     @property
-    def raw_params(self) -> str | None:
-        """Source text between the outer parentheses, if parsed from text."""
-        if self._src is None:
-            return None
-        return self._src.data[self._pstart : self._pend].decode("latin-1")
-
-    @property
     def attributes(self) -> tuple[AttributeValue, ...]:
         attrs = self._attrs
         if attrs is None:
@@ -278,11 +271,15 @@ class EntityInstance:
         names the file, this record and its byte offset in the file."""
         from .attrparse import parse_attributes  # deferred, avoids cycle
 
+        src = self._src
+        if src is None:
+            return ()
+        params = src.data[self._pstart : self._pend].decode("latin-1")
         try:
-            return parse_attributes(self.raw_params or "", unknown_escape_sink)
+            return parse_attributes(params, unknown_escape_sink)
         except MalformedFile as exc:
             offset = None if exc.offset is None else self._pstart + exc.offset
-            where = f"{self._src.path}: " if self._src.path else ""
+            where = f"{src.path}: " if src.path else ""
             raise MalformedFile(f"{where}#{self.id}: {exc.reason}", offset) from None
 
     def attr(self, index: int) -> AttributeValue:
@@ -307,36 +304,35 @@ class EntityInstance:
 
 
 class InstanceGraph:
-    """Parsed or constructed SPF content: header plus ordered instances."""
+    """Parsed or constructed SPF content: a header and its instances by id.
+
+    The graph is read through ``len``, iteration (in first-definition
+    order), ``in`` (by id), :meth:`resolve`, :meth:`deref` and
+    :meth:`by_type`, and grows through :meth:`add`.
+    """
 
     def __init__(
         self,
         header: SpfHeader | None = None,
-        instances: list[EntityInstance] | None = None,
+        instances: dict[int, EntityInstance] | None = None,
         diagnostics: list[Diagnostic] | None = None,
         byte_size: int = 0,
-        _prebuilt_index: dict[int, EntityInstance] | None = None,
     ):
         self.header = header or SpfHeader()
-        self.instances: list[EntityInstance] = instances or []
+        self._by_id: dict[int, EntityInstance] = {} if instances is None else instances
         self.diagnostics: list[Diagnostic] = diagnostics or []
         self.byte_size = byte_size
-        if _prebuilt_index is not None:
-            self._index = _prebuilt_index
-        else:
-            self._index = {i.id: i for i in self.instances}
         self._type_index: dict[str, list[EntityInstance]] | None = None
 
     def add(self, instance: EntityInstance) -> None:
-        if instance.id in self._index:
+        if instance.id in self._by_id:
             raise ValueError(f"duplicate instance id #{instance.id}")
-        self.instances.append(instance)
-        self._index[instance.id] = instance
+        self._by_id[instance.id] = instance
         self._type_index = None
 
     def resolve(self, id: int) -> EntityInstance:
         try:
-            return self._index[id]
+            return self._by_id[id]
         except KeyError:
             raise NotFound(f"no instance #{id}") from None
 
@@ -349,7 +345,7 @@ class InstanceGraph:
         """All instances with exactly this type name (no subtype roll-up)."""
         if self._type_index is None:
             index: dict[str, list[EntityInstance]] = {}
-            for inst in self.instances:
+            for inst in self._by_id.values():
                 index.setdefault(inst.type_name, []).append(inst)
             self._type_index = index
         return self._type_index.get(type_name.upper(), [])
@@ -358,19 +354,17 @@ class InstanceGraph:
         return self.header.file_schema[0] if self.header.file_schema else None
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self._by_id)
 
     def __iter__(self) -> Iterator[EntityInstance]:
-        return iter(self.instances)
+        return iter(self._by_id.values())
 
     def __contains__(self, id: int) -> bool:
-        return id in self._index
+        return id in self._by_id
 
     def structurally_equal(self, other: "InstanceGraph") -> bool:
         """Field-by-field equality of header and all instances, ignoring
         diagnostics and byte size."""
-        if self.header != other.header:
+        if self.header != other.header or len(self) != len(other):
             return False
-        if len(self.instances) != len(other.instances):
-            return False
-        return all(a == b for a, b in zip(self.instances, other.instances))
+        return all(a == b for a, b in zip(self, other))

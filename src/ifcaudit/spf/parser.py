@@ -95,13 +95,7 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
             Diagnostic("dangling-reference", f"reference to missing instance #{ref}")
         )
 
-    return InstanceGraph(
-        header=header,
-        instances=list(index.values()),
-        diagnostics=diagnostics,
-        byte_size=len(data),
-        _prebuilt_index=index,
-    )
+    return InstanceGraph(header, index, diagnostics, len(data))
 
 
 def load(path: str | os.PathLike) -> InstanceGraph:
@@ -121,7 +115,7 @@ def materialize(graph: InstanceGraph) -> None:
     :class:`MalformedFile`. Records stay unread, so a second call reads them
     and adds their diagnostics again."""
     sink: list[str] = []
-    for inst in graph.instances:
+    for inst in graph:
         if inst._attrs is None:
             inst._parse(unknown_escape_sink=sink)
     for esc in sink:

@@ -87,7 +87,7 @@ def write_spf(graph: InstanceGraph) -> bytes:
         "ENDSEC;",
         "DATA;",
     ]
-    lines.extend(format_instance(inst) for inst in graph.instances)
+    lines.extend(format_instance(inst) for inst in graph)
     lines.append("ENDSEC;")
     lines.append("END-ISO-10303-21;")
     lines.append("")

@@ -13,7 +13,7 @@ from ifcaudit.census import (
     family_balance,
 )
 from ifcaudit.schema import SchemaVersion
-from ifcaudit.spf import parse_spf, write_spf
+from ifcaudit.spf import InstanceGraph, parse_spf, write_spf
 
 TYPE_POOL = [
     "IFCWALL", "IFCWALLSTANDARDCASE", "IFCWALLTYPE", "IFCSTAIR", "IFCDOOR",
@@ -53,8 +53,9 @@ def test_census_order_insensitive(suite_2x3):
     graph, _ = suite_2x3
     data = write_spf(graph)
     g1 = parse_spf(data)
-    g1.instances.reverse()
-    assert census(g1).counts == census(graph).counts
+    reversed_graph = InstanceGraph(g1.header, {i.id: i for i in reversed(list(g1))})
+    assert [i.id for i in reversed_graph] == [i.id for i in g1][::-1]
+    assert census(reversed_graph).counts == census(graph).counts
 
 
 def test_diff_identity():

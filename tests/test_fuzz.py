@@ -1,12 +1,13 @@
-"""Every read command stays total on mutated files: it exits 0 or 2, raises
-nothing, and writes JSON without NaN or Infinity."""
+"""Every read command stays total on mutated files: it exits 0 or 2, or 1 for
+a finding that an ``--expect-*`` flag asked about, raises nothing, and writes
+JSON without NaN or Infinity."""
 
 import contextlib
 import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from tests_helpers import georef_fixture_l50
 
@@ -21,6 +22,8 @@ COMMANDS = [
     ["parse", "{m}"],
     ["diff", "{b}", "{m}"],
     ["report", "roundtrip", "{m}", "{b}"],
+    ["diff", "{b}", "{m}", "--expect-unchanged"],
+    ["report", "roundtrip", "{m}", "{b}", "--expect-unchanged"],
 ]
 
 
@@ -76,6 +79,7 @@ def refuse_constant(name):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(base=st.integers(0, 2), steps=mutations)
+@example(base=0, steps=[("delete", 12, 0, b"$")])  # a census change: exit 1 when expected
 def test_read_commands_are_total_on_mutants(bases, base, steps):
     root, paths = bases
     mutant = root / "mutant.ifc"
@@ -87,7 +91,8 @@ def test_read_commands_are_total_on_mutants(bases, base, steps):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(argv + ["--out", str(out)])
-        assert code in (0, 2), (argv, err.getvalue())
+        expecting = any(arg.startswith("--expect-") for arg in argv)
+        assert code in ((0, 1, 2) if expecting else (0, 2)), (argv, err.getvalue())
         if code == 2:
             assert err.getvalue().startswith("error: "), err.getvalue()
             assert not out.exists()

@@ -74,6 +74,17 @@ def test_weld_far_from_the_origin():
     assert far.triangles.tolist() == near.triangles.tolist()
 
 
+def test_centroid_far_from_the_origin():
+    # georeferenced placements: tetrahedra against the origin cancel digits away
+    x = 1.2345678901e9
+    box = box_mesh((x, 0.0, 0.0), (x + 1.0, 1.0, 1.0))
+    assert box.centroid == pytest.approx([x + 0.5, 0.5, 0.5], rel=0, abs=1e-6)
+    assert box.volume == pytest.approx(1.0, rel=1e-9)
+    ellipse = ellipse_polygon(3.0, 1.5, 64) + np.array([5e6, 5e6])
+    prism = extrude_polygon(ellipse, np.array([0.0, 0.0, 2.5]))
+    assert prism.centroid == pytest.approx([5e6, 5e6, 1.25], rel=0, abs=1e-6)
+
+
 def test_index_range_validation():
     with pytest.raises(ValueError):
         TriMesh([(0, 0, 0)], [(0, 1, 2)])

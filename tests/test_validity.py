@@ -63,7 +63,7 @@ def test_unsupported_shape():
     b = GraphBuilder("IFC2X3")
     sphere = b.add("IFCSPHERE", 1.0, None)
     with pytest.raises(UnsupportedShape):
-        check_validity(b.graph, list(b.graph.instances), 1e-5)
+        check_validity(b.graph, list(b.graph), 1e-5)
 
 
 def test_direction_dot_tolerance_boundary():
@@ -89,15 +89,15 @@ def test_direction_dot_tolerance_boundary():
         return b.graph
 
     graph = extrusion_with_dz(0.0)
-    verdict = check_validity(graph, list(graph.instances), 1e-5)
+    verdict = check_validity(graph, list(graph), 1e-5)
     assert InvalidReason.VALID_EXTRUSION_DIRECTION in verdict.reasons
 
     graph = extrusion_with_dz(1e-11)
-    verdict = check_validity(graph, list(graph.instances), 1e-5)
+    verdict = check_validity(graph, list(graph), 1e-5)
     assert InvalidReason.VALID_EXTRUSION_DIRECTION not in verdict.reasons
 
     graph = extrusion_with_dz(1e-13)
-    verdict = check_validity(graph, list(graph.instances), 1e-5)
+    verdict = check_validity(graph, list(graph), 1e-5)
     assert InvalidReason.VALID_EXTRUSION_DIRECTION in verdict.reasons
 
 
