@@ -6,9 +6,8 @@ from __future__ import annotations
 from typing import Any
 
 from .._record import Record
-from ..census import FAMILIES, Census, CensusDiff, census, diff, diff_as_dict, family_balance
-from ..georef import LoGeoRefReport, detect_georef, report_as_dict
-from ..spf.model import InstanceGraph
+from ..census import FAMILIES, Census, CensusDiff, diff, diff_as_dict, family_balance
+from ..georef import LoGeoRefReport, report_as_dict
 
 #: Size band treated as "unchanged"; growth or shrinkage beyond it is an
 #: interoperability signal even when the census matches.
@@ -43,14 +42,12 @@ class InteropReport(Record):
 
 
 def roundtrip_report(
-    reference: InstanceGraph, exported: InstanceGraph
+    reference: tuple[Census, LoGeoRefReport], exported: tuple[Census, LoGeoRefReport]
 ) -> InteropReport:
-    ref_census = census(reference)
-    exp_census = census(exported)
+    """Compare two files by their summaries, ``(census, georef report)`` each."""
+    (ref_census, before), (exp_census, after) = reference, exported
     d = diff(ref_census, exp_census)
     balances = {name: family_balance(d, family) for name, family in FAMILIES.items()}
-    before = detect_georef(reference)
-    after = detect_georef(exported)
     diagnostics = list(d.diagnostics)
     if set(before.levels) != set(after.levels):
         diagnostics.append(

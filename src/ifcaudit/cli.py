@@ -142,12 +142,15 @@ def cmd_generate(args) -> int:
     version = versions.IFC2X3 if args.schema == "ifc2x3" else versions.IFC4
     spacing = geomgen.DEFAULT_SPACING if args.spacing is None else args.spacing
     precision = geomgen.DEFAULT_PRECISION if args.precision is None else args.precision
-    graph, manifest = geomgen.generate_geometry_suite(
-        version,
-        spacing=spacing,
-        precision=precision,
-        include_below_precision_item=args.extra_below_precision,
-    )
+    try:
+        graph, manifest = geomgen.generate_geometry_suite(
+            version,
+            spacing=spacing,
+            precision=precision,
+            include_below_precision_item=args.extra_below_precision,
+        )
+    except ValueError as exc:  # both numbers are checked above; the grid's extent is not
+        raise SystemExit_(f"--{exc}") from None
     spf.save(graph, args.out)
     if args.manifest:
         Path(args.manifest).write_text(
@@ -261,11 +264,13 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _summary(path: str):
+    graph = _load(path)  # freed on return, before the next file loads
+    return census.census(graph), georef.detect_georef(graph)
+
+
 def cmd_report_roundtrip(args) -> int:
-    reference = _load(args.reference)
-    exported = _load(args.exported)
-    report = benchkit.roundtrip_report(reference, exported)
-    payload = benchkit.report_as_json(report)
+    report = benchkit.roundtrip_report(_summary(args.reference), _summary(args.exported))
     if args.format == "markdown":
         ref_census = report.reference_census
         exp_census = report.export_census
@@ -280,7 +285,7 @@ def cmd_report_roundtrip(args) -> int:
         ]
         _emit("\n".join(lines), args.out)
     else:
-        _emit(_json_dump(payload), args.out)
+        _emit(_json_dump(benchkit.report_as_json(report)), args.out)
     if args.expect_unchanged and not report.unchanged:
         print("model changed across the round trip", file=sys.stderr)
         return EXIT_FINDINGS
@@ -423,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (SystemExit_, IfcAuditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -8,9 +8,11 @@ triangle-area sum.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 from .._lazy import lazy
+from ..errors import UnsupportedShape
 
 np = lazy("numpy")  # only evaluating geometry loads numpy
 
@@ -93,9 +95,14 @@ class TriMesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def welded(self, tol: float) -> "TriMesh":
-        """Merge vertices closer than ``tol`` (grid snapping)."""
+        """Merge vertices closer than ``tol`` (grid snapping). Raises
+        :class:`UnsupportedShape` when a grid key would overflow to infinity,
+        which would merge distinct vertices."""
         if tol <= 0 or not len(self.vertices):
             return self
+        reach = float(np.abs(self.bbox).max())
+        if not math.isfinite(reach / tol):
+            raise UnsupportedShape(f"weld grid overflows: coordinate {reach:g}, precision {tol:g}")
         # x, y and z keys, one contiguous row each; floats, which an integer
         # cast would overflow far from the origin, sort and compare the same
         keys = np.round(self.vertices / tol).T.copy()

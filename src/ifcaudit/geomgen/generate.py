@@ -378,6 +378,8 @@ def generate_geometry_suite(
     items = list(items_for(schema))
     if include_below_precision_item:
         items.append(BELOW_PRECISION_ITEM)
+    if not math.isfinite(max(max(item.position(spacing)) for item in items)):
+        raise ValueError(f"spacing {spacing} puts the suite's grid past the float range")
     for item in items:
         writer.add_item(item, spacing, precision)
     graph = writer.finish()

@@ -69,15 +69,18 @@ def parse_attributes(
     return tuple(values)
 
 
-def parse_parameter_list(text: str, pos: int) -> tuple[tuple[AttributeValue, ...], int]:
+def parse_parameter_list(
+    text: str, pos: int
+) -> tuple[tuple[AttributeValue, ...], int, list[str]]:
     """Parse the parenthesised parameter list that opens at ``text[pos]``.
 
-    Returns the values and the position just past the closing ``')'``.
+    Returns the values, the position just past the closing ``')'`` and the
+    unknown string escapes met, in order.
     """
     if not text.startswith("(", pos):
         raise _expected(text, pos, "'('")
-    values, end, _ = _read(text, pos, None)
-    return tuple(values), end
+    values, end, unknown = _read(text, pos, None)
+    return tuple(values), end, unknown
 
 
 def _read(text: str, pos: int, items: list | None) -> tuple[list, int, list[str]]:

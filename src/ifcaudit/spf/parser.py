@@ -38,8 +38,9 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
     Attributes are parsed lazily, on first access, which keeps census-scale
     work linear in the number of records rather than the number of attribute
     tokens. :func:`materialize` checks them all and records string-escape
-    anomalies in the graph diagnostics. A syntax error met in a record when
-    its attributes are first read names ``path``, the file's name.
+    anomalies in the graph diagnostics; the header's are recorded as it is
+    read. A syntax error met in a record when its attributes are first read
+    names ``path``, the file's name.
 
     The instances share ``data`` itself: a record's parameters are decoded
     (as latin-1) when they are first read, and only the header is decoded
@@ -118,10 +119,11 @@ def materialize(graph: InstanceGraph) -> None:
     for inst in graph:
         if inst._attrs is None:
             inst._parse(unknown_escape_sink=sink)
-    for esc in sink:
-        graph.diagnostics.append(
-            Diagnostic("unknown-escape", f"escape sequence passed through verbatim: {esc!r}")
-        )
+    graph.diagnostics += map(_unknown_escape, sink)
+
+
+def _unknown_escape(escape: str) -> Diagnostic:
+    return Diagnostic("unknown-escape", f"escape sequence passed through verbatim: {escape!r}")
 
 
 def _parse_header(
@@ -148,12 +150,13 @@ def _parse_header(
         keyword = m.group().upper().decode("ascii")
         pos = _BLANKS.match(data, m.end()).end()
         try:
-            attrs, pos = parse_parameter_list(source, pos)
+            attrs, pos, unknown = parse_parameter_list(source, pos)
         except MalformedFile:
             if len(source) == len(data):
                 raise
             source = data.decode("latin-1")
-            attrs, pos = parse_parameter_list(source, pos)
+            attrs, pos, unknown = parse_parameter_list(source, pos)
+        diagnostics += map(_unknown_escape, unknown)
         pos = _BLANKS.match(data, pos).end()
         if data[pos : pos + 1] != b";":
             raise MalformedFile(f"header record {keyword} without ';'", pos)

@@ -21,7 +21,9 @@ from ifcaudit.benchkit import (
     visibility_ratio,
     write_answers_csv,
 )
+from ifcaudit.census import census
 from ifcaudit.errors import NoAnswers, TooFewRespondents
+from ifcaudit.georef import detect_georef
 from ifcaudit.spf import InstanceGraph, parse_spf, write_spf
 from oracles import brute_force_pair_equality
 
@@ -328,10 +330,14 @@ def test_geometry_answer_requires_slot():
 # --- round-trip report -------------------------------------------------------------
 
 
+def summary(graph):
+    return census(graph), detect_georef(graph)
+
+
 def test_roundtrip_identity(suite_2x3):
     graph, _ = suite_2x3
     copy = parse_spf(write_spf(graph))
-    report = roundtrip_report(graph, copy)
+    report = roundtrip_report(summary(graph), summary(copy))
     assert report.unchanged
     assert report.diff.empty
     assert all(v == 0 for v in report.family_balances.values())
@@ -342,7 +348,7 @@ def test_roundtrip_detects_removed_units(suite_2x3):
     parsed = parse_spf(write_spf(graph))
     kept = {i.id: i for i in parsed if i.type_name != "IFCSIUNIT"}
     copy = InstanceGraph(parsed.header, kept, byte_size=parsed.byte_size)
-    report = roundtrip_report(graph, copy)
+    report = roundtrip_report(summary(graph), summary(copy))
     assert not report.unchanged
     assert "IFCSIUNIT" in report.diff.lost_types
 
@@ -365,7 +371,7 @@ def test_roundtrip_loses_derived_units():
         graph.byte_size = 1000
         return graph
 
-    report = roundtrip_report(model(True), model(False))
+    report = roundtrip_report(summary(model(True)), summary(model(False)))
     assert "IFCDERIVEDUNIT" in report.diff.lost_types
     assert "IFCDERIVEDUNITELEMENT" in report.diff.lost_types
     assert not report.unchanged
@@ -378,7 +384,7 @@ def test_roundtrip_retyping_balance(suite_2x3):
     for inst in copy:
         if inst.type_name == "IFCBUILDINGELEMENTPROXY":
             inst.type_name = "IFCBUILDINGELEMENTPROXYTYPE"
-    report = roundtrip_report(graph, copy)
+    report = roundtrip_report(summary(graph), summary(copy))
     assert report.diff.deltas["IFCBUILDINGELEMENTPROXY"] == -30
     assert report.diff.deltas["IFCBUILDINGELEMENTPROXYTYPE"] == 30
     assert report.family_balances["proxy"] == 0
@@ -392,14 +398,14 @@ def test_roundtrip_size_band():
     b = minimal_building()
     a.byte_size = 1000
     b.byte_size = 1500  # census equal but size grew 50%
-    report = roundtrip_report(a, b)
+    report = roundtrip_report(summary(a), summary(b))
     assert report.diff.empty
     assert not report.unchanged
 
 
 def test_roundtrip_json_payload(suite_2x3):
     graph, _ = suite_2x3
-    report = roundtrip_report(graph, graph)
+    report = roundtrip_report(summary(graph), summary(graph))
     payload = report_as_json(report)
     assert payload["unchanged"] is True
     assert payload["deltas"] == {}

@@ -137,6 +137,33 @@ def test_report_roundtrip_expectation(capsys, suite_file, tmp_path):
     assert code == 1
 
 
+def test_report_roundtrip_holds_one_graph_at_a_time(capsys, monkeypatch, suite_file, tmp_path):
+    import gc
+    import weakref
+
+    import ifcaudit.cli
+
+    out, _ = suite_file
+    other = tmp_path / "ifc4.ifc"
+    main(["generate", "--schema", "ifc4", "--out", str(other)])
+    load, graphs, alive_at_load = ifcaudit.cli._load, [], []
+
+    def tracked(path):
+        alive_at_load.append([ref() is not None for ref in graphs])
+        graph = load(path)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(ifcaudit.cli, "_load", tracked)
+    gc.disable()  # only reference counts may free the reference graph
+    try:
+        code, *_ = run(capsys, "report", "roundtrip", str(out), str(other))
+    finally:
+        gc.enable()
+    assert code == 0
+    assert alive_at_load == [[], [False]]
+
+
 def test_report_answers(capsys, tmp_path):
     records = tmp_path / "answers.csv"
     records.write_text(
@@ -403,6 +430,28 @@ def test_check_far_from_the_origin(capsys, suite_file):
     assert (a4["volume"], a4["area"]) == (pytest.approx(0.5), pytest.approx(4.0))
 
 
+def test_overflowing_weld_is_an_item_error(capsys, suite_file):
+    import warnings
+
+    out, _ = suite_file
+    capsys.readouterr()
+    _, stdout, _ = run(capsys, "check", str(out), "--segments", "8")
+    meshed = {i["slot"] for i in json.loads(stdout)["items"] if i["volume"] is not None}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # at 1e-320 a coordinate of 1 already has a grid key past the float range
+        code, stdout, err = run(
+            capsys, "check", str(out), "--segments", "8", "--precision", "1e-320"
+        )
+    assert code == 0
+    assert caught == [] and "RuntimeWarning" not in err
+    items = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    failed = {slot for slot, item in items.items() if "error" in item}
+    assert failed == meshed and len(meshed) > 20
+    assert all(items[slot]["error"].startswith("weld grid overflows") for slot in failed)
+    assert err.splitlines() == [f"{slot}: error: {items[slot]['error']}" for slot in sorted(failed)]
+
+
 @pytest.mark.parametrize(
     "command",
     ["georef", "parse", "report roundtrip GOOD BAD", "report roundtrip BAD GOOD"],
@@ -429,6 +478,26 @@ def test_lazy_attribute_error_names_file_and_record(capsys, tmp_path, command):
         f"error: {path}: #{site.id}: expected end of parameters near "
         f"{data[offset:offset + 20].decode()!r} (at byte {offset})"
     ]
+
+
+@pytest.mark.parametrize(
+    "raised, line",
+    [
+        (MemoryError(), "error: out of memory"),
+        (MemoryError("no 384 MiB"), "error: out of memory: no 384 MiB"),
+    ],
+)
+def test_out_of_memory_is_exit_2(capsys, monkeypatch, suite_file, raised, line):
+    import ifcaudit.census
+
+    def exhausted(graph):
+        raise raised
+
+    monkeypatch.setattr(ifcaudit.census, "census", exhausted)
+    out, _ = suite_file
+    capsys.readouterr()
+    code, stdout, err = run(capsys, "census", str(out))
+    assert (code, stdout, err.splitlines()) == (2, "", [line])
 
 
 @pytest.mark.parametrize("segments", ["0", "2", "-5"])
@@ -460,6 +529,22 @@ def test_numeric_option_must_be_finite_and_positive(
     assert stdout == ""
     assert err.splitlines() == [
         f"error: {option} must be a finite number above 0, not {float(value)}"
+    ]
+    assert not written.exists()
+
+
+@pytest.mark.parametrize(
+    "value, extra", [("1e308", []), ("3e307", ["--extra-below-precision"])]
+)
+def test_spacing_past_the_float_range_is_usage_error(capsys, tmp_path, value, extra):
+    # the grid's far corner, 5 or 6 spacings out, would be written as inf
+    written = tmp_path / "written.ifc"
+    argv = ["generate", "--schema", "ifc2x3", "--out", str(written), "--spacing", value]
+    code, stdout, err = run(capsys, *argv, *extra)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == [
+        f"error: --spacing {float(value)} puts the suite's grid past the float range"
     ]
     assert not written.exists()
 

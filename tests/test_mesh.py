@@ -1,12 +1,14 @@
 import io
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ifcaudit.errors import UnsupportedShape
 from ifcaudit.geomcheck.mesh import TriMesh
 from ifcaudit.geomcheck.tessellate import (
     box_mesh,
@@ -72,6 +74,19 @@ def test_weld_far_from_the_origin():
     assert len(near.vertices) == n
     assert far.vertices.tolist() == (near.vertices + shift).tolist()
     assert far.triangles.tolist() == near.triangles.tolist()
+
+
+@pytest.mark.parametrize("scale, tol", [(1.0, 1e-320), (1e304, 1e-5), (-1e304, 1e-5)])
+def test_weld_refuses_overflowing_grid_keys(scale, tol):
+    # an infinite grid key would merge every vertex that reaches it
+    box = box_mesh((0, 0, 0), (1, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the division overflows
+        with pytest.raises(UnsupportedShape, match="weld grid overflows"):
+            TriMesh(box.vertices * scale, box.triangles).welded(tol)
+        # with keys up to 1e300, nothing overflows and nothing merges
+        near = TriMesh(box.vertices * math.copysign(1e300 * tol, scale), box.triangles)
+        assert len(near.welded(tol).vertices) == 8
 
 
 def test_centroid_far_from_the_origin():

@@ -273,3 +273,19 @@ def test_materialize_checks_without_keeping_values():
     inst = graph.resolve(1)
     assert inst._attrs is None  # checked, not kept
     assert inst.attributes[2] == Text("B \\Q", "B \\Q")
+
+
+def test_header_unknown_escapes_are_reported():
+    data = MINIMAL.replace(b"(('')", b"(('a\\Q\\b')").replace(b"'mini'", b"'n\\Q\\x'")
+    graph = parse_spf(data.replace(b"'B'", b"'w\\Q\\y'"))
+    assert graph.header.description == ["a\\Q\\b"]
+    assert graph.header.file_name.name == "n\\Q\\x"
+    escapes = ["\\Q", "\\b", "\\Q", "\\x"]
+    expected = [f"escape sequence passed through verbatim: {e!r}" for e in escapes]
+    assert [(d.code, d.message) for d in graph.diagnostics] == [
+        ("unknown-escape", message) for message in expected
+    ]
+    materialize(graph)  # then the data record's, in the same words
+    assert [d.message for d in graph.diagnostics[4:]] == [
+        f"escape sequence passed through verbatim: {e!r}" for e in ("\\Q", "\\y")
+    ]
