@@ -209,7 +209,7 @@ def cmd_check(args) -> int:
     results = []
     mismatches = 0
     for proxy in geomcheck.suite_proxies(graph):
-        slot = name = None
+        slot = name = verdict = outcome = None
         try:
             slot, name = text(proxy.attr(3)) or "", text(proxy.attr(2)) or ""
             fragment = geomcheck.item_fragment(graph, proxy)
@@ -219,39 +219,38 @@ def cmd_check(args) -> int:
             )
         except IfcAuditError as exc:
             # one broken item is reported on its own; the others still count
-            unread = slot is None  # the proxy record itself is broken
-            if unread:
-                slot, name = f"#{proxy.id}", ""
-            print(f"{slot or name}: error: {exc}", file=sys.stderr)
-            entry = {"slot": slot, "definition": name, "error": str(exc)}
-            if slot in expected or (unread and args.manifest):
-                entry["matches_manifest"] = False
-                mismatches += 1
-            results.append(entry)
-            continue
-        entry = {
-            "slot": slot,
-            "definition": name,
-            "validity": verdict.status,
-            "reasons": sorted(r.value for r in verdict.reasons),
-            "validity_warnings": sorted(w.value for w in verdict.warnings),
-            "displayed": outcome.displayed,
-            "z_relation": outcome.z_relation.value if outcome.z_relation else None,
-            "shape_class": outcome.shape_class,
-            "smooth_curves": outcome.smooth_curves,
-            "volume": outcome.mesh.volume if outcome.mesh else None,
-            "area": outcome.mesh.surface_area if outcome.mesh else None,
-            "centroid": list(map(float, outcome.mesh.centroid)) if outcome.mesh else None,
-            "warnings": outcome.warnings,
-        }
-        if slot in expected:
-            valid, reasons = expected[slot]
-            agrees = valid == verdict.valid and reasons == {r.value for r in verdict.reasons}
+            error = exc
+        unread = slot is None  # the proxy record itself is broken
+        if unread:
+            slot, name = f"#{proxy.id}", ""
+        entry = {"slot": slot, "definition": name}
+        if verdict is not None:  # a verdict does not depend on the mesh
+            entry["validity"] = verdict.status
+            entry["reasons"] = sorted(r.value for r in verdict.reasons)
+            entry["validity_warnings"] = sorted(w.value for w in verdict.warnings)
+        if outcome is None:
+            print(f"{slot or name}: error: {error}", file=sys.stderr)
+            entry["error"] = str(error)
+        else:
+            entry |= {
+                "displayed": outcome.displayed,
+                "z_relation": outcome.z_relation.value if outcome.z_relation else None,
+                "shape_class": outcome.shape_class,
+                "smooth_curves": outcome.smooth_curves,
+                "volume": outcome.mesh.volume if outcome.mesh else None,
+                "area": outcome.mesh.surface_area if outcome.mesh else None,
+                "centroid": list(map(float, outcome.mesh.centroid)) if outcome.mesh else None,
+                "warnings": outcome.warnings,
+            }
+        if slot in expected or (unread and args.manifest):
+            agrees = verdict is not None and expected[slot] == (
+                verdict.valid, {r.value for r in verdict.reasons}
+            )
             entry["matches_manifest"] = agrees
             if not agrees:
                 mismatches += 1
         results.append(entry)
-        if args.mesh_dump and outcome.mesh is not None:
+        if args.mesh_dump and outcome is not None and outcome.mesh is not None:
             dump_dir = Path(args.mesh_dump)
             dump_dir.mkdir(parents=True, exist_ok=True)
             dump_path = dump_dir / f"{_dump_name(slot, proxy.id)}.tris"

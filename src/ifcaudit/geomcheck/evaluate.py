@@ -39,6 +39,10 @@ SMOOTH_SEGMENT_THRESHOLD = 32
 #: |z ratio| of an extrusion direction at or below which it lies in the
 #: profile plane, so no solid exists (the schema's direction rule).
 DIRECTION_DOT_TOLERANCE = 1e-12
+#: Most triangles one item may tessellate into. A finer item is unsupported,
+#: so it gets an error of its own instead of exhausting memory for the file;
+#: a 1024-segment revolution of the suite makes about 2.1 M.
+TRIANGLE_BUDGET = 2**24
 
 _PROFILE_LABELS = {
     "IFCRECTANGLEPROFILEDEF": "Rectangle",
@@ -309,6 +313,14 @@ def _not_displayed(shape_class: str, warning: str) -> EvaluationOutcome:
     return EvaluationOutcome(shape_class, warnings=[warning])
 
 
+def _within_budget(triangles: int) -> None:
+    """Refuse an item before its mesh is built when it would be too fine."""
+    if triangles > TRIANGLE_BUDGET:
+        raise UnsupportedShape(
+            f"{triangles} triangles exceed the budget of {TRIANGLE_BUDGET} per item"
+        )
+
+
 def _eval_extrusion(
     graph: InstanceGraph, root: EntityInstance, segments: int, kind: str
 ) -> EvaluationOutcome:
@@ -334,6 +346,7 @@ def _eval_extrusion(
         warnings.append(
             "negative extrusion depth evaluated as sweep along the reversed direction"
         )
+    _within_budget(4 * len(polygon) - 4)  # two caps of n - 2, two per side
     mesh = extrude_polygon(polygon, unit * depth)
     mesh = mesh.transformed(axis2_matrix(graph, root.attr(1)))
     smooth = profile_name in _CURVED_PROFILES and segments >= SMOOTH_SEGMENT_THRESHOLD
@@ -357,6 +370,7 @@ def _eval_revolution(
     angle = number(root.attr(3)) or 0.0
     if abs(angle - 2.0 * math.pi) > 1e-6:
         raise UnsupportedShape("only full-sweep revolutions are supported")
+    _within_budget(2 * segments * len(polygon))  # two per side, per step
     mesh = revolve_polygon(polygon, axis_point, _unit(axis.attr(1), axis_dir), segments)
     mesh = mesh.transformed(axis2_matrix(graph, root.attr(1)))
     return EvaluationOutcome(
@@ -397,6 +411,7 @@ def _eval_swept_disk(
         return _not_displayed(shape_class, "empty sweep after clamping")
     a = p0 + (p1 - p0) * start
     b = p0 + (p1 - p0) * end
+    _within_budget(4 * segments)  # two per side, one per cap
     mesh = tube_mesh(a, b, radius, segments)
     smooth = segments >= SMOOTH_SEGMENT_THRESHOLD
     return EvaluationOutcome(shape_class, mesh, smooth_curves=smooth, warnings=warnings)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 
 from ..errors import MalformedFile
-from .lexemes import BINARY, COMMENT, STRING, TRIVIA
+from .lexemes import BINARY, BLANKS, COMMENT, KEYWORD, STRING, TRIVIA
 
 # strings, binaries and comments: a ';', '(', ')' or '#' inside means nothing
 _OPAQUE = STRING + rb"|" + BINARY + rb"|" + COMMENT
@@ -43,22 +43,21 @@ _PARAMS = rb"(?:" + _ATOMS + rb")*+"
 for _ in range(_NESTING):
     _PARAMS = rb"(?:" + _ATOMS + rb"|\(" + _PARAMS + rb"\))*+"
 
-_BLANKS = rb"[ \t\r\n]*+"
 _HEAD = re.compile(
-    rb"#([0-9]++)" + _BLANKS + rb"=" + _BLANKS + rb"([A-Za-z_][A-Za-z0-9_]*+)" + _BLANKS + rb"\("
+    rb"#([0-9]++)" + BLANKS + rb"=" + BLANKS + rb"(" + KEYWORD + rb")" + BLANKS + rb"\("
 )
 # groups: 1 id, 2 type name, 3 parameters; all unset when no record follows
 _RUN = re.compile(
-    TRIVIA.pattern + rb"(?:" + _HEAD.pattern + rb"(" + _PARAMS + rb")\)" + _BLANKS + rb";)?+"
+    TRIVIA.pattern + rb"(?:" + _HEAD.pattern + rb"(" + _PARAMS + rb")\)" + BLANKS + rb";)?+"
 )
 # a complex instance runs to the first ';' outside strings and comments
 _COMPLEX = re.compile(
-    rb"#([0-9]++)" + _BLANKS + rb"=" + _BLANKS
+    rb"#([0-9]++)" + BLANKS + rb"=" + BLANKS
     + rb"\((?:[^;'/]++|/(?!\*)|" + STRING + rb"|" + COMMENT + rb")*+;"
 )
 _ENDSEC = re.compile(rb"ENDSEC" + TRIVIA.pattern + rb";")
 _TOKEN = re.compile(rb"[^;'\"/()]++|/(?!\*)|[()]|" + _OPAQUE)
-_TERMINATOR = re.compile(_BLANKS + rb";")
+_TERMINATOR = re.compile(BLANKS + rb";")
 _REFERENCES = re.compile(_OPAQUE + rb"|#([0-9]++)")
 
 

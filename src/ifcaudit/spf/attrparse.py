@@ -1,10 +1,12 @@
 """Parser for the parameter list of one record.
 
-One token pattern is read left to right: optional blanks and comments, then
-one lexeme. The lists and typed values still open sit on an explicit stack,
-so nesting depth is a count, checked against ``MAX_NESTING``, and never
-recursion. Strings, binaries and comments are the record scanner's own
-patterns (``lexemes``), so both read each lexeme alike.
+One token pattern is read left to right over the file's bytes: optional
+blanks and comments, then one lexeme. The lists and typed values still open
+sit on an explicit stack, so nesting depth is a count, checked against
+``MAX_NESTING``, and never recursion. Strings, binaries, comments and
+keywords are the record scanner's own patterns (``lexemes``), so both read
+each lexeme alike. Only a value's text and an error's snippet are decoded,
+as latin-1, the exchange structure's code page.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import re
 
 from ..errors import MalformedFile
-from .lexemes import BINARY, STRING, TRIVIA
+from .lexemes import BINARY, KEYWORD, STRING, TRIVIA
 from .model import (
     DERIVED,
     UNSET,
@@ -33,62 +35,56 @@ from .strings import decode_step_string
 #: levels at most; deeper input is malformed.
 MAX_NESTING = 64
 
-_TRIVIA = TRIVIA.pattern.decode("ascii")
-_KEYWORD = "[A-Za-z_][A-Za-z0-9_]*"
-
 # group numbers of the token pattern's alternatives
 _COMMA, _REF, _CLOSE, _OPEN, _UNSET, _INT, _NUMBER, _STR, _ENUM, _TYPED, _DERIVED, _BIN, _NONE = (
     range(1, 14)
 )
 _TOKEN = re.compile(
-    _TRIVIA
-    + "(?:(,)"
-    + "|#([0-9]+)"
-    + r"|(\))|(\()|(\$)"
-    + "|([+-]?[0-9]+)(?![.eE0-9])"
+    TRIVIA.pattern
+    + rb"(?:(,)"
+    + rb"|#([0-9]+)"
+    + rb"|(\))|(\()|(\$)"
+    + rb"|([+-]?[0-9]+)(?![.eE0-9])"
     # a real, or a lexeme that is not a number at all: '+', '1E', '+.'
-    + r"|([+\-0-9][0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?)"
-    + f"|({STRING.decode('ascii')})"
-    + r"|\.([^.]*)\."
-    + f"|({_KEYWORD}){_TRIVIA}\\("
-    + r"|(\*)"
-    + f"|({BINARY.decode('ascii')})"
-    + "|())"  # nothing readable here, or the end of the text
+    + rb"|([+\-0-9][0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?)"
+    + rb"|(" + STRING + rb")"
+    + rb"|\.([^.]*)\."
+    + rb"|(" + KEYWORD + rb")" + TRIVIA.pattern + rb"\("
+    + rb"|(\*)"
+    + rb"|(" + BINARY + rb")"
+    + rb"|())"  # nothing readable here, or the end of the text
 )
-_TRIVIA_RE = re.compile(_TRIVIA)
-_KEYWORD_RE = re.compile(_KEYWORD)
 
 
-def parse_attributes(
-    params: str, unknown_escape_sink: list[str] | None = None
-) -> tuple[AttributeValue, ...]:
-    """Parse the text between a record's outer parentheses."""
+def parse_attributes(params: bytes) -> tuple[tuple[AttributeValue, ...], list[str]]:
+    """Parse the bytes between a record's outer parentheses.
+
+    Returns the values and the unknown string escapes met, in order.
+    """
     values, _, unknown = _read(params, 0, [])
-    if unknown_escape_sink is not None:
-        unknown_escape_sink.extend(unknown)
-    return tuple(values)
+    return tuple(values), unknown
 
 
 def parse_parameter_list(
-    text: str, pos: int
+    data: bytes, pos: int
 ) -> tuple[tuple[AttributeValue, ...], int, list[str]]:
-    """Parse the parenthesised parameter list that opens at ``text[pos]``.
+    """Parse the parenthesised parameter list that opens at ``data[pos]``.
 
     Returns the values, the position just past the closing ``')'`` and the
     unknown string escapes met, in order.
     """
-    if not text.startswith("(", pos):
-        raise _expected(text, pos, "'('")
-    values, end, unknown = _read(text, pos, None)
+    if not data.startswith(b"(", pos):
+        raise _expected(data, pos, "'('")
+    values, end, unknown = _read(data, pos, None)
     return tuple(values), end, unknown
 
 
-def _read(text: str, pos: int, items: list | None) -> tuple[list, int, list[str]]:
+def _read(text: bytes, pos: int, items: list | None) -> tuple[list, int, list[str]]:
     """Read values from ``text[pos:]``; returns them, the end position and
     the unknown string escapes met.
 
     ``items`` is ``[]`` to read a record's comma-separated parameters up to
-    the end of the text, or ``None`` to read the one list that opens at
+    the end of ``text``, or ``None`` to read the one list that opens at
     ``pos`` and stop past its ``')'``.
     """
     unknown: list[str] = []
@@ -117,8 +113,9 @@ def _read(text: str, pos: int, items: list | None) -> tuple[list, int, list[str]
             value = Reference(_integer(m.group(_REF), m.start(_REF)))
         elif kind == _NUMBER:
             lexeme = m.group(_NUMBER)
-            if lexeme == "+" or lexeme == "-":
+            if lexeme == b"+" or lexeme == b"-":
                 raise _expected(text, m.end(), "number")
+            lexeme = lexeme.decode("latin-1")
             value = Real(_real(lexeme, m.start(_NUMBER)), lexeme)
         elif kind == _UNSET:
             value = UNSET
@@ -127,23 +124,23 @@ def _read(text: str, pos: int, items: list | None) -> tuple[list, int, list[str]
                 at = m.start(_OPEN) if kind == _OPEN else m.end(_TYPED)
                 raise MalformedFile(f"parameters nested deeper than {MAX_NESTING}", at)
             stack.append((name, items))
-            name = None if kind == _OPEN else m.group(_TYPED).upper()
+            name = None if kind == _OPEN else m.group(_TYPED).upper().decode("ascii")
             items = []
             append = items.append
             continue
         elif kind == _STR:
-            raw = m.group(_STR)[1:-1]
+            raw = m.group(_STR)[1:-1].decode("latin-1")
             decoded, bad = decode_step_string(raw)
             unknown += bad
             value = Text(decoded, raw)
         elif kind == _ENUM:
-            value = EnumToken(m.group(_ENUM).upper())
+            value = EnumToken(m.group(_ENUM).upper().decode("latin-1"))
         elif kind == _INT:
             value = Integer(_integer(m.group(_INT), m.start(_INT)))
         elif kind == _DERIVED:
             value = DERIVED
         elif kind == _BIN:
-            value = Binary(m.group(_BIN)[1:-1])
+            value = Binary(m.group(_BIN)[1:-1].decode("latin-1"))
         else:  # _NONE: the empty alternative always matches, so the loop ends here
             break
         append(value)
@@ -153,37 +150,38 @@ def _read(text: str, pos: int, items: list | None) -> tuple[list, int, list[str]
     raise _failure(text, m.start(), due, name, len(stack))
 
 
-def _failure(text: str, pos: int, due: bool, name: str | None, depth: int) -> MalformedFile:
+def _failure(text: bytes, pos: int, due: bool, name: str | None, depth: int) -> MalformedFile:
     """The error for the token at ``pos``, which cannot come next."""
-    pos = _TRIVIA_RE.match(text, pos).end()
-    if text.startswith("/*", pos):
+    pos = TRIVIA.match(text, pos).end()
+    if text.startswith(b"/*", pos):
         return MalformedFile("unterminated comment in parameters", pos)
     if not due:
         if depth == 0:
             return _expected(text, pos, "end of parameters")
         return _expected(text, pos, "')'" if name is None else f"')' closing {name}")
     c = text[pos : pos + 1]
-    if c == "'":
+    if c == b"'":
         return MalformedFile("unterminated string", pos)
-    if c == '"':
+    if c == b'"':
         return MalformedFile("unterminated binary token", pos)
-    if c == "#":
+    if c == b"#":
         return _expected(text, pos, "instance id after '#'")
-    if c == ".":
+    if c == b".":
         return _expected(text, pos, "closing '.' of enumeration token")
-    keyword = _KEYWORD_RE.match(text, pos)
+    keyword = re.compile(KEYWORD).match(text, pos)
     if keyword is None:
         return _expected(text, pos, "attribute value")
     if depth == MAX_NESTING:
         return MalformedFile(f"parameters nested deeper than {MAX_NESTING}", keyword.end())
-    pos = _TRIVIA_RE.match(text, keyword.end()).end()
-    if text.startswith("/*", pos):
+    pos = TRIVIA.match(text, keyword.end()).end()
+    if text.startswith(b"/*", pos):
         return MalformedFile("unterminated comment in parameters", pos)
-    return _expected(text, pos, f"'(' after type name {keyword.group().upper()}")
+    return _expected(text, pos, f"'(' after type name {keyword[0].upper().decode('ascii')}")
 
 
-def _expected(text: str, pos: int, what: str) -> MalformedFile:
-    return MalformedFile(f"expected {what} near {text[pos : pos + 20]!r}", pos)
+def _expected(text: bytes, pos: int, what: str) -> MalformedFile:
+    snippet = text[pos : pos + 20].decode("latin-1")
+    return MalformedFile(f"expected {what} near {snippet!r}", pos)
 
 
 def _real(lexeme: str, pos: int) -> float:
@@ -196,7 +194,7 @@ def _real(lexeme: str, pos: int) -> float:
     return value
 
 
-def _integer(lexeme: str, pos: int) -> int:
+def _integer(lexeme: bytes, pos: int) -> int:
     try:
         return int(lexeme)
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows

@@ -1,6 +1,7 @@
 """Lexemes that every reader of ISO 10303-21 text matches alike: the pure
 record scanner (``_scan_py``), the header parser and the attribute parser.
-``_scan.c`` reads the same shapes byte by byte.
+All of them read the file's bytes with these patterns; ``_scan.c`` reads the
+same shapes byte by byte.
 
 Each lexeme is written with possessive quantifiers (Python 3.11): a run is
 taken whole and never given back, so a lexeme that does not close fails at
@@ -17,6 +18,10 @@ COMMENT = rb"/\*[^*]*+\*++(?:[^*/][^*]*+\*++)*+/"
 #: closing quote is never followed by another.
 STRING = rb"'[^']*+(?:''[^']*+)*+'"
 BINARY = rb'"[^"]*+"'
+#: An entity, type or header record name; case is folded in ASCII only.
+KEYWORD = rb"[A-Za-z_][A-Za-z0-9_]*+"
+#: The blanks allowed between a record's parts, where no comment may stand.
+BLANKS = rb"[ \t\r\n]*+"
 
 #: Blanks and comments between records (and around header records).
 TRIVIA = re.compile(rb"(?:[ \t\r\n]++|" + COMMENT + rb")*+")

@@ -177,9 +177,8 @@ class Diagnostic(FrozenRecord):
 
 class Source(FrozenRecord):
     """Bytes of a parsed file, shared by the instances read from it: each
-    record's span is decoded (as latin-1) when it is first read, so the file
-    is never held twice. A syntax error met then names ``path``, when it is
-    set."""
+    record's span is tokenized from them when it is first read, so the file
+    is held once. A syntax error met then names ``path``, when it is set."""
 
     __slots__ = _fields = ("data", "path")
 
@@ -262,21 +261,21 @@ class EntityInstance:
     def attributes(self) -> tuple[AttributeValue, ...]:
         attrs = self._attrs
         if attrs is None:
-            attrs = self._attrs = self._parse()
+            attrs = self._attrs = self._parse()[0]
             self._src = None  # source span no longer needed
         return attrs
 
-    def _parse(self, unknown_escape_sink: list[str] | None = None) -> tuple[AttributeValue, ...]:
-        """Parse the source span without keeping the values; a syntax error
-        names the file, this record and its byte offset in the file."""
+    def _parse(self) -> tuple[tuple[AttributeValue, ...], list[str]]:
+        """Parse the source span without keeping the values; returns them
+        and the unknown string escapes met. A syntax error names the file,
+        this record and its byte offset in the file."""
         from .attrparse import parse_attributes  # deferred, avoids cycle
 
         src = self._src
         if src is None:
-            return ()
-        params = src.data[self._pstart : self._pend].decode("latin-1")
+            return (), []
         try:
-            return parse_attributes(params, unknown_escape_sink)
+            return parse_attributes(src.data[self._pstart : self._pend])
         except MalformedFile as exc:
             offset = None if exc.offset is None else self._pstart + exc.offset
             where = f"{src.path}: " if src.path else ""

@@ -9,7 +9,7 @@ from pathlib import Path
 from ..errors import MalformedFile
 from .attrparse import parse_parameter_list
 from .backend import active_backend
-from .lexemes import TRIVIA
+from .lexemes import BLANKS, KEYWORD, TRIVIA
 from .model import (
     UNSET,
     Diagnostic,
@@ -24,8 +24,9 @@ from .values import text, texts
 _SENTINEL = b"ISO-10303-21;"
 _END_SENTINEL = b"END-ISO-10303-21;"
 
-_KEYWORD = re.compile(rb"[A-Za-z_][A-Za-z0-9_]*")
-_BLANKS = re.compile(rb"[ \t\r\n]*")
+# a header record: its keyword, then blanks before its parameter list
+_HEADER_HEAD = re.compile(b"(" + KEYWORD + b")" + BLANKS)
+_SKIP_BLANKS = re.compile(BLANKS)
 
 
 def _skip_trivia(data: bytes, pos: int) -> int:
@@ -42,9 +43,8 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
     read. A syntax error met in a record when its attributes are first read
     names ``path``, the file's name.
 
-    The instances share ``data`` itself: a record's parameters are decoded
-    (as latin-1) when they are first read, and only the header is decoded
-    up front.
+    The instances share ``data`` itself: a record's parameters are tokenized
+    from its bytes when they are first read, as the header's are up front.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_spf expects bytes; use load() for paths")
@@ -115,11 +115,11 @@ def materialize(graph: InstanceGraph) -> None:
     string escape passed through verbatim. A syntax error raises
     :class:`MalformedFile`. Records stay unread, so a second call reads them
     and adds their diagnostics again."""
-    sink: list[str] = []
+    unknown: list[str] = []
     for inst in graph:
         if inst._attrs is None:
-            inst._parse(unknown_escape_sink=sink)
-    graph.diagnostics += map(_unknown_escape, sink)
+            unknown += inst._parse()[1]
+    graph.diagnostics += map(_unknown_escape, unknown)
 
 
 def _unknown_escape(escape: str) -> Diagnostic:
@@ -129,14 +129,7 @@ def _unknown_escape(escape: str) -> Diagnostic:
 def _parse_header(
     data: bytes, pos: int, diagnostics: list[Diagnostic]
 ) -> tuple[SpfHeader, int]:
-    """Read ``KEYWORD(params);`` records up to ENDSEC.
-
-    Parameters are read from ``data`` decoded as latin-1, so offsets agree;
-    only the bytes up to the first ``ENDSEC`` are decoded. A parameter list
-    that fails there may run past it (inside a string), so it is read again
-    from the whole file before its error counts."""
-    end = data.find(b"ENDSEC", pos)
-    source = data[: len(data) if end < 0 else end].decode("latin-1")
+    """Read ``KEYWORD(params);`` records up to ENDSEC."""
     header = SpfHeader()
     seen: set[str] = set()
     while True:
@@ -144,20 +137,13 @@ def _parse_header(
         if data[pos : pos + 7] == b"ENDSEC;":
             pos += 7
             break
-        m = _KEYWORD.match(data, pos)
+        m = _HEADER_HEAD.match(data, pos)
         if m is None:
             raise MalformedFile("unparseable header record", pos)
-        keyword = m.group().upper().decode("ascii")
-        pos = _BLANKS.match(data, m.end()).end()
-        try:
-            attrs, pos, unknown = parse_parameter_list(source, pos)
-        except MalformedFile:
-            if len(source) == len(data):
-                raise
-            source = data.decode("latin-1")
-            attrs, pos, unknown = parse_parameter_list(source, pos)
+        keyword = m[1].upper().decode("ascii")
+        attrs, pos, unknown = parse_parameter_list(data, m.end())
         diagnostics += map(_unknown_escape, unknown)
-        pos = _BLANKS.match(data, pos).end()
+        pos = _SKIP_BLANKS.match(data, pos).end()
         if data[pos : pos + 1] != b";":
             raise MalformedFile(f"header record {keyword} without ';'", pos)
         pos += 1

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -403,13 +404,26 @@ def test_check_survives_broken_item(capsys, suite_file, slot, breakage, error):
         assert items[slot]["matches_manifest"] is True
         assert "zero-length directrix" in items[slot]["warnings"][0]
         return
-    assert code == 1  # the failed item counts as a manifest mismatch
     assert error in items[label].pop("error")
     definition = "" if label != slot else intact[slot]["definition"]
-    assert items[label] == {"slot": label, "definition": definition, "matches_manifest": False}
     lines = err.splitlines()
     assert lines[0].startswith(f"{label}: error: ") and error in lines[0]
+    if breakage in (unset_swept_area, self_parent_placement, empty_shell):
+        # only the mesh fails: the verdict is kept, and it is what the manifest checks
+        assert code == 0
+        assert items[label] == {
+            "slot": label, "definition": definition, **verdict_of(intact[slot]),
+            "matches_manifest": True,
+        }
+        assert lines[1:] == []
+        return
+    assert code == 1  # the failed item counts as a manifest mismatch
+    assert items[label] == {"slot": label, "definition": definition, "matches_manifest": False}
     assert lines[1:] == ["1 item(s) disagree with the manifest"]
+
+
+def verdict_of(item):
+    return {key: item[key] for key in ("validity", "reasons", "validity_warnings")}
 
 
 def test_check_far_from_the_origin(capsys, suite_file):
@@ -450,6 +464,90 @@ def test_overflowing_weld_is_an_item_error(capsys, suite_file):
     assert failed == meshed and len(meshed) > 20
     assert all(items[slot]["error"].startswith("weld grid overflows") for slot in failed)
     assert err.splitlines() == [f"{slot}: error: {items[slot]['error']}" for slot in sorted(failed)]
+
+
+def test_check_keeps_verdicts_when_meshes_fail(capsys, suite_file):
+    # the weld overflows for every mesh, but the verdicts do not depend on it
+    out, manifest = suite_file
+    capsys.readouterr()
+    _, stdout, _ = run(capsys, "check", str(out), "--manifest", str(manifest))
+    intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    meshed = {slot for slot, item in intact.items() if item["volume"] is not None}
+    code, stdout, err = run(
+        capsys, "check", str(out), "--manifest", str(manifest), "--expect-match",
+        "--precision", "1e-320",
+    )
+    assert code == 0
+    items = json.loads(stdout)["items"]
+    failed = [item for item in items if "error" in item]
+    assert {item["slot"] for item in failed} == meshed and len(meshed) > 20
+    for item in failed:
+        assert item["error"].startswith("weld grid overflows")
+        assert item == {
+            "slot": item["slot"], "definition": intact[item["slot"]]["definition"],
+            **verdict_of(intact[item["slot"]]), "error": item["error"],
+            "matches_manifest": True,
+        }
+    assert err.splitlines() == [f"{i['slot']}: error: {i['error']}" for i in failed]
+
+
+def test_items_over_the_triangle_budget_are_item_errors(capsys, monkeypatch, suite_file):
+    import ifcaudit.geomcheck.evaluate
+
+    out, _ = suite_file
+    capsys.readouterr()
+    argv = ["check", str(out), "--segments", "64"]
+    _, stdout, _ = run(capsys, *argv)
+    intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    monkeypatch.setattr(ifcaudit.geomcheck.evaluate, "TRIANGLE_BUDGET", 4096)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 0
+    items = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    # F1 revolves a 64-point ellipse, F2 a 76-point I-shape, 64 steps each
+    errors = {"F1": 8192, "F2": 9728}
+    for slot, triangles in errors.items():
+        message = f"{triangles} triangles exceed the budget of 4096 per item"
+        assert items.pop(slot) == {
+            "slot": slot, "definition": intact[slot]["definition"],
+            **verdict_of(intact[slot]), "error": message,
+        }
+    assert items == {s: i for s, i in intact.items() if s not in errors}
+    assert err.splitlines() == [
+        f"{slot}: error: {n} triangles exceed the budget of 4096 per item"
+        for slot, n in errors.items()
+    ]
+
+
+def test_fine_revolutions_are_refused_before_they_are_built(suite_file, tmp_path):
+    # without the budget, each revolution would need several GB at 4096 segments
+    import os
+    import subprocess
+    import sys
+
+    from ifcaudit.errors import UnsupportedShape
+    from ifcaudit.geomcheck import evaluate_item, suite_proxies
+    from ifcaudit.spf import load
+
+    out, _ = suite_file
+    graph = load(out)
+    f1 = next(p for p in suite_proxies(graph) if text(p.attr(3)) == "F1")
+    with pytest.raises(UnsupportedShape):  # refused in process first: the child cannot blow up
+        evaluate_item(graph, f1, segments=4096)
+    result_path = tmp_path / "check.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["check", str(out), "--segments", "4096", "--out", str(result_path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "ifcaudit.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    items = json.loads(result_path.read_text())["items"]
+    errors = {i["slot"]: i["error"] for i in items if "error" in i}
+    assert errors == {
+        "F1": "33554432 triangles exceed the budget of 16777216 per item",
+        "F2": "33652736 triangles exceed the budget of 16777216 per item",
+    }
+    assert done.stderr.splitlines() == [f"{s}: error: {e}" for s, e in errors.items()]
 
 
 @pytest.mark.parametrize(
@@ -792,7 +890,10 @@ def test_check_reports_broken_faces(capsys, tmp_path, slot, mutation, error):
         return
     (line,) = err.splitlines()
     assert re.fullmatch(rf"{slot}: error: face #\d+: {re.escape(error)}", line)
-    assert mutated[slot] == {"slot": slot, "definition": slot, "error": line.split(": error: ")[1]}
+    assert mutated[slot] == {
+        "slot": slot, "definition": slot, **verdict_of(intact[slot]),
+        "error": line.split(": error: ")[1],
+    }
 
 
 def _zero_direction_target(graph, case):
@@ -845,7 +946,7 @@ def test_zero_length_direction_is_an_item_error(capsys, tmp_path, suite_file, ca
 
     items = {i["slot"]: i for i in json.loads(stdout, parse_constant=no_constant)["items"]}
     assert items.pop(slot) == {
-        "slot": slot, "definition": intact[slot]["definition"],
+        "slot": slot, "definition": intact[slot]["definition"], **verdict_of(intact[slot]),
         "error": "direction #99999 has length 0",
     }
     assert items == {s: i for s, i in intact.items() if s != slot}

@@ -1,6 +1,6 @@
-"""Every read command stays total on mutated files: it exits 0 or 2, or 1 for
-a finding that an ``--expect-*`` flag asked about, raises nothing, and writes
-JSON without NaN or Infinity."""
+"""Every read command, and ``check``, stays total on mutated files: it exits
+0 or 2, or 1 for a finding that an ``--expect-*`` flag asked about, raises
+nothing, and writes JSON without NaN or Infinity."""
 
 import contextlib
 import io
@@ -9,7 +9,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from tests_helpers import georef_fixture_l50
+from tests_helpers import face_model, georef_fixture_l50, holed_face_items
 
 from ifcaudit.cli import main
 from ifcaudit.spf import write_spf
@@ -24,20 +24,29 @@ COMMANDS = [
     ["report", "roundtrip", "{m}", "{b}"],
     ["diff", "{b}", "{m}", "--expect-unchanged"],
     ["report", "roundtrip", "{m}", "{b}", "--expect-unchanged"],
+    ["check", "{m}", "--segments", "8"],
 ]
+#: for the generated suites, whose manifests give each item's verdict
+SUITE_COMMANDS = [["check", "{m}", "--manifest", "{s}", "--segments", "8", "--expect-match"]]
 
 
 @pytest.fixture(scope="module")
 def bases(tmp_path_factory, suite_2x3, suite_ifc4):
-    """The unmutated files, written once, with the directory for mutants."""
+    """The unmutated files, written once, with the directory for mutants and
+    the manifests of the suites among them."""
     root = tmp_path_factory.mktemp("fuzz")
-    paths = []
-    for name, graph in (("2x3", suite_2x3[0]), ("ifc4", suite_ifc4[0]),
-                        ("l50", georef_fixture_l50())):
+    paths, manifests = [], {}
+    for name, graph, manifest in (
+        ("2x3", *suite_2x3), ("ifc4", *suite_ifc4), ("l50", georef_fixture_l50(), None),
+        ("faces", face_model(holed_face_items()), None),
+    ):
         path = root / f"{name}.ifc"
         path.write_bytes(write_spf(graph))
+        if manifest is not None:
+            manifests[path] = root / f"{name}.json"
+            manifests[path].write_text(json.dumps(manifest.to_dict()), encoding="utf-8")
         paths.append(path)
-    return root, paths
+    return root, paths, manifests
 
 
 # each mutation: (kind, line index, byte index, payload); indexes wrap around
@@ -78,15 +87,16 @@ def refuse_constant(name):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(base=st.integers(0, 2), steps=mutations)
+@given(base=st.integers(0, 3), steps=mutations)
 @example(base=0, steps=[("delete", 12, 0, b"$")])  # a census change: exit 1 when expected
 def test_read_commands_are_total_on_mutants(bases, base, steps):
-    root, paths = bases
+    root, paths, manifests = bases
     mutant = root / "mutant.ifc"
     mutant.write_bytes(mutate(paths[base].read_bytes(), steps))
     out = root / "out.json"
-    for command in COMMANDS:
-        argv = [arg.format(m=mutant, b=paths[base]) for arg in command]
+    manifest = manifests.get(paths[base])
+    for command in COMMANDS + (SUITE_COMMANDS if manifest else []):
+        argv = [arg.format(m=mutant, b=paths[base], s=manifest) for arg in command]
         out.unlink(missing_ok=True)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

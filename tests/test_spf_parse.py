@@ -138,9 +138,10 @@ def test_complex_instance_skipped_with_diagnostic():
 
 
 def test_attribute_grammar():
-    attrs = parse_attributes(
-        "$,*,#5,12,-3.5E-2,'a''b',.TRUE.,(1,(2.,$)),IFCLABEL('x')"
+    attrs, escapes = parse_attributes(
+        b"$,*,#5,12,-3.5E-2,'a''b',.TRUE.,(1,(2.,$)),IFCLABEL('x')"
     )
+    assert escapes == []
     assert attrs[0] is UNSET
     assert attrs[2] == Reference(5)
     assert attrs[3] == Integer(12)
@@ -149,6 +150,16 @@ def test_attribute_grammar():
     assert attrs[6].name == "TRUE"
     assert attrs[7] == ListValue((Integer(1), ListValue((Real(2.0, "2."), UNSET))))
     assert attrs[8] == TypedValue("IFCLABEL", Text("x", "x"))
+
+
+def test_enumerations_fold_case_in_ascii_only():
+    # as type names do: a latin-1 letter keeps its case, so the value writes back
+    from ifcaudit.spf import write_spf
+
+    record = b"#9=IFCX(.\xffa.,.\xdf.,.\xb5.);\nENDSEC;\nEND-ISO"
+    graph = parse_spf(MINIMAL.replace(b"ENDSEC;\nEND-ISO", record))
+    assert [value.name for value in graph.resolve(9).attributes] == ["\xffA", "\xdf", "\xb5"]
+    assert parse_spf(write_spf(graph)).structurally_equal(graph)
 
 
 @pytest.mark.parametrize(
@@ -160,13 +171,13 @@ def test_attribute_grammar():
 )
 def test_unreadable_real_is_malformed(lexeme, reason):
     with pytest.raises(MalformedFile, match=reason):
-        parse_attributes(f"$,{lexeme},$")
+        parse_attributes(f"$,{lexeme},$".encode())
 
 
 def test_binary_token():
     from ifcaudit.spf import Binary
 
-    attrs = parse_attributes('"0FF",$')
+    attrs, _ = parse_attributes(b'"0FF",$')
     assert attrs[0] == Binary("0FF")
 
     from ifcaudit.spf import format_value
@@ -212,10 +223,10 @@ def test_deep_nesting_is_malformed(deep):
 
 
 def test_nesting_bound_is_exact():
-    deepest = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
-    assert len(parse_attributes(deepest)) == 1
+    deepest = b"(" * MAX_NESTING + b"1" + b")" * MAX_NESTING
+    assert len(parse_attributes(deepest)[0]) == 1
     with pytest.raises(MalformedFile):
-        parse_attributes("(" + deepest + ")")
+        parse_attributes(b"(" + deepest + b")")
 
 
 def test_header_record_diagnostics():
@@ -259,7 +270,7 @@ def test_unterminated_header_record_fails_fast(unit):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("params", ["1,", "(1,", "IFCX(", "(", "$,(#1,(", "'a', /* c */ "])
+@pytest.mark.parametrize("params", [b"1,", b"(1,", b"IFCX(", b"(", b"$,(#1,(", b"'a', /* c */ "])
 def test_early_end_is_malformed(params):
     with pytest.raises(MalformedFile, match="expected attribute value near ''") as caught:
         parse_attributes(params)
