@@ -71,12 +71,8 @@ class CensusDiff(Record):
 
 def census(graph: InstanceGraph) -> Census:
     """Count instances per exact type name (zero entries omitted)."""
-    counts: dict[str, int] = {}
-    for inst in graph:
-        name = inst.type_name
-        counts[name] = counts.get(name, 0) + 1
     return Census(
-        counts=counts,
+        counts=graph.type_counts(),
         total=len(graph),
         byte_size=graph.byte_size,
         schema=SchemaVersion.from_name(graph.schema_name()),

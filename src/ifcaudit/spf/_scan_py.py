@@ -27,9 +27,11 @@ a caller asks for both backends, so its patterns are compiled only then.
 from __future__ import annotations
 
 import re
+from array import array
 
 from ..errors import MalformedFile
 from .lexemes import BINARY, BLANKS, COMMENT, KEYWORD, STRING, TRIVIA
+from .model import RecordTable
 
 # strings, binaries and comments: a ';', '(', ')' or '#' inside means nothing
 _OPAQUE = STRING + rb"|" + BINARY + rb"|" + COMMENT
@@ -80,29 +82,50 @@ def _close_parameters(data: bytes, pos: int) -> tuple[int, int]:
     raise MalformedFile("unterminated parameter list", pos)
 
 
+class _TypeCodes(dict):
+    """Type name as written -> its code in ``names``, which holds each
+    upper-cased name once; a spelling met first is added on lookup."""
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.codes: dict[str, int] = {}  # upper-cased name -> code
+
+    def __missing__(self, spelling: bytes) -> int:
+        name = spelling.upper().decode("ascii")
+        code = self[spelling] = self.codes.setdefault(name, len(self.names))
+        if code == len(self.names):
+            self.names.append(name)
+        return code
+
+
 def scan_records(
     data: bytes, start: int
-) -> tuple[list[tuple[int, str, int, int]], set[int], list[tuple[str, str]], int]:
+) -> tuple[RecordTable, array | list[int], list[tuple[str, str]], int]:
     """Scan ``#id=TYPE(...);`` records from ``start`` up to the section's
     ENDSEC keyword.
 
-    Returns ``(records, referenced_ids, diagnostics, end_pos)`` where each
-    record is ``(id, type_name, param_start, param_end)`` with byte offsets
-    into ``data`` and ``end_pos`` sits just past ``ENDSEC;``. Records of one
-    type share one name object, whatever the case of its spelling.
+    Returns ``(records, references, diagnostics, end_pos)``: the records as
+    a :class:`RecordTable` with parameter spans into ``data``, every
+    reference in them in order, and the offset just past ``ENDSEC;``. The
+    references are an ``array('q')``, or a list of ints when one is past
+    2**63 - 1.
     """
-    records: list[tuple[int, str, int, int]] = []
-    referenced: set[int] = set()
+    try:
+        return _scan(data, start, array("q"))
+    except OverflowError:  # a reference the array cannot hold: read again into a list
+        return _scan(data, start, [])
+
+
+def _scan(data: bytes, start: int, references: array | list[int]):
+    ids: list[int] = []
+    codes = array("I")
+    starts = array("q")
+    ends = array("q")
     diagnostics: list[tuple[str, str]] = []
-    spellings: dict[bytes, str] = {}  # type name as written -> its name
-    names: dict[str, str] = {}  # one object per upper-cased name
+    type_codes = _TypeCodes()
 
-    def new_name(spelling: bytes) -> str:
-        name = spelling.upper().decode("ascii")
-        name = spellings[spelling] = names.setdefault(name, name)
-        return name
-
-    append = records.append
+    add_id, add_code, add_start, add_end = ids.append, codes.append, starts.append, ends.append
+    add_references = references.extend
     find = data.find
     pos = start
     while True:
@@ -111,15 +134,21 @@ def scan_records(
             if spelling is None:
                 break
             pstart, pend = m.span(3)
-            append((int(m[1]), spellings.get(spelling) or new_name(spelling), pstart, pend))
+            add_id(int(m[1]))
+            add_code(type_codes[spelling])
+            add_start(pstart)
+            add_end(pend)
             if find(b"#", pstart, pend) >= 0:
-                referenced.update(map(int, filter(None, _REFERENCES.findall(data, pstart, pend))))
+                add_references(map(int, filter(None, _REFERENCES.findall(data, pstart, pend))))
         pos = m.end()
         if (m := _HEAD.match(data, pos)) is not None:
             pstart = m.end()
             pend, pos = _close_parameters(data, pstart)
-            append((int(m[1]), new_name(m[2]), pstart, pend))
-            referenced.update(map(int, filter(None, _REFERENCES.findall(data, pstart, pend))))
+            add_id(int(m[1]))
+            add_code(type_codes[m[2]])
+            add_start(pstart)
+            add_end(pend)
+            add_references(map(int, filter(None, _REFERENCES.findall(data, pstart, pend))))
         elif (m := _COMPLEX.match(data, pos)) is not None:
             diagnostics.append(
                 (
@@ -129,7 +158,8 @@ def scan_records(
             )
             pos = m.end()
         elif (m := _ENDSEC.match(data, pos)) is not None:
-            return records, referenced, diagnostics, m.end()
+            table = RecordTable(ids, codes, type_codes.names, starts, ends)
+            return table, references, diagnostics, m.end()
         elif pos >= len(data):
             raise MalformedFile("missing ENDSEC", pos)
         elif data.startswith(b"/*", pos):

@@ -9,6 +9,9 @@ re-emitted without changing any printed number; strings keep the raw
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from collections import Counter
 from typing import Iterator, Union
 
 from .._record import FrozenRecord, Record, set_field
@@ -186,6 +189,19 @@ class Source(FrozenRecord):
         set_field(self, "data", data)
         set_field(self, "path", path)
 
+    def parse(self, id: int, start: int, end: int) -> tuple[tuple[AttributeValue, ...], list[str]]:
+        """The attribute values of record ``#id``, whose parameters span
+        ``data[start:end]``, and the unknown string escapes met. A syntax
+        error names the file, the record and its byte offset in the file."""
+        from .attrparse import parse_attributes  # deferred, avoids cycle
+
+        try:
+            return parse_attributes(self.data[start:end])
+        except MalformedFile as exc:
+            offset = None if exc.offset is None else start + exc.offset
+            where = f"{self.path}: " if self.path else ""
+            raise MalformedFile(f"{where}#{id}: {exc.reason}", offset) from None
+
 
 class FileName(Record):
     """Payload of a FILE_NAME header record; the lists default to new empty
@@ -229,6 +245,46 @@ class SpfHeader(Record):
         self.file_schema = [] if file_schema is None else file_schema
 
 
+class RecordTable:
+    """The records of a DATA section as columns, one row per record in file
+    order: the ``ids`` (a list of ints), the ``codes`` of their type names
+    (``array('I')`` of indices into ``names``, which holds each upper-cased
+    name once) and the ``starts`` and ``ends`` of their parameters
+    (``array('q')`` of offsets into the file's bytes). Iterating gives each
+    row as ``(id, type_name, start, end)``."""
+
+    __slots__ = ("ids", "codes", "names", "starts", "ends")
+
+    def __init__(self, ids: list[int], codes: array, names: list[str], starts: array, ends: array):
+        self.ids = ids
+        self.codes = codes
+        self.names = names
+        self.starts = starts
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[tuple[int, str, int, int]]:
+        return zip(self.ids, map(self.names.__getitem__, self.codes), self.starts, self.ends)
+
+
+def _rows_with(codes: array, code: int) -> list[int]:
+    """The rows of ``codes`` that hold ``code``, in order, found by a byte
+    search over the column: a match counts where it starts an item."""
+    size = codes.itemsize
+    items, key = codes.tobytes(), code.to_bytes(size, sys.byteorder)
+    rows = []
+    at = items.find(key)
+    while at >= 0:
+        if at % size:
+            at = items.find(key, at + 1)
+        else:
+            rows.append(at // size)
+            at = items.find(key, at + size)
+    return rows
+
+
 class EntityInstance:
     """One ``#id=TYPE(...)`` record.
 
@@ -267,19 +323,11 @@ class EntityInstance:
 
     def _parse(self) -> tuple[tuple[AttributeValue, ...], list[str]]:
         """Parse the source span without keeping the values; returns them
-        and the unknown string escapes met. A syntax error names the file,
-        this record and its byte offset in the file."""
-        from .attrparse import parse_attributes  # deferred, avoids cycle
-
+        and the unknown string escapes met."""
         src = self._src
         if src is None:
             return (), []
-        try:
-            return parse_attributes(src.data[self._pstart : self._pend])
-        except MalformedFile as exc:
-            offset = None if exc.offset is None else self._pstart + exc.offset
-            where = f"{src.path}: " if src.path else ""
-            raise MalformedFile(f"{where}#{self.id}: {exc.reason}", offset) from None
+        return src.parse(self.id, self._pstart, self._pend)
 
     def attr(self, index: int) -> AttributeValue:
         """Attribute at ``index``, UNSET when the record is shorter."""
@@ -306,8 +354,16 @@ class InstanceGraph:
     """Parsed or constructed SPF content: a header and its instances by id.
 
     The graph is read through ``len``, iteration (in first-definition
-    order), ``in`` (by id), :meth:`resolve`, :meth:`deref` and
-    :meth:`by_type`, and grows through :meth:`add`.
+    order), ``in`` (by id), :meth:`resolve`, :meth:`deref`, :meth:`by_type`
+    and :meth:`type_counts`, and grows through :meth:`add`.
+
+    It keeps one store: a :class:`RecordTable`, ``rows`` (id -> the row of
+    its last definition, in first-definition order) and the instances built
+    so far. A parsed record becomes an :class:`EntityInstance` when it is
+    first resolved, listed by type or iterated over, and stays one, so an
+    instance keeps its identity and its read attributes; ``type_counts``
+    reads the type codes and builds none. ``add`` appends a row and keeps
+    the instance it is given.
     """
 
     def __init__(
@@ -316,24 +372,58 @@ class InstanceGraph:
         instances: dict[int, EntityInstance] | None = None,
         diagnostics: list[Diagnostic] | None = None,
         byte_size: int = 0,
+        *,
+        source: Source | None = None,
+        records: RecordTable | None = None,
     ):
         self.header = header or SpfHeader()
-        self._by_id: dict[int, EntityInstance] = {} if instances is None else instances
-        self.diagnostics: list[Diagnostic] = diagnostics or []
+        self.diagnostics: list[Diagnostic] = [] if diagnostics is None else diagnostics
         self.byte_size = byte_size
-        self._type_index: dict[str, list[EntityInstance]] | None = None
+        if records is None:
+            records = RecordTable([], array("I"), [], array("q"), array("q"))
+        self._source = source
+        self._records = records
+        # each id's first position, and the row of its last definition
+        self._rows = dict(zip(records.ids, range(len(records))))
+        self._codes = dict(zip(records.names, range(len(records.names))))  # name -> code
+        self._views: dict[int, EntityInstance] = {}
+        self._by_type: dict[str, list[EntityInstance]] = {}
+        for instance in (instances or {}).values():
+            self.add(instance)
+
+    def _view(self, id: int, row: int) -> EntityInstance:
+        """A new instance for ``row``, kept as the instance of ``id``."""
+        t = self._records
+        inst = self._views[id] = EntityInstance(
+            id, t.names[t.codes[row]], None, self._source, t.starts[row], t.ends[row]
+        )
+        return inst
 
     def add(self, instance: EntityInstance) -> None:
-        if instance.id in self._by_id:
-            raise ValueError(f"duplicate instance id #{instance.id}")
-        self._by_id[instance.id] = instance
-        self._type_index = None
+        id = instance.id
+        if id in self._rows:
+            raise ValueError(f"duplicate instance id #{id}")
+        t = self._records
+        code = self._codes.get(instance.type_name)
+        if code is None:
+            code = self._codes[instance.type_name] = len(t.names)
+            t.names.append(instance.type_name)
+        self._rows[id] = len(t.ids)
+        t.ids.append(id)
+        t.codes.append(code)
+        t.starts.append(0)
+        t.ends.append(0)
+        self._views[id] = instance
+        self._by_type = {}
 
     def resolve(self, id: int) -> EntityInstance:
-        try:
-            return self._by_id[id]
-        except KeyError:
-            raise NotFound(f"no instance #{id}") from None
+        inst = self._views.get(id)
+        if inst is None:
+            row = self._rows.get(id)
+            if row is None:
+                raise NotFound(f"no instance #{id}")
+            inst = self._view(id, row)
+        return inst
 
     def deref(self, value: AttributeValue) -> EntityInstance:
         if not isinstance(value, Reference):
@@ -342,24 +432,58 @@ class InstanceGraph:
 
     def by_type(self, type_name: str) -> list[EntityInstance]:
         """All instances with exactly this type name (no subtype roll-up)."""
-        if self._type_index is None:
-            index: dict[str, list[EntityInstance]] = {}
-            for inst in self._by_id.values():
-                index.setdefault(inst.type_name, []).append(inst)
-            self._type_index = index
-        return self._type_index.get(type_name.upper(), [])
+        name = type_name.upper()
+        found = self._by_type.get(name)
+        if found is None:
+            code = self._codes.get(name)
+            t = self._records
+            if self._retyped():
+                found = [inst for inst in self if inst.type_name == name]
+            elif code is None:
+                return []
+            else:
+                if len(self._rows) == len(t.ids):  # no id defined twice: rows run in order
+                    rows = _rows_with(t.codes, code)
+                else:
+                    rows = [row for row in self._rows.values() if t.codes[row] == code]
+                ids, views = t.ids, self._views
+                found = [views.get(ids[row]) or self._view(ids[row], row) for row in rows]
+            self._by_type[name] = found
+        return found
+
+    def type_counts(self) -> dict[str, int]:
+        """Instances per exact type name, in order of first appearance,
+        counted from the type codes: no instance is built."""
+        if self._retyped():
+            return dict(Counter(inst.type_name for inst in self))
+        t = self._records
+        codes = t.codes
+        if len(self._rows) != len(t.ids):  # count each id's last definition once
+            codes = map(codes.__getitem__, self._rows.values())
+        return {t.names[code]: n for code, n in Counter(codes).items()}
+
+    def _retyped(self) -> bool:
+        """Whether an instance's ``type_name`` was changed after it was
+        built, so that its row's type code no longer names its type."""
+        t, rows = self._records, self._rows
+        return any(
+            inst.type_name != t.names[t.codes[rows[id]]] for id, inst in self._views.items()
+        )
 
     def schema_name(self) -> str | None:
         return self.header.file_schema[0] if self.header.file_schema else None
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[EntityInstance]:
-        return iter(self._by_id.values())
+        views = self._views
+        if len(views) == len(self._rows):  # every instance is built
+            return map(views.__getitem__, self._rows)
+        return (views.get(id) or self._view(id, row) for id, row in self._rows.items())
 
     def __contains__(self, id: int) -> bool:
-        return id in self._by_id
+        return id in self._rows
 
     def structurally_equal(self, other: "InstanceGraph") -> bool:
         """Field-by-field equality of header and all instances, ignoring

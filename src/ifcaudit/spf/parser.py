@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import re
+from itertools import filterfalse
 from pathlib import Path
 
 from ..errors import MalformedFile
@@ -13,7 +14,6 @@ from .lexemes import BLANKS, KEYWORD, TRIVIA
 from .model import (
     UNSET,
     Diagnostic,
-    EntityInstance,
     FileName,
     InstanceGraph,
     Source,
@@ -43,8 +43,10 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
     read. A syntax error met in a record when its attributes are first read
     names ``path``, the file's name.
 
-    The instances share ``data`` itself: a record's parameters are tokenized
-    from its bytes when they are first read, as the header's are up front.
+    No instance is built here: the graph holds the scanner's record table
+    and builds an instance when one is first asked for. The instances share
+    ``data`` itself: a record's parameters are tokenized from its bytes when
+    they are first read, as the header's are up front.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_spf expects bytes; use load() for paths")
@@ -66,7 +68,7 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
 
     _, scan = active_backend()
     try:
-        raw_records, referenced, scan_diags, pos = scan(data, pos + 5)
+        records, references, scan_diags, pos = scan(data, pos + 5)
     except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
         raise MalformedFile("instance id or reference too long to read") from None
     for code, message in scan_diags:
@@ -78,25 +80,23 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
             Diagnostic("missing-end-sentinel", "file does not end with END-ISO-10303-21;")
         )
 
-    shared = Source(data, path)
-    index: dict[int, EntityInstance] = {}  # first position, last definition
-    for i in range(len(raw_records)):
-        inst_id, name, pstart, pend = raw_records[i]
-        raw_records[i] = None  # free scan tuples as we go; large files care
-        if inst_id in index:
-            diagnostics.append(
-                Diagnostic("duplicate-id", f"instance #{inst_id} defined twice; last kept")
-            )
-        # positional: keyword arguments cost twice as much per record
-        index[inst_id] = EntityInstance(inst_id, name, None, shared, pstart, pend)
-
-    dangling = referenced - index.keys()
-    for ref in sorted(dangling):
+    graph = InstanceGraph(
+        header, None, diagnostics, len(data), source=Source(data, path), records=records
+    )
+    rows = graph._rows
+    if len(rows) < len(records):
+        seen: set[int] = set()
+        for inst_id in records.ids:
+            if inst_id in seen:
+                diagnostics.append(
+                    Diagnostic("duplicate-id", f"instance #{inst_id} defined twice; last kept")
+                )
+            seen.add(inst_id)
+    for ref in sorted(set(filterfalse(rows.__contains__, references))):
         diagnostics.append(
             Diagnostic("dangling-reference", f"reference to missing instance #{ref}")
         )
-
-    return InstanceGraph(header, index, diagnostics, len(data))
+    return graph
 
 
 def load(path: str | os.PathLike) -> InstanceGraph:
@@ -113,11 +113,15 @@ def materialize(graph: InstanceGraph) -> None:
     """Check the syntax of every record not read yet, without keeping its
     values, and add an ``unknown-escape`` diagnostic to the graph for each
     string escape passed through verbatim. A syntax error raises
-    :class:`MalformedFile`. Records stay unread, so a second call reads them
-    and adds their diagnostics again."""
+    :class:`MalformedFile`. Records stay unread and no instance is built,
+    so a second call reads them and adds their diagnostics again."""
     unknown: list[str] = []
-    for inst in graph:
-        if inst._attrs is None:
+    views, table, source = graph._views, graph._records, graph._source
+    for inst_id, row in graph._rows.items():
+        inst = views.get(inst_id)
+        if inst is None:
+            unknown += source.parse(inst_id, table.starts[row], table.ends[row])[1]
+        elif inst._attrs is None:
             unknown += inst._parse()[1]
     graph.diagnostics += map(_unknown_escape, unknown)
 

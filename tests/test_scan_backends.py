@@ -52,16 +52,25 @@ def scanners(tmp_path_factory):
     return found
 
 
+def column_type(column) -> str:
+    """``list``, or ``array`` and its type code."""
+    return type(column).__name__ + getattr(column, "typecode", "")
+
+
 def run_scan(scan, data: bytes):
-    """A scan's results, or the type, reason and offset of what it raised."""
+    """A scan's results (the table's rows and type names, the references in
+    order, the diagnostics, the end offset and the type of each column), or
+    the type, reason and offset of what it raised."""
     start = data.find(b"DATA;") + 5
     try:
-        records, refs, diags, end = scan(data, start)
+        table, refs, diags, end = scan(data, start)
     except MalformedFile as exc:
         return ("MalformedFile", exc.reason, exc.offset)
     except ValueError as exc:  # int() refuses digit strings past its limit
         return ("ValueError", str(exc))
-    return ("ok", records, sorted(refs), diags, end)
+    columns = (table.ids, table.codes, table.starts, table.ends, refs)
+    assert len({len(table.ids), len(table.codes), len(table.starts), len(table.ends)}) == 1
+    return ("ok", list(table), table.names, list(refs), diags, end, list(map(column_type, columns)))
 
 
 def assert_agree(scanners, data: bytes):
@@ -179,12 +188,12 @@ DEEP50 = b"(" * 50 + b"#3" + b")" * 50
             b"#7=IFCDEEP(" + DEEP5 + b");ENDSEC;",
             [(1, "IFCWALL", b"'a',#2"), (2, "IFCDEEP", DEEP5), (3, "IFCWALL", b"#1"),
              (5, "IFCDEEP", DEEP50), (6, "IFCWALL", b"$"), (7, "IFCDEEP", DEEP5)],
-            [1, 2, 3],
+            [2, 2, 1, 3, 2],
         ),
         (
             b"\r\n#2=IFCDEEP(" + DEEP50 + b");#4=(IFCA());#1=IFCWALL(#2,'x;)');\r\nENDSEC\r\n;",
             [(2, "IFCDEEP", DEEP50), (1, "IFCWALL", b"#2,'x;)'")],
-            [2, 3],
+            [3, 2],
         ),
         (b"#1=IFCWALL(#3);#4=(IFCA(#1));ENDSEC;", [(1, "IFCWALL", b"#3")], [3]),
     ],
@@ -194,17 +203,19 @@ def test_runs_resume_after_slow_records(scanners, section, expected, refs):
     """Records nested past the run pattern's depth and complex instances
     end a run of ordinary records; the next record starts a new one."""
     data = b"DATA;" + section
-    status, records, *rest = assert_agree(scanners, data)
+    status, records, _, *rest, types = assert_agree(scanners, data)
     assert status == "ok"
     assert [(i, name, data[a:b]) for i, name, a, b in records] == expected
     complex_4 = ("complex-instance", "unsupported complex entity instance #4 skipped")
     assert rest == [refs, [complex_4], len(data)]
+    assert types == ["list", "arrayI", "arrayq", "arrayq", "arrayq"]
 
 
 @pytest.mark.parametrize("name", ["compiled", "python"])
 def test_records_of_one_type_share_one_name(scanners, name):
     data = b"DATA;#1=IFCWALL();#2=IfcWall(#1);#3=IFCWALL(" + DEEP50 + b");#4=IFCDOOR();ENDSEC;"
-    records, *_ = scanners[name](data, 5)
-    walls = [record[1] for record in records[:3]]
+    table, *_ = scanners[name](data, 5)
+    walls = [type_name for _, type_name, _, _ in table][:3]
     assert walls == ["IFCWALL"] * 3
     assert walls[0] is walls[1] is walls[2]
+    assert (list(table.codes), table.names) == ([0, 0, 0, 1], ["IFCWALL", "IFCDOOR"])

@@ -144,7 +144,7 @@ def test_lazy_numpy_check_matches_eager(tmp_path):
 
 #: the modules ``import ifcaudit.cli`` registers without running them
 LAZY_MODULES = {
-    "census", "schema", "georef", "spf.writer",
+    "census", "schema", "georef", "spf.writer", "cli_suite",
     "geomcheck.evaluate", "geomcheck.mesh", "geomcheck.tessellate", "geomcheck.validity",
     "geomgen.generate", "geomgen.suite",
     "benchkit.answers", "benchkit.metrics", "benchkit.roundtrip",
@@ -159,10 +159,11 @@ FOOTPRINT = {
     "diff a.ifc b.ifc": {"census", "schema"},
     "georef b.ifc": {"georef", "schema"},
     "report roundtrip a.ifc b.ifc": {"benchkit.roundtrip", "census", "georef", "schema"},
-    "report answers answers.csv --out report": {"benchkit.answers", "benchkit.metrics"},
+    "report answers answers.csv --out report": {
+        "benchkit.answers", "benchkit.metrics", "cli_suite"},
     "generate --schema ifc4 --out c.ifc": {
-        "geomgen.generate", "geomgen.suite", "schema", "spf.writer"},
-    "check a.ifc --segments 16": GEOMETRY | {"geomgen.suite", "schema"},
+        "cli_suite", "geomgen.generate", "geomgen.suite", "schema", "spf.writer"},
+    "check a.ifc --segments 16": GEOMETRY | {"cli_suite", "geomgen.suite", "schema"},
 }
 #: the commands that read files, and ``--version``: none loads these
 #: standard modules, which the others load for their dataclasses
