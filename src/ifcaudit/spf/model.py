@@ -9,10 +9,11 @@ re-emitted without changing any printed number; strings keep the raw
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from collections import Counter
-from typing import Iterator, Union
+from itertools import filterfalse
+from operator import attrgetter
+from typing import Iterable, Iterator, Union
 
 from .._record import FrozenRecord, Record, set_field
 from ..errors import MalformedFile, NotAReference, NotFound
@@ -269,22 +270,6 @@ class RecordTable:
         return zip(self.ids, map(self.names.__getitem__, self.codes), self.starts, self.ends)
 
 
-def _rows_with(codes: array, code: int) -> list[int]:
-    """The rows of ``codes`` that hold ``code``, in order, found by a byte
-    search over the column: a match counts where it starts an item."""
-    size = codes.itemsize
-    items, key = codes.tobytes(), code.to_bytes(size, sys.byteorder)
-    rows = []
-    at = items.find(key)
-    while at >= 0:
-        if at % size:
-            at = items.find(key, at + 1)
-        else:
-            rows.append(at // size)
-            at = items.find(key, at + size)
-    return rows
-
-
 class EntityInstance:
     """One ``#id=TYPE(...)`` record.
 
@@ -292,10 +277,11 @@ class EntityInstance:
     span into the source bytes and only materialize attribute values when
     accessed. Instances built programmatically carry their attributes
     directly. The memoization is idempotent, so concurrent readers may race
-    on it harmlessly.
+    on it harmlessly. ``type_name`` is fixed when the instance is built: the
+    graph counts and lists instances by the type its record table holds.
     """
 
-    __slots__ = ("id", "type_name", "_attrs", "_src", "_pstart", "_pend")
+    __slots__ = ("id", "_type_name", "_attrs", "_src", "_pstart", "_pend")
 
     def __init__(
         self,
@@ -307,11 +293,13 @@ class EntityInstance:
         _pend: int = 0,
     ):
         self.id = id
-        self.type_name = type_name
+        self._type_name = type_name
         self._attrs = attributes
         self._src = _src
         self._pstart = _pstart
         self._pend = _pend
+
+    type_name = property(attrgetter("_type_name"), doc="The type name the instance was built with.")
 
     @property
     def attributes(self) -> tuple[AttributeValue, ...]:
@@ -354,12 +342,14 @@ class InstanceGraph:
     """Parsed or constructed SPF content: a header and its instances by id.
 
     The graph is read through ``len``, iteration (in first-definition
-    order), ``in`` (by id), :meth:`resolve`, :meth:`deref`, :meth:`by_type`
-    and :meth:`type_counts`, and grows through :meth:`add`.
+    order), ``in`` (by id), :meth:`resolve`, :meth:`deref`, :meth:`by_type`,
+    :meth:`type_counts`, :meth:`dangling` and :meth:`unread_escapes`, and
+    grows through :meth:`add`.
 
-    It keeps one store: a :class:`RecordTable`, ``rows`` (id -> the row of
-    its last definition, in first-definition order) and the instances built
-    so far. A parsed record becomes an :class:`EntityInstance` when it is
+    It keeps one store: a :class:`RecordTable` with one row per instance,
+    ``rows`` (id -> row) and the instances built so far. An id defined twice
+    in ``records`` keeps its first position and its last definition. A
+    parsed record becomes an :class:`EntityInstance` when it is
     first resolved, listed by type or iterated over, and stays one, so an
     instance keeps its identity and its read attributes; ``type_counts``
     reads the type codes and builds none. ``add`` appends a row and keeps
@@ -381,10 +371,21 @@ class InstanceGraph:
         self.byte_size = byte_size
         if records is None:
             records = RecordTable([], array("I"), [], array("q"), array("q"))
+        # each id at its first position, mapped to the row of its last definition
+        rows = dict(zip(records.ids, range(len(records))))
+        if len(rows) < len(records):  # an id defined twice: one row per id
+            last = rows.values()
+            records = RecordTable(
+                list(rows),
+                array(records.codes.typecode, map(records.codes.__getitem__, last)),
+                records.names,
+                array("q", map(records.starts.__getitem__, last)),
+                array("q", map(records.ends.__getitem__, last)),
+            )
+            rows = dict(zip(records.ids, range(len(records))))
         self._source = source
         self._records = records
-        # each id's first position, and the row of its last definition
-        self._rows = dict(zip(records.ids, range(len(records))))
+        self._rows = rows
         self._codes = dict(zip(records.names, range(len(records.names))))  # name -> code
         self._views: dict[int, EntityInstance] = {}
         self._by_type: dict[str, list[EntityInstance]] = {}
@@ -400,21 +401,21 @@ class InstanceGraph:
         return inst
 
     def add(self, instance: EntityInstance) -> None:
-        id = instance.id
-        if id in self._rows:
+        id, name, rows, t = instance.id, instance.type_name, self._rows, self._records
+        if id in rows:
             raise ValueError(f"duplicate instance id #{id}")
-        t = self._records
-        code = self._codes.get(instance.type_name)
+        code = self._codes.get(name)
         if code is None:
-            code = self._codes[instance.type_name] = len(t.names)
-            t.names.append(instance.type_name)
-        self._rows[id] = len(t.ids)
+            code = self._codes[name] = len(t.names)
+            t.names.append(name)
+        rows[id] = len(t.ids)
         t.ids.append(id)
         t.codes.append(code)
         t.starts.append(0)
         t.ends.append(0)
         self._views[id] = instance
-        self._by_type = {}
+        if self._by_type:
+            self._by_type = {}
 
     def resolve(self, id: int) -> EntityInstance:
         inst = self._views.get(id)
@@ -436,39 +437,42 @@ class InstanceGraph:
         found = self._by_type.get(name)
         if found is None:
             code = self._codes.get(name)
-            t = self._records
-            if self._retyped():
-                found = [inst for inst in self if inst.type_name == name]
-            elif code is None:
+            if code is None:
                 return []
-            else:
-                if len(self._rows) == len(t.ids):  # no id defined twice: rows run in order
-                    rows = _rows_with(t.codes, code)
-                else:
-                    rows = [row for row in self._rows.values() if t.codes[row] == code]
-                ids, views = t.ids, self._views
-                found = [views.get(ids[row]) or self._view(ids[row], row) for row in rows]
+            codes, views = self._records.codes, self._views
+            found = [
+                views.get(id) or self._view(id, row)
+                for id, row in self._rows.items()
+                if codes[row] == code
+            ]
             self._by_type[name] = found
         return found
 
     def type_counts(self) -> dict[str, int]:
         """Instances per exact type name, in order of first appearance,
         counted from the type codes: no instance is built."""
-        if self._retyped():
-            return dict(Counter(inst.type_name for inst in self))
         t = self._records
-        codes = t.codes
-        if len(self._rows) != len(t.ids):  # count each id's last definition once
-            codes = map(codes.__getitem__, self._rows.values())
-        return {t.names[code]: n for code, n in Counter(codes).items()}
+        return {t.names[code]: n for code, n in Counter(t.codes).items()}
 
-    def _retyped(self) -> bool:
-        """Whether an instance's ``type_name`` was changed after it was
-        built, so that its row's type code no longer names its type."""
-        t, rows = self._records, self._rows
-        return any(
-            inst.type_name != t.names[t.codes[rows[id]]] for id, inst in self._views.items()
-        )
+    def dangling(self, references: Iterable[int]) -> list[int]:
+        """The ids among ``references`` that name no instance, sorted, each
+        once."""
+        return sorted(set(filterfalse(self._rows.__contains__, references)))
+
+    def unread_escapes(self) -> list[str]:
+        """Check the syntax of every record whose attributes are not read
+        yet, without keeping its values or building an instance, and return
+        the unknown string escapes met, in order. A syntax error raises
+        :class:`MalformedFile`."""
+        unknown: list[str] = []
+        t, views, source = self._records, self._views, self._source
+        for id, row in self._rows.items():
+            inst = views.get(id)
+            if inst is None:
+                unknown += source.parse(id, t.starts[row], t.ends[row])[1]
+            elif inst._attrs is None:
+                unknown += inst._parse()[1]
+        return unknown
 
     def schema_name(self) -> str | None:
         return self.header.file_schema[0] if self.header.file_schema else None
@@ -478,8 +482,6 @@ class InstanceGraph:
 
     def __iter__(self) -> Iterator[EntityInstance]:
         views = self._views
-        if len(views) == len(self._rows):  # every instance is built
-            return map(views.__getitem__, self._rows)
         return (views.get(id) or self._view(id, row) for id, row in self._rows.items())
 
     def __contains__(self, id: int) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import re
-from itertools import filterfalse
 from pathlib import Path
 
 from ..errors import MalformedFile
@@ -83,8 +82,7 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
     graph = InstanceGraph(
         header, None, diagnostics, len(data), source=Source(data, path), records=records
     )
-    rows = graph._rows
-    if len(rows) < len(records):
+    if len(graph) < len(records):
         seen: set[int] = set()
         for inst_id in records.ids:
             if inst_id in seen:
@@ -92,7 +90,7 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
                     Diagnostic("duplicate-id", f"instance #{inst_id} defined twice; last kept")
                 )
             seen.add(inst_id)
-    for ref in sorted(set(filterfalse(rows.__contains__, references))):
+    for ref in graph.dangling(references):
         diagnostics.append(
             Diagnostic("dangling-reference", f"reference to missing instance #{ref}")
         )
@@ -115,15 +113,7 @@ def materialize(graph: InstanceGraph) -> None:
     string escape passed through verbatim. A syntax error raises
     :class:`MalformedFile`. Records stay unread and no instance is built,
     so a second call reads them and adds their diagnostics again."""
-    unknown: list[str] = []
-    views, table, source = graph._views, graph._records, graph._source
-    for inst_id, row in graph._rows.items():
-        inst = views.get(inst_id)
-        if inst is None:
-            unknown += source.parse(inst_id, table.starts[row], table.ends[row])[1]
-        elif inst._attrs is None:
-            unknown += inst._parse()[1]
-    graph.diagnostics += map(_unknown_escape, unknown)
+    graph.diagnostics += map(_unknown_escape, graph.unread_escapes())
 
 
 def _unknown_escape(escape: str) -> Diagnostic:
