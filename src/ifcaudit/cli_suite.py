@@ -77,8 +77,11 @@ def _read_manifest(path: str) -> tuple[float, dict[str, tuple[bool, set[str]]]]:
 
 def _dump_name(slot: str, proxy_id: int) -> str:
     """``slot`` when it is a plain file name, else ``#ID`` of the proxy: the
-    slot is text from the file, and a dump stays in its directory."""
+    slot is text from the file, and a dump stays in its directory. Names
+    that start with ``#`` are left to that fallback."""
     if slot in ("", ".", "..") or not slot.isprintable() or "/" in slot or "\\" in slot:
+        return f"#{proxy_id}"
+    if slot.startswith("#"):
         return f"#{proxy_id}"
     if len(slot.encode()) > 250:  # with ".tris", past the usual 255-byte name limit
         return f"#{proxy_id}"
@@ -100,6 +103,7 @@ def cmd_check(args) -> int:
 
     results = []
     mismatches = 0
+    dumped: set[str] = set()  # the names of this run's mesh dumps
     for proxy in geomcheck.suite_proxies(graph):
         slot = name = verdict = outcome = None
         try:
@@ -145,7 +149,11 @@ def cmd_check(args) -> int:
         if args.mesh_dump and outcome is not None and outcome.mesh is not None:
             dump_dir = Path(args.mesh_dump)
             dump_dir.mkdir(parents=True, exist_ok=True)
-            dump_path = dump_dir / f"{_dump_name(slot, proxy.id)}.tris"
+            dump_name = _dump_name(slot, proxy.id)
+            if dump_name in dumped:  # a second item in one slot
+                dump_name = f"#{proxy.id}"
+            dumped.add(dump_name)
+            dump_path = dump_dir / f"{dump_name}.tris"
             dump_path.write_text(outcome.mesh.dump_ascii(), encoding="utf-8")
 
     _emit(_json_dump({"items": results}), args.out)

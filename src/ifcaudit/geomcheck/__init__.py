@@ -8,7 +8,7 @@ from .._lazy import lazy_exports
 #: public name -> the submodule that defines it
 _EXPORTS = {
     "DEFAULT_SEGMENTS": "evaluate",
-    "DIRECTION_DOT_TOLERANCE": "validity",
+    "DIRECTION_DOT_TOLERANCE": "evaluate",
     "EvaluationOutcome": "evaluate",
     "Observation": "evaluate",
     "TriMesh": "mesh",

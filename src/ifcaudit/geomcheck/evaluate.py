@@ -44,14 +44,17 @@ DIRECTION_DOT_TOLERANCE = 1e-12
 #: a 1024-segment revolution of the suite makes about 2.1 M.
 TRIANGLE_BUDGET = 2**24
 
-_PROFILE_LABELS = {
-    "IFCRECTANGLEPROFILEDEF": "Rectangle",
-    "IFCELLIPSEPROFILEDEF": "Ellipse",
-    "IFCISHAPEPROFILEDEF": "IShape",
-    "IFCCRANERAILASHAPEPROFILEDEF": "CraneRailAShape",
+#: Supported profiles: IFC type -> (shape-class label, outline builder, the
+#: attribute indices of the builder's dimensions in its parameter order,
+#: curved). A curved builder also takes the segment count.
+_PROFILES = {
+    "IFCRECTANGLEPROFILEDEF": ("Rectangle", rectangle_polygon, (3, 4), False),
+    "IFCELLIPSEPROFILEDEF": ("Ellipse", ellipse_polygon, (3, 4), True),
+    "IFCISHAPEPROFILEDEF": ("IShape", ishape_polygon, (3, 4, 5, 6, 7), True),
+    "IFCCRANERAILASHAPEPROFILEDEF": (
+        "CraneRailAShape", crane_rail_polygon, (3, 4, 6, 7, 8, 9, 10, 11, 12, 13), False
+    ),
 }
-
-_CURVED_PROFILES = {"IFCELLIPSEPROFILEDEF", "IFCISHAPEPROFILEDEF"}
 
 
 class ZRelation(enum.Enum):
@@ -156,41 +159,14 @@ def placement_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
 
 def _profile_polygon(
     graph: InstanceGraph, ref: AttributeValue, segments: int
-) -> tuple[np.ndarray, str]:
+) -> tuple[np.ndarray, str, bool]:
+    """Outline of a profile, its shape-class label and whether it is curved."""
     profile = graph.deref(ref)
-    name = profile.type_name
-    if name == "IFCRECTANGLEPROFILEDEF":
-        poly = rectangle_polygon(
-            number(profile.attr(3)) or 0.0, number(profile.attr(4)) or 0.0
-        )
-    elif name == "IFCELLIPSEPROFILEDEF":
-        poly = ellipse_polygon(
-            number(profile.attr(3)) or 0.0, number(profile.attr(4)) or 0.0, segments
-        )
-    elif name == "IFCISHAPEPROFILEDEF":
-        poly = ishape_polygon(
-            number(profile.attr(3)) or 0.0,
-            number(profile.attr(4)) or 0.0,
-            number(profile.attr(5)) or 0.0,
-            number(profile.attr(6)) or 0.0,
-            number(profile.attr(7)) or 0.0,
-            segments,
-        )
-    elif name == "IFCCRANERAILASHAPEPROFILEDEF":
-        poly = crane_rail_polygon(
-            overall_height=number(profile.attr(3)) or 0.0,
-            base_width=number(profile.attr(4)) or 0.0,
-            head_width=number(profile.attr(6)) or 0.0,
-            head_depth_2=number(profile.attr(7)) or 0.0,
-            head_depth_3=number(profile.attr(8)) or 0.0,
-            web_thickness=number(profile.attr(9)) or 0.0,
-            base_width_4=number(profile.attr(10)) or 0.0,
-            base_depth_1=number(profile.attr(11)) or 0.0,
-            base_depth_2=number(profile.attr(12)) or 0.0,
-            base_depth_3=number(profile.attr(13)) or 0.0,
-        )
-    else:
-        raise UnsupportedShape(f"unsupported profile {name}")
+    if profile.type_name not in _PROFILES:
+        raise UnsupportedShape(f"unsupported profile {profile.type_name}")
+    label, outline, indices, curved = _PROFILES[profile.type_name]
+    dimensions = [number(profile.attr(i)) or 0.0 for i in indices]
+    poly = outline(*dimensions, segments) if curved else outline(*dimensions)
     # apply the 2D profile position (offset plus optional rotation)
     position = profile.attr(2)
     if isinstance(position, Reference):
@@ -203,7 +179,7 @@ def _profile_polygon(
         ref_dir = _unit(a2d.attr(1), _direction(graph, a2d.attr(1), (1.0, 0.0)))
         rot = np.array([[ref_dir[0], -ref_dir[1]], [ref_dir[1], ref_dir[0]]])
         poly = np.einsum("ij,kj->ik", poly, rot) + offset
-    return poly, name
+    return poly, label, curved
 
 
 # --- item collection ---------------------------------------------------------
@@ -324,8 +300,8 @@ def _within_budget(triangles: int) -> None:
 def _eval_extrusion(
     graph: InstanceGraph, root: EntityInstance, segments: int, kind: str
 ) -> EvaluationOutcome:
-    polygon, profile_name = _profile_polygon(graph, root.attr(0), segments)
-    shape_class = f"{kind}/{_PROFILE_LABELS[profile_name]}"
+    polygon, label, curved = _profile_polygon(graph, root.attr(0), segments)
+    shape_class = f"{kind}/{label}"
     warnings: list[str] = []
     direction = _direction(graph, root.attr(2), (0.0, 0.0, 1.0))
     depth = number(root.attr(3)) or 0.0
@@ -349,15 +325,15 @@ def _eval_extrusion(
     _within_budget(4 * len(polygon) - 4)  # two caps of n - 2, two per side
     mesh = extrude_polygon(polygon, unit * depth)
     mesh = mesh.transformed(axis2_matrix(graph, root.attr(1)))
-    smooth = profile_name in _CURVED_PROFILES and segments >= SMOOTH_SEGMENT_THRESHOLD
+    smooth = curved and segments >= SMOOTH_SEGMENT_THRESHOLD
     return EvaluationOutcome(shape_class, mesh, smooth_curves=smooth, warnings=warnings)
 
 
 def _eval_revolution(
     graph: InstanceGraph, root: EntityInstance, segments: int, kind: str
 ) -> EvaluationOutcome:
-    polygon, profile_name = _profile_polygon(graph, root.attr(0), segments)
-    shape_class = f"{kind}/{_PROFILE_LABELS[profile_name]}"
+    polygon, label, _ = _profile_polygon(graph, root.attr(0), segments)
+    shape_class = f"{kind}/{label}"
     axis = graph.deref(root.attr(2))
     if axis.type_name != "IFCAXIS1PLACEMENT":
         raise UnsupportedShape(f"revolution axis {axis.type_name}")

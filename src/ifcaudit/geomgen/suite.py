@@ -229,13 +229,13 @@ BELOW_PRECISION_ITEM = _item(
 #: Slots absent from the IFC4 suite. IfcSweptDiskSolid itself still exists in
 #: IFC4; F4/F5 are nevertheless excluded here to keep the published item list
 #: authoritative, and the manifest notes record the discrepancy.
-IFC4_EXCLUDED_SLOTS = frozenset({"E1", "E2", "E3", "E4", "F3", "F4", "F5"})
+IFC4_EXCLUDED_SLOTS = frozenset(
+    i.slot for i in SUITE_ITEMS if SchemaVersion.IFC4 not in i.available_in
+)
 
 
 def items_for(schema: SchemaVersion) -> tuple[GeometryTestItem, ...]:
-    if schema is SchemaVersion.IFC2X3:
-        return SUITE_ITEMS
-    return tuple(i for i in SUITE_ITEMS if i.slot not in IFC4_EXCLUDED_SLOTS)
+    return tuple(i for i in SUITE_ITEMS if schema in i.available_in)
 
 
 def item_by_slot(slot: str) -> GeometryTestItem:

@@ -17,7 +17,7 @@ from ._record import FrozenRecord, Record, set_field
 from .errors import BadLength, MixedSign
 from .schema import SchemaVersion
 from .spf.model import UNSET, EntityInstance, EnumToken, InstanceGraph, Reference
-from .spf.values import integers, number, ratios, text, texts
+from .spf.values import integers, number, ratios, target, text, texts
 
 #: Location magnitude below which a placement counts as "at the origin".
 ORIGIN_TOLERANCE = 1e-9
@@ -126,14 +126,10 @@ def _detect_l10(
     hosts = [("site", s, 13) for s in sites] + [("building", b, 11) for b in buildings]
     for host_kind, host, address_index in hosts:
         ref = host.attr(address_index)
-        if not isinstance(ref, Reference):
-            continue
-        try:
-            address = graph.resolve(ref.id)
-        except KeyError:
+        if isinstance(ref, Reference) and ref.id not in graph:
             report.diagnostics.append(f"{host_kind} address reference #{ref.id} dangling")
-            continue
-        if address.type_name != "IFCPOSTALADDRESS":
+        address = target(graph, ref, "IFCPOSTALADDRESS")
+        if address is None:
             continue
         fields = {
             "address_lines": texts(address.attr(4)),
@@ -185,23 +181,11 @@ def _detect_l30(
     graph: InstanceGraph, site: EntityInstance, unit_name: str, report: LoGeoRefReport
 ) -> None:
     placement_ref = site.attr(5)
-    if not isinstance(placement_ref, Reference):
-        return
-    try:
-        placement = graph.resolve(placement_ref.id)
-    except KeyError:
+    if isinstance(placement_ref, Reference) and placement_ref.id not in graph:
         report.diagnostics.append(f"site placement #{placement_ref.id} dangling")
-        return
-    if placement.type_name != "IFCLOCALPLACEMENT":
-        return
-    rel = placement.attr(1)
-    if not isinstance(rel, Reference):
-        return
-    try:
-        axis = graph.resolve(rel.id)
-    except KeyError:
-        return
-    if axis.type_name != "IFCAXIS2PLACEMENT3D":
+    placement = target(graph, placement_ref, "IFCLOCALPLACEMENT")
+    axis = None if placement is None else target(graph, placement.attr(1), "IFCAXIS2PLACEMENT3D")
+    if axis is None:
         return
     location = ratios(graph, axis.attr(0), "IFCCARTESIANPOINT")
     axis_dir = ratios(graph, axis.attr(1), "IFCDIRECTION")
@@ -223,18 +207,14 @@ def _detect_l30(
 def _detect_l40(graph: InstanceGraph, unit_name: str, report: LoGeoRefReport) -> None:
     for context in graph.by_type("IFCGEOMETRICREPRESENTATIONCONTEXT"):
         wcs = context.attr(4)
-        true_north = context.attr(5)
-        origin = None
-        axes_set = False
-        if isinstance(wcs, Reference):
-            try:
-                axis = graph.resolve(wcs.id)
-            except KeyError:
-                continue
-            if axis.type_name == "IFCAXIS2PLACEMENT3D":
-                origin = ratios(graph, axis.attr(0), "IFCCARTESIANPOINT")
-                axes_set = axis.attr(1) is not UNSET or axis.attr(2) is not UNSET
-        north = ratios(graph, true_north, "IFCDIRECTION")
+        if isinstance(wcs, Reference) and wcs.id not in graph:
+            report.diagnostics.append(
+                f"representation context world coordinate system #{wcs.id} dangling"
+            )
+        axis = target(graph, wcs, "IFCAXIS2PLACEMENT3D")
+        origin = None if axis is None else ratios(graph, axis.attr(0), "IFCCARTESIANPOINT")
+        axes_set = axis is not None and (axis.attr(1) is not UNSET or axis.attr(2) is not UNSET)
+        north = ratios(graph, context.attr(5), "IFCDIRECTION")
         origin_nonzero = origin is not None and any(
             abs(c) > ORIGIN_TOLERANCE for c in origin
         )
@@ -259,15 +239,8 @@ def _detect_l50(
         )
         return
     conversion = conversions[0]
-    crs_name = None
-    target = conversion.attr(1)
-    if isinstance(target, Reference):
-        try:
-            crs = graph.resolve(target.id)
-        except KeyError:
-            crs = None
-        if crs is not None and crs.type_name == "IFCPROJECTEDCRS":
-            crs_name = text(crs.attr(0))
+    crs = target(graph, conversion.attr(1), "IFCPROJECTEDCRS")
+    crs_name = None if crs is None else text(crs.attr(0))
     if crs_name is None:
         report.diagnostics.append("IfcMapConversion without IfcProjectedCRS target")
         return

@@ -16,7 +16,6 @@ from .model import (
     SpfHeader,
     Text,
     TypedValue,
-    _Sentinel,
 )
 
 
@@ -24,19 +23,7 @@ def value_of(v) -> AttributeValue:
     """Wrap a plain Python value as an attribute value."""
     if v is None:
         return UNSET
-    if isinstance(
-        v,
-        (
-            _Sentinel,
-            Integer,
-            Real,
-            Text,
-            EnumToken,
-            Reference,
-            TypedValue,
-            ListValue,
-        ),
-    ):
+    if isinstance(v, AttributeValue):
         return v
     if isinstance(v, bool):
         return EnumToken("T" if v else "F")

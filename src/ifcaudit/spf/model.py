@@ -388,7 +388,6 @@ class InstanceGraph:
         self._rows = rows
         self._codes = dict(zip(records.names, range(len(records.names))))  # name -> code
         self._views: dict[int, EntityInstance] = {}
-        self._by_type: dict[str, list[EntityInstance]] = {}
         for instance in (instances or {}).values():
             self.add(instance)
 
@@ -414,8 +413,6 @@ class InstanceGraph:
         t.starts.append(0)
         t.ends.append(0)
         self._views[id] = instance
-        if self._by_type:
-            self._by_type = {}
 
     def resolve(self, id: int) -> EntityInstance:
         inst = self._views.get(id)
@@ -433,20 +430,15 @@ class InstanceGraph:
 
     def by_type(self, type_name: str) -> list[EntityInstance]:
         """All instances with exactly this type name (no subtype roll-up)."""
-        name = type_name.upper()
-        found = self._by_type.get(name)
-        if found is None:
-            code = self._codes.get(name)
-            if code is None:
-                return []
-            codes, views = self._records.codes, self._views
-            found = [
-                views.get(id) or self._view(id, row)
-                for id, row in self._rows.items()
-                if codes[row] == code
-            ]
-            self._by_type[name] = found
-        return found
+        code = self._codes.get(type_name.upper())
+        if code is None:
+            return []
+        codes, views = self._records.codes, self._views
+        return [
+            views.get(id) or self._view(id, row)
+            for id, row in self._rows.items()
+            if codes[row] == code
+        ]
 
     def type_counts(self) -> dict[str, int]:
         """Instances per exact type name, in order of first appearance,

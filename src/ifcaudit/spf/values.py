@@ -1,4 +1,4 @@
-"""Readers for attribute values: numbers, texts and point-like ratios.
+"""Readers for attribute values: numbers, texts, references and ratios.
 
 Every analysis reads attribute trees through these helpers, so a typed
 wrapper such as ``IFCLENGTHMEASURE(2.)`` or a wrong-kind value is handled the
@@ -12,6 +12,7 @@ from typing import Iterator
 
 from .model import (
     AttributeValue,
+    EntityInstance,
     InstanceGraph,
     Integer,
     ListValue,
@@ -75,16 +76,22 @@ def walk(value: AttributeValue) -> Iterator[AttributeValue]:
         yield from walk(value.value)
 
 
+def target(
+    graph: InstanceGraph, value: AttributeValue, type_name: str
+) -> EntityInstance | None:
+    """The ``type_name`` instance that ``value`` references; ``None`` for a
+    non-reference, a dangling reference or another type."""
+    if not isinstance(value, Reference) or value.id not in graph:
+        return None
+    inst = graph.resolve(value.id)
+    return inst if inst.type_name == type_name else None
+
+
 def ratios(
     graph: InstanceGraph, value: AttributeValue, type_name: str
 ) -> list[float] | None:
     """Numbers in the first attribute of the ``type_name`` instance that
     ``value`` references, e.g. a point's coordinates or a direction's
-    ratios. ``None`` for a non-reference, a dangling reference or another
-    type."""
-    if not isinstance(value, Reference) or value.id not in graph:
-        return None
-    inst = graph.resolve(value.id)
-    if inst.type_name != type_name:
-        return None
-    return numbers(inst.attr(0))
+    ratios; ``None`` where :func:`target` gives none."""
+    inst = target(graph, value, type_name)
+    return None if inst is None else numbers(inst.attr(0))

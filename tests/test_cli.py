@@ -700,9 +700,11 @@ def test_early_end_of_parameters_is_malformed(capsys, tmp_path, breakage, comman
     assert lines[0].endswith(f"expected attribute value near '' (at byte {offset})")
 
 
-# raw STEP text of a slot; "ABS" stands for an absolute path outside the dump directory
+# raw STEP text of a slot; "ABS" stands for an absolute path outside the dump directory,
+# and "#1" would be the fallback name of another proxy's dump
 ESCAPING_SLOTS = [
     "../../escaped", "ABS", "\\X\\00", "x\\X\\00y", "", ".", "..", "a\\\\b", "c/d", "L" * 300,
+    "#1", "#x",
 ]
 
 
@@ -710,7 +712,7 @@ ESCAPING_SLOTS = [
     "raw",
     ESCAPING_SLOTS,
     ids=["parent", "absolute", "nul", "inner-nul", "empty", "dot", "dotdot", "backslash", "slash",
-         "too-long"],
+         "too-long", "hash-id", "hash"],
 )
 def test_mesh_dump_stays_in_its_directory(capsys, tmp_path, suite_file, raw):
     from ifcaudit.spf.strings import decode_step_string
@@ -741,6 +743,22 @@ def test_mesh_dump_stays_in_its_directory(capsys, tmp_path, suite_file, raw):
     assert dumps == {p.name for p in (tmp_path / "intact").iterdir()} - {"B2.tris"} | {
         f"#{proxy_id}.tris"
     }
+
+
+def test_mesh_dump_keeps_each_item_of_a_repeated_slot(capsys, tmp_path, suite_file):
+    out, _ = suite_file
+    data = out.read_text(encoding="latin-1")
+    m = re.search(r"#(\d+)=IFCBUILDINGELEMENTPROXY\('[^']*',#\d+,'[^']*','(B2)'", data)
+    out.write_text(data[: m.start(2)] + "B1" + data[m.end(2) :], encoding="latin-1")
+    dump_dir = tmp_path / "meshes"
+    code, stdout, _ = run(capsys, "check", str(out), "--mesh-dump", str(dump_dir))
+    assert code == 0
+    items = json.loads(stdout)["items"]
+    assert [i["slot"] for i in items].count("B1") == 2
+    meshes = sum(i.get("volume") is not None for i in items)
+    dumps = {p.name for p in dump_dir.iterdir()}
+    assert meshes == len(dumps) == 25
+    assert {"B1.tris", f"#{m.group(1)}.tris"} <= dumps and "B2.tris" not in dumps
 
 
 @pytest.mark.parametrize(

@@ -217,6 +217,34 @@ def test_centroid_positions(suite_2x3, proxies_by_slot):
     assert np.allclose(outcome.mesh.centroid, [5.0, 5.0, 1.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("segments", [3, 8, 64])
+def test_triangle_budget_counts_the_mesh(monkeypatch, suite_2x3, suite_ifc4, segments):
+    """Each sweep checks its triangle count against the budget before it
+    builds the mesh; the count is that of the mesh it then builds."""
+    from ifcaudit.geomcheck import evaluate as ev
+    from ifcaudit.geomgen import ShapeKind
+
+    sweeps = {
+        k.root_type
+        for k in (ShapeKind.EXTRUDED_AREA_SOLID, ShapeKind.REVOLVED_AREA_SOLID,
+                  ShapeKind.SWEPT_DISK_SOLID)
+    }
+    budgeted = []
+    monkeypatch.setattr(ev, "_within_budget", budgeted.append)
+    meshes = 0
+    for graph, _ in (suite_2x3, suite_ifc4):
+        for proxy in suite_proxies(graph):
+            (root,) = ev.shape_roots(graph, proxy)
+            if root.type_name not in sweeps:
+                continue
+            budgeted.clear()
+            mesh = ev._evaluate_root(graph, root, segments).mesh
+            expected = [] if mesh is None else [len(mesh.triangles)]
+            assert budgeted == expected, text(proxy.attr(3))
+            meshes += mesh is not None
+    assert meshes == 32  # 19 + 13 sweeps; the other 9 are not displayed
+
+
 # --- faces: concave outlines and inner bounds -----------------------------------
 
 

@@ -145,3 +145,72 @@ def test_report_as_dict_shape():
     assert set(d) == {"levels", "params", "diagnostics"}
     assert d["levels"] == [20]
     assert "20" in d["params"]
+
+
+_NO_CRS = "IfcMapConversion without IfcProjectedCRS target"
+
+#: Each reference a detector follows: the fixture that sets it, the instance
+#: and attribute index holding it, and the report's (levels, diagnostics)
+#: when it is intact, unset, dangling (#97) or names an IFCDIRECTION (#98).
+REFERENCE_EDGES = {
+    "site-address": (georef_fixture_l10, "IFCSITE", 13, {
+        "intact": ([10], []),
+        "unset": ([], []),
+        "dangling": ([], ["site address reference #97 dangling"]),
+        "wrong-type": ([], []),
+    }),
+    "building-address": (lambda: georef_fixture_l10(host="building"), "IFCBUILDING", 11, {
+        "intact": ([10], []),
+        "unset": ([], []),
+        "dangling": ([], ["building address reference #97 dangling"]),
+        "wrong-type": ([], []),
+    }),
+    "site-placement": (georef_fixture_l30, "IFCSITE", 5, {
+        "intact": ([30], []),
+        "unset": ([], []),
+        "dangling": ([], ["site placement #97 dangling"]),
+        "wrong-type": ([], []),
+    }),
+    "relative-placement": (georef_fixture_l30, "IFCLOCALPLACEMENT", 1, {
+        "intact": ([30], []),
+        "unset": ([], []),
+        "dangling": ([], []),
+        "wrong-type": ([], []),
+    }),
+    # TrueNorth is set, so the context is level 40 whatever its WCS
+    "context-wcs": (georef_fixture_l40, "IFCGEOMETRICREPRESENTATIONCONTEXT", 4, {
+        "intact": ([40], []),
+        "unset": ([40], []),
+        "dangling": ([40], ["representation context world coordinate system #97 dangling"]),
+        "wrong-type": ([40], []),
+    }),
+    "map-conversion-crs": (georef_fixture_l50, "IFCMAPCONVERSION", 1, {
+        "intact": ([50], []),
+        "unset": ([], [_NO_CRS]),
+        "dangling": ([], [_NO_CRS]),
+        "wrong-type": ([], [_NO_CRS]),
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "edge, case",
+    [(edge, case) for edge, (*_, cases) in REFERENCE_EDGES.items() for case in cases],
+)
+def test_reference_edges(edge, case):
+    from ifcaudit.spf.build import value_of
+    from ifcaudit.spf.model import UNSET, EntityInstance, Reference
+
+    fixture, type_name, index, cases = REFERENCE_EDGES[edge]
+    graph = fixture()
+    assert 97 not in graph and 98 not in graph
+    graph.add(EntityInstance(98, "IFCDIRECTION", (value_of((0.0, 1.0)),)))
+    (holder,) = graph.by_type(type_name)
+    attrs = list(holder.attributes)
+    assert isinstance(attrs[index], Reference)
+    replacement = {"unset": UNSET, "dangling": Reference(97), "wrong-type": Reference(98)}
+    if case in replacement:
+        attrs[index] = replacement[case]
+        holder._attrs = tuple(attrs)
+    report = detect_georef(graph)
+    assert (report.levels, report.diagnostics) == cases[case]

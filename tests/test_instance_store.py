@@ -83,7 +83,7 @@ def test_census_counts_codes_without_instances(built):
 
 def test_add_after_parse_keeps_the_graph_in_step():
     graph = parse_spf(with_records(b"#5=IFCWALL('w');\n#3=IFCSLAB($);\n"))
-    walls = graph.by_type("IFCWALL")  # cached before the add
+    walls = graph.by_type("IFCWALL")  # listed before the add
     assert [inst.id for inst in walls] == [5]
     wall = EntityInstance(9, "IFCWALL", (Text.of("v"),))
     door = EntityInstance(2, "IFCDOOR", ())

@@ -149,3 +149,15 @@ def parameter_trees(draw):
 def test_written_values_parse_back(values):
     written = ",".join(map(format_value, values)).encode("latin-1")
     assert parse_attributes(written) == (values, [])
+
+
+def test_builder_takes_every_attribute_value():
+    from ifcaudit.spf.build import GraphBuilder, enum
+
+    b = GraphBuilder("IFC4")
+    b.add("IFCSIUNIT", DERIVED, enum("LENGTHUNIT"), None, enum("METRE"))
+    b.add("IFCPIXELTEXTURE", True, False, None, None, None, 2, 1, 8, [Binary("0FF"), Binary("3AB")])
+    graph = b.graph
+    assert graph.resolve(1).attr(0) is DERIVED
+    assert graph.resolve(2).attr(8) == ListValue((Binary("0FF"), Binary("3AB")))
+    assert graph.structurally_equal(parse_spf(write_spf(graph)))

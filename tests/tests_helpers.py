@@ -28,14 +28,20 @@ def _length_unit(b: GraphBuilder) -> Reference:
     return b.add("IFCUNITASSIGNMENT", [metre])
 
 
-def georef_fixture_l10(schema: str = "IFC2X3") -> InstanceGraph:
+def georef_fixture_l10(schema: str = "IFC2X3", host: str = "site") -> InstanceGraph:
+    """A postal address on the site, or on a building when ``host`` is
+    ``"building"``."""
     b = GraphBuilder(schema)
     _length_unit(b)
     address = b.add(
         "IFCPOSTALADDRESS", None, None, None, None, ["Main Street 1"], None,
         "Delft", None, "2628", "NL",
     )
-    _site_skeleton(b, address=address)
+    if host == "building":
+        b.add("IFCBUILDING", *([None] * 11), address)
+        _site_skeleton(b)
+    else:
+        _site_skeleton(b, address=address)
     return b.graph
 
 
