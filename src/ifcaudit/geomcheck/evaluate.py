@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .._lazy import lazy
 from ..errors import MalformedFile, UnsupportedShape
-from ..geomgen.suite import ShapeKind
+from ..geomgen.suite import PROFILE_LAYOUTS, Profile, ShapeKind
 from ..spf.model import (
     AttributeValue,
     EntityInstance,
@@ -48,12 +48,14 @@ TRIANGLE_BUDGET = 2**24
 #: attribute indices of the builder's dimensions in its parameter order,
 #: curved). A curved builder also takes the segment count.
 _PROFILES = {
-    "IFCRECTANGLEPROFILEDEF": ("Rectangle", rectangle_polygon, (3, 4), False),
-    "IFCELLIPSEPROFILEDEF": ("Ellipse", ellipse_polygon, (3, 4), True),
-    "IFCISHAPEPROFILEDEF": ("IShape", ishape_polygon, (3, 4, 5, 6, 7), True),
-    "IFCCRANERAILASHAPEPROFILEDEF": (
-        "CraneRailAShape", crane_rail_polygon, (3, 4, 6, 7, 8, 9, 10, 11, 12, 13), False
-    ),
+    type_name: (profile.value, outline, tuple(index for index, _ in dimensions), curved)
+    for profile, outline, curved in (
+        (Profile.RECTANGLE, rectangle_polygon, False),
+        (Profile.ELLIPSE, ellipse_polygon, True),
+        (Profile.I_SHAPE, ishape_polygon, True),
+        (Profile.CRANE_RAIL_A_SHAPE, crane_rail_polygon, False),
+    )
+    for type_name, _, dimensions in [PROFILE_LAYOUTS[profile]]
 }
 
 
@@ -89,6 +91,14 @@ def classify_z(zmin: float, zmax: float, band: float) -> ZRelation:
 # --- placements ---------------------------------------------------------------
 
 
+def _expect(graph: InstanceGraph, ref: AttributeValue, what: str, *types: str) -> EntityInstance:
+    """The instance ``ref`` names; any type but ``types`` is unsupported."""
+    inst = graph.deref(ref)
+    if inst.type_name not in types:
+        raise UnsupportedShape(f"{what} {inst.type_name}")
+    return inst
+
+
 def _point(graph: InstanceGraph, ref: AttributeValue, dim: int = 3) -> np.ndarray:
     coords = numbers(graph.deref(ref).attr(0)) or []
     coords = coords + [0.0] * (dim - len(coords))
@@ -120,9 +130,7 @@ def axis2_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
     m = np.eye(4)
     if not isinstance(ref, Reference):
         return m
-    inst = graph.deref(ref)
-    if inst.type_name != "IFCAXIS2PLACEMENT3D":
-        raise UnsupportedShape(f"unsupported placement {inst.type_name}")
+    inst = _expect(graph, ref, "unsupported placement", "IFCAXIS2PLACEMENT3D")
     location = _point(graph, inst.attr(0)) if isinstance(inst.attr(0), Reference) else np.zeros(3)
     z = _unit(inst.attr(1), _direction(graph, inst.attr(1), (0.0, 0.0, 1.0)))
     x_hint = _direction(graph, inst.attr(2), (1.0, 0.0, 0.0))
@@ -146,9 +154,7 @@ def placement_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
         if ref.id in seen:
             raise UnsupportedShape(f"placement #{ref.id} is its own ancestor")
         seen.add(ref.id)
-        inst = graph.deref(ref)
-        if inst.type_name != "IFCLOCALPLACEMENT":
-            raise UnsupportedShape(f"unsupported object placement {inst.type_name}")
+        inst = _expect(graph, ref, "unsupported object placement", "IFCLOCALPLACEMENT")
         chain.append(axis2_matrix(graph, inst.attr(1)))
         ref = inst.attr(0)
     matrix = np.eye(4)
@@ -161,9 +167,7 @@ def _profile_polygon(
     graph: InstanceGraph, ref: AttributeValue, segments: int
 ) -> tuple[np.ndarray, str, bool]:
     """Outline of a profile, its shape-class label and whether it is curved."""
-    profile = graph.deref(ref)
-    if profile.type_name not in _PROFILES:
-        raise UnsupportedShape(f"unsupported profile {profile.type_name}")
+    profile = _expect(graph, ref, "unsupported profile", *_PROFILES)
     label, outline, indices, curved = _PROFILES[profile.type_name]
     dimensions = [number(profile.attr(i)) or 0.0 for i in indices]
     poly = outline(*dimensions, segments) if curved else outline(*dimensions)
@@ -334,9 +338,7 @@ def _eval_revolution(
 ) -> EvaluationOutcome:
     polygon, label, _ = _profile_polygon(graph, root.attr(0), segments)
     shape_class = f"{kind}/{label}"
-    axis = graph.deref(root.attr(2))
-    if axis.type_name != "IFCAXIS1PLACEMENT":
-        raise UnsupportedShape(f"revolution axis {axis.type_name}")
+    axis = _expect(graph, root.attr(2), "revolution axis", "IFCAXIS1PLACEMENT")
     axis_point = (
         _point(graph, axis.attr(0)) if isinstance(axis.attr(0), Reference) else np.zeros(3)
     )
@@ -359,9 +361,7 @@ def _eval_swept_disk(
 ) -> EvaluationOutcome:
     shape_class = f"{kind}/Disk"
     warnings: list[str] = []
-    directrix = graph.deref(root.attr(0))
-    if directrix.type_name != "IFCPOLYLINE":
-        raise UnsupportedShape(f"directrix {directrix.type_name}")
+    directrix = _expect(graph, root.attr(0), "directrix", "IFCPOLYLINE")
     point_refs = directrix.attr(0)
     if not isinstance(point_refs, ListValue) or len(point_refs.items) != 2:
         raise UnsupportedShape("only straight two-point directrices are supported")
@@ -422,9 +422,7 @@ def _face_mesh(graph: InstanceGraph, shell: EntityInstance) -> TriMesh:
         outer = None
         for bound_ref in bounds.items if isinstance(bounds, ListValue) else ():
             bound = graph.deref(bound_ref)
-            loop = graph.deref(bound.attr(0))
-            if loop.type_name != "IFCPOLYLOOP":
-                raise UnsupportedShape(f"face bound loop {loop.type_name}")
+            loop = _expect(graph, bound.attr(0), "face bound loop", "IFCPOLYLOOP")
             pts = loop.attr(0)
             coords = [_point(graph, p) for p in pts.items] if isinstance(pts, ListValue) else []
             orientation = bound.attr(1)
@@ -483,12 +481,8 @@ def _half_space_region(
     graph: InstanceGraph, ref: AttributeValue
 ) -> tuple[int, float, bool]:
     """(axis index, bound, material_below) of an axis-aligned half space."""
-    inst = graph.deref(ref)
-    if inst.type_name != "IFCHALFSPACESOLID":
-        raise UnsupportedShape(f"unsupported second operand {inst.type_name}")
-    plane = graph.deref(inst.attr(0))
-    if plane.type_name != "IFCPLANE":
-        raise UnsupportedShape(f"half space surface {plane.type_name}")
+    inst = _expect(graph, ref, "unsupported second operand", "IFCHALFSPACESOLID")
+    plane = _expect(graph, inst.attr(0), "half space surface", "IFCPLANE")
     m = axis2_matrix(graph, plane.attr(0))
     normal = m[:3, 2]
     location = m[:3, 3]

@@ -13,32 +13,14 @@ from ..spf.build import GraphBuilder, enum, typed
 from ..spf.model import DERIVED, EntityInstance, InstanceGraph, Reference
 from .suite import (
     BELOW_PRECISION_ITEM,
-    CRANE_BASE_DEPTH_1,
-    CRANE_BASE_DEPTH_2,
-    CRANE_BASE_DEPTH_3,
-    CRANE_BASE_WIDTH,
-    CRANE_BASE_WIDTH_4,
-    CRANE_HEAD_DEPTH_2,
-    CRANE_HEAD_DEPTH_3,
-    CRANE_HEAD_WIDTH,
-    CRANE_HEIGHT,
-    CRANE_WEB_THICKNESS,
     CUBE_EDGE,
     CUBE_OVERLAP,
     DEFAULT_PRECISION,
     DEFAULT_SPACING,
     DIRECTRIX_LENGTH,
     DISK_RADIUS,
-    ELLIPSE_SEMI_1,
-    ELLIPSE_SEMI_2,
     EXTRUSION_DEPTH,
-    ISHAPE_DEPTH,
-    ISHAPE_FILLET,
-    ISHAPE_FLANGE,
-    ISHAPE_WEB,
-    ISHAPE_WIDTH,
-    RECT_X,
-    RECT_Y,
+    PROFILE_LAYOUTS,
     REVOLVE_AXIS_OFFSET,
     SLANT_COMPONENT,
     GeometryTestItem,
@@ -81,17 +63,15 @@ def _timestamp(explicit: str | None) -> str:
 class _SuiteWriter:
     """Tracks the spine instances while items are appended."""
 
-    def __init__(self, schema: SchemaVersion, precision: float, timestamp: str):
+    def __init__(self, schema: SchemaVersion, builder: GraphBuilder, seed: str):
         self.schema = schema
-        self.b = GraphBuilder(
-            schema.value,
-            model_name="IFC geometries",
-            timestamp=timestamp,
-        )
-        b = self.b
-        seed = f"ifcaudit:{schema.value}"
+        self.b = builder
         self._seed = seed
 
+    def spine(self, precision: float) -> None:
+        """Add the project, its units and context, and the site, building
+        and storey that hold the items."""
+        b = self.b
         person = b.add("IFCPERSON", None, "benchmark", None, None, None, None, None, None)
         org = b.add("IFCORGANIZATION", None, "ifcaudit", None, None, None)
         pao = b.add("IFCPERSONANDORGANIZATION", person, org, None)
@@ -190,55 +170,15 @@ def _positive_length(value: float):
     return typed("IFCPOSITIVELENGTHMEASURE", float(value))
 
 
-def _rectangle_profile(w: _SuiteWriter, x_dim: float, y_dim: float,
-                       cx: float = 0.0, cy: float = 0.0) -> Reference:
-    return w.b.add(
-        "IFCRECTANGLEPROFILEDEF", enum("AREA"), None, w.axis2d(cx, cy),
-        _positive_length(x_dim), _positive_length(y_dim),
-    )
-
-
-def _ellipse_profile(w: _SuiteWriter, cx: float = 0.0) -> Reference:
-    return w.b.add(
-        "IFCELLIPSEPROFILEDEF", enum("AREA"), None, w.axis2d(cx, 0.0),
-        _positive_length(ELLIPSE_SEMI_1), _positive_length(ELLIPSE_SEMI_2),
-    )
-
-
-def _ishape_profile(w: _SuiteWriter, cx: float = 0.0) -> Reference:
-    attrs = [
-        enum("AREA"), None, w.axis2d(cx, 0.0),
-        _positive_length(ISHAPE_WIDTH), _positive_length(ISHAPE_DEPTH),
-        _positive_length(ISHAPE_WEB), _positive_length(ISHAPE_FLANGE),
-        _positive_length(ISHAPE_FILLET),
-    ]
-    if w.schema is SchemaVersion.IFC4:
-        attrs.extend([None, None])  # FlangeEdgeRadius, FlangeSlope
-    return w.b.add("IFCISHAPEPROFILEDEF", *attrs)
-
-
-def _crane_rail_profile(w: _SuiteWriter, cx: float = 0.0) -> Reference:
-    return w.b.add(
-        "IFCCRANERAILASHAPEPROFILEDEF", enum("AREA"), None, w.axis2d(cx, 0.0),
-        _positive_length(CRANE_HEIGHT), _positive_length(CRANE_BASE_WIDTH), None,
-        _positive_length(CRANE_HEAD_WIDTH), _positive_length(CRANE_HEAD_DEPTH_2),
-        _positive_length(CRANE_HEAD_DEPTH_3), _positive_length(CRANE_WEB_THICKNESS),
-        _positive_length(CRANE_BASE_WIDTH_4), _positive_length(CRANE_BASE_DEPTH_1),
-        _positive_length(CRANE_BASE_DEPTH_2), _positive_length(CRANE_BASE_DEPTH_3),
-        None,
-    )
-
-
-def _profile_for(w: _SuiteWriter, profile: Profile, cx: float = 0.0) -> Reference:
-    if profile is Profile.RECTANGLE:
-        return _rectangle_profile(w, RECT_X, RECT_Y, cx, 0.0)
-    if profile is Profile.ELLIPSE:
-        return _ellipse_profile(w, cx)
-    if profile is Profile.I_SHAPE:
-        return _ishape_profile(w, cx)
-    if profile is Profile.CRANE_RAIL_A_SHAPE:
-        return _crane_rail_profile(w, cx)
-    raise ValueError(f"no swept profile for {profile}")
+def _profile(w: _SuiteWriter, profile: Profile, cx: float = 0.0, cy: float = 0.0,
+             dimensions: tuple[tuple[int, float], ...] | None = None) -> Reference:
+    """A profile at (cx, cy) laid out by ``PROFILE_LAYOUTS``; ``dimensions`` replace its own."""
+    type_name, counts, layout = PROFILE_LAYOUTS[profile]
+    attrs = [None] * counts[w.schema.value]
+    attrs[0], attrs[2] = enum("AREA"), w.axis2d(cx, cy)
+    for index, value in dimensions or layout:
+        attrs[index] = _positive_length(value)
+    return w.b.add(type_name, *attrs)
 
 
 def _brep_cube(w: _SuiteWriter, x0: float, y0: float, z0: float,
@@ -264,7 +204,8 @@ def _brep_cube(w: _SuiteWriter, x0: float, y0: float, z0: float,
 
 def _extruded_cube(w: _SuiteWriter) -> Reference:
     # unit cube [0,1]^3 as an extrusion (clipping operands must be swept solids)
-    profile = _rectangle_profile(w, CUBE_EDGE, CUBE_EDGE, CUBE_EDGE / 2, CUBE_EDGE / 2)
+    cube_face = ((3, CUBE_EDGE), (4, CUBE_EDGE))
+    profile = _profile(w, Profile.RECTANGLE, CUBE_EDGE / 2, CUBE_EDGE / 2, cube_face)
     return w.b.add(
         "IFCEXTRUDEDAREASOLID", profile, w.axis3(), w.direction(0.0, 0.0, 1.0),
         _positive_length(CUBE_EDGE),
@@ -318,7 +259,7 @@ def build_geometry(
         return b.add("IFCFACETEDBREP", _brep_cube(w, 0.0, 0.0, 0.0)), "Brep"
 
     if kind is ShapeKind.EXTRUDED_AREA_SOLID:
-        profile = _profile_for(w, item.profile)
+        profile = _profile(w, item.profile)
         depth = EXTRUSION_DEPTH
         if item.variant is Variant.NEGATIVE_DEPTH:
             depth = -EXTRUSION_DEPTH
@@ -334,7 +275,7 @@ def build_geometry(
         return root, "SweptSolid"
 
     if kind is ShapeKind.REVOLVED_AREA_SOLID:
-        profile = _profile_for(w, item.profile, cx=REVOLVE_AXIS_OFFSET)
+        profile = _profile(w, item.profile, cx=REVOLVE_AXIS_OFFSET)
         axis = b.add(
             "IFCAXIS1PLACEMENT", w.point(0.0, 0.0, 0.0), w.direction(0.0, 1.0, 0.0)
         )
@@ -374,7 +315,9 @@ def generate_geometry_suite(
         raise ValueError(f"spacing must be finite and positive, not {spacing}")
     if not (math.isfinite(precision) and precision > 0):
         raise ValueError(f"precision must be finite and positive, not {precision}")
-    writer = _SuiteWriter(schema, precision, _timestamp(timestamp))
+    builder = GraphBuilder(schema.value, "IFC geometries", _timestamp(timestamp))
+    writer = _SuiteWriter(schema, builder, f"ifcaudit:{schema.value}")
+    writer.spine(precision)
     items = list(items_for(schema))
     if include_below_precision_item:
         items.append(BELOW_PRECISION_ITEM)
@@ -413,10 +356,8 @@ def generate_item(
     """
     if schema not in item.available_in:
         raise UnavailableItem(f"{item.slot} ({item.definition_name}) not in {schema.value}")
-    writer = _SuiteWriter.__new__(_SuiteWriter)
-    writer.schema = schema
-    writer.b = GraphBuilder(schema.value)
-    writer._seed = f"ifcaudit:{schema.value}:{item.slot}"
+    seed = f"ifcaudit:{schema.value}:{item.slot}"
+    writer = _SuiteWriter(schema, GraphBuilder(schema.value), seed)
     root, _ = build_geometry(writer, item, precision)
     assert root.id in writer.b.graph
     return list(writer.b.graph)

@@ -117,6 +117,12 @@ def detect_georef(graph: InstanceGraph) -> LoGeoRefReport:
     return report
 
 
+def _dangling(graph: InstanceGraph, value, what: str, report: LoGeoRefReport) -> None:
+    """Name a reference that a detector follows when its target is missing."""
+    if isinstance(value, Reference) and value.id not in graph:
+        report.diagnostics.append(f"{what} #{value.id} dangling")
+
+
 def _detect_l10(
     graph: InstanceGraph,
     sites: list[EntityInstance],
@@ -126,11 +132,10 @@ def _detect_l10(
     hosts = [("site", s, 13) for s in sites] + [("building", b, 11) for b in buildings]
     for host_kind, host, address_index in hosts:
         ref = host.attr(address_index)
-        if isinstance(ref, Reference) and ref.id not in graph:
-            report.diagnostics.append(f"{host_kind} address reference #{ref.id} dangling")
+        _dangling(graph, ref, f"{host_kind} address reference", report)
         address = target(graph, ref, "IFCPOSTALADDRESS")
-        if address is None:
-            continue
+        if address is None or LoGeoRefLevel.L10 in report.detected:
+            continue  # the first address is the payload
         fields = {
             "address_lines": texts(address.attr(4)),
             "postal_box": text(address.attr(5)),
@@ -143,7 +148,6 @@ def _detect_l10(
             LoGeoRefLevel.L10,
             {"host": host_kind, **{k: v for k, v in fields.items() if v}},
         )
-        return
 
 
 def _detect_l20(
@@ -181,10 +185,11 @@ def _detect_l30(
     graph: InstanceGraph, site: EntityInstance, unit_name: str, report: LoGeoRefReport
 ) -> None:
     placement_ref = site.attr(5)
-    if isinstance(placement_ref, Reference) and placement_ref.id not in graph:
-        report.diagnostics.append(f"site placement #{placement_ref.id} dangling")
+    _dangling(graph, placement_ref, "site placement", report)
     placement = target(graph, placement_ref, "IFCLOCALPLACEMENT")
-    axis = None if placement is None else target(graph, placement.attr(1), "IFCAXIS2PLACEMENT3D")
+    relative = UNSET if placement is None else placement.attr(1)
+    _dangling(graph, relative, "site relative placement", report)
+    axis = target(graph, relative, "IFCAXIS2PLACEMENT3D")
     if axis is None:
         return
     location = ratios(graph, axis.attr(0), "IFCCARTESIANPOINT")
@@ -207,10 +212,7 @@ def _detect_l30(
 def _detect_l40(graph: InstanceGraph, unit_name: str, report: LoGeoRefReport) -> None:
     for context in graph.by_type("IFCGEOMETRICREPRESENTATIONCONTEXT"):
         wcs = context.attr(4)
-        if isinstance(wcs, Reference) and wcs.id not in graph:
-            report.diagnostics.append(
-                f"representation context world coordinate system #{wcs.id} dangling"
-            )
+        _dangling(graph, wcs, "representation context world coordinate system", report)
         axis = target(graph, wcs, "IFCAXIS2PLACEMENT3D")
         origin = None if axis is None else ratios(graph, axis.attr(0), "IFCCARTESIANPOINT")
         axes_set = axis is not None and (axis.attr(1) is not UNSET or axis.attr(2) is not UNSET)
@@ -239,6 +241,7 @@ def _detect_l50(
         )
         return
     conversion = conversions[0]
+    _dangling(graph, conversion.attr(1), "map conversion target CRS", report)
     crs = target(graph, conversion.attr(1), "IFCPROJECTEDCRS")
     crs_name = None if crs is None else text(crs.attr(0))
     if crs_name is None:

@@ -914,6 +914,21 @@ def test_check_reports_broken_faces(capsys, tmp_path, slot, mutation, error):
     }
 
 
+def repoint(source, path, record, index, new_record: str):
+    """Write ``source`` to ``path`` with attribute ``index`` of ``record``
+    naming a new instance #99999 of ``new_record``; return ``path``."""
+
+    def point_at_new(match):
+        args = match[2].split(",")
+        args[index] = "#99999"
+        return f"{match[1]}({','.join(args)});"
+
+    data = re.sub(rf"^(#{record.id}=\w+)\((.*)\);$", point_at_new, source.read_text(), flags=re.M)
+    data = data.replace("ENDSEC;\nEND-ISO", f"#99999={new_record};\nENDSEC;\nEND-ISO")
+    path.write_text(data)
+    return path
+
+
 def _zero_direction_target(graph, case):
     """(slot, record, attribute index, dimension) of the direction to zero."""
     from ifcaudit.geomcheck import shape_roots
@@ -943,17 +958,8 @@ def test_zero_length_direction_is_an_item_error(capsys, tmp_path, suite_file, ca
     intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
 
     slot, record, index, dim = _zero_direction_target(load(out), case)
-
-    def point_at_zero(match):
-        args = match[2].split(",")
-        args[index] = "#99999"
-        return f"{match[1]}({','.join(args)});"
-
-    data = re.sub(rf"^(#{record.id}=\w+)\((.*)\);$", point_at_zero, out.read_text(), flags=re.M)
     zero = ",".join(["0."] * dim)
-    data = data.replace("ENDSEC;\nEND-ISO", f"#99999=IFCDIRECTION(({zero}));\nENDSEC;\nEND-ISO")
-    path = tmp_path / "zero.ifc"
-    path.write_text(data)
+    path = repoint(out, tmp_path / "zero.ifc", record, index, f"IFCDIRECTION(({zero}))")
 
     code, stdout, err = run(capsys, "check", str(path))
     assert code == 0
@@ -966,5 +972,68 @@ def test_zero_length_direction_is_an_item_error(capsys, tmp_path, suite_file, ca
     assert items.pop(slot) == {
         "slot": slot, "definition": intact[slot]["definition"], **verdict_of(intact[slot]),
         "error": "direction #99999 has length 0",
+    }
+    assert items == {s: i for s, i in intact.items() if s != slot}
+
+
+def _wrong_type_target(graph, read):
+    """(slot, record, attribute index) of the reference a strict read follows."""
+    from ifcaudit.geomcheck import shape_roots
+
+    proxies = {text(p.attr(3)): p for p in graph.by_type("IFCBUILDINGELEMENTPROXY")}
+
+    def root(slot):
+        return shape_roots(graph, proxies[slot])[0]
+
+    if read == "placement":  # the RelativePlacement of B2's IfcLocalPlacement
+        return "B2", graph.deref(proxies["B2"].attr(5)), 1
+    if read == "object placement":
+        return "B2", proxies["B2"], 5
+    if read == "profile":
+        return "B2", root("B2"), 0
+    if read == "revolution axis":
+        return "E5", root("E5"), 2
+    if read == "directrix":
+        return "F4", root("F4"), 0
+    if read == "face bound loop":  # of B1's first face's first bound
+        face = graph.deref(graph.deref(root("B1").attr(0)).attr(0).items[0])
+        return "B1", graph.deref(face.attr(0).items[0]), 0
+    if read == "second operand":  # A4's half space
+        return "A4", root("A4"), 2
+    return "A4", graph.deref(root("A4").attr(2)), 0  # the half space's surface
+
+
+@pytest.mark.parametrize(
+    "read, error",
+    [
+        ("placement", "unsupported placement IFCDIRECTION"),
+        ("object placement", "unsupported object placement IFCDIRECTION"),
+        ("profile", "unsupported profile IFCDIRECTION"),
+        ("revolution axis", "revolution axis IFCDIRECTION"),
+        ("directrix", "directrix IFCDIRECTION"),
+        ("face bound loop", "face bound loop IFCDIRECTION"),
+        # the boolean reads its second operand as a box unless it is a half space
+        ("second operand", "unsupported boolean operand IFCDIRECTION"),
+        ("half space surface", "half space surface IFCDIRECTION"),
+    ],
+)
+def test_reference_of_the_wrong_type_is_an_item_error(capsys, tmp_path, suite_file, read, error):
+    from ifcaudit.spf import load
+
+    out, _ = suite_file
+    capsys.readouterr()  # what generate printed
+    code, stdout, err = run(capsys, "check", str(out))
+    assert code == 0 and err == ""
+    intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
+
+    slot, record, index = _wrong_type_target(load(out), read)
+    path = repoint(out, tmp_path / "wrong.ifc", record, index, "IFCDIRECTION((1.,0.,0.))")
+    code, stdout, err = run(capsys, "check", str(path))
+    assert code == 0
+    assert err == f"{slot}: error: {error}\n"
+    items = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    assert items.pop(slot) == {
+        "slot": slot, "definition": intact[slot]["definition"], **verdict_of(intact[slot]),
+        "error": error,
     }
     assert items == {s: i for s, i in intact.items() if s != slot}

@@ -15,6 +15,7 @@ from ifcaudit.geomcheck import (
 )
 from ifcaudit.geomcheck.evaluate import _face_mesh
 from ifcaudit.geomgen import SLANT_COMPONENT
+from ifcaudit.spf.model import Reference
 from ifcaudit.spf.values import text
 from oracles import (
     column_volume,
@@ -243,6 +244,18 @@ def test_triangle_budget_counts_the_mesh(monkeypatch, suite_2x3, suite_ifc4, seg
             assert budgeted == expected, text(proxy.attr(3))
             meshes += mesh is not None
     assert meshes == 32  # 19 + 13 sweeps; the other 9 are not displayed
+
+
+def test_half_space_region_names_a_second_operand_of_another_type(suite_2x3):
+    # _eval_boolean reads any other operand as a box, so only a direct call
+    # reaches this check
+    from ifcaudit.errors import UnsupportedShape
+    from ifcaudit.geomcheck.evaluate import _half_space_region
+
+    graph, _ = suite_2x3
+    (plane,) = graph.by_type("IFCPLANE")
+    with pytest.raises(UnsupportedShape, match="^unsupported second operand IFCPLANE$"):
+        _half_space_region(graph, Reference(plane.id))
 
 
 # --- faces: concave outlines and inner bounds -----------------------------------

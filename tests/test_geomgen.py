@@ -198,3 +198,47 @@ def test_spacing_controls_positions(proxies_by_slot, suite_2x3):
         m = placement_matrix(graph, proxy.attr(5))
         assert m[0, 3] == (col - 1) * manifest.grid_spacing
         assert m[1, 3] == row_idx * manifest.grid_spacing
+
+
+#: SHA-256 of the suites and of every item's fragment at a pinned timestamp:
+#: a change to the generator that moves one byte of its output fails here.
+PINNED_SUITE_DIGESTS = {
+    ("IFC2X3", False): "af2da86147a0eea7d1e2cd874fa5b53bc834791e67ad6605d078712c2461a25e",
+    ("IFC2X3", True): "f2815d59f8828fce67145734e52ce14bd657323cc6b76af83eb80e2ecdf96080",
+    ("IFC4", False): "6f99b781a07605016d34c8feeff9d9e641cabf8d326d0eb648ac87023c3a1367",
+    ("IFC4", True): "0e47759dc740fd1063e4ef76d57f8f165224dc91572b133920d1bb767506b504",
+}
+PINNED_FRAGMENT_DIGEST = "1b8d88f621e63ddf75dcd8ac40394a607c28db65a3f51da51a4af505d57672b7"
+
+
+def _digest(chunks) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("schema", list(SchemaVersion))
+@pytest.mark.parametrize("below_precision", [False, True])
+def test_generated_suite_bytes_are_pinned(schema, below_precision):
+    graph, _ = generate_geometry_suite(
+        schema, timestamp="2020-01-01T00:00:00",
+        include_below_precision_item=below_precision,
+    )
+    digest = _digest([write_spf(graph)])
+    assert digest == PINNED_SUITE_DIGESTS[schema.value, below_precision]
+
+
+def test_generated_item_fragments_are_pinned():
+    from ifcaudit.spf import format_instance
+
+    def lines():
+        for schema in SchemaVersion:
+            for item in items_for(schema) + (BELOW_PRECISION_ITEM,):
+                yield f"{schema.value} {item.slot}\n".encode()
+                for inst in generate_item(item, schema):
+                    yield (format_instance(inst) + "\n").encode("latin-1")
+
+    assert _digest(lines()) == PINNED_FRAGMENT_DIGEST

@@ -174,7 +174,7 @@ REFERENCE_EDGES = {
     "relative-placement": (georef_fixture_l30, "IFCLOCALPLACEMENT", 1, {
         "intact": ([30], []),
         "unset": ([], []),
-        "dangling": ([], []),
+        "dangling": ([], ["site relative placement #97 dangling"]),
         "wrong-type": ([], []),
     }),
     # TrueNorth is set, so the context is level 40 whatever its WCS
@@ -187,7 +187,7 @@ REFERENCE_EDGES = {
     "map-conversion-crs": (georef_fixture_l50, "IFCMAPCONVERSION", 1, {
         "intact": ([50], []),
         "unset": ([], [_NO_CRS]),
-        "dangling": ([], [_NO_CRS]),
+        "dangling": ([], ["map conversion target CRS #97 dangling", _NO_CRS]),
         "wrong-type": ([], [_NO_CRS]),
     }),
 }
@@ -214,3 +214,16 @@ def test_reference_edges(edge, case):
         holder._attrs = tuple(attrs)
     report = detect_georef(graph)
     assert (report.levels, report.diagnostics) == cases[case]
+
+
+def test_dangling_building_address_behind_a_site_address():
+    # the site's address is the payload, and the building's is still checked
+    from ifcaudit.spf.model import UNSET, EntityInstance, Reference
+
+    graph = georef_fixture_l10()
+    assert 97 not in graph
+    graph.add(EntityInstance(99, "IFCBUILDING", tuple([UNSET] * 11) + (Reference(97),)))
+    report = detect_georef(graph)
+    assert report.levels == [10]
+    assert report.detected[LoGeoRefLevel.L10].payload["host"] == "site"
+    assert report.diagnostics == ["building address reference #97 dangling"]
