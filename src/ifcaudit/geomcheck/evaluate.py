@@ -269,8 +269,9 @@ def evaluate_item(
     world = placement_matrix(graph, proxy.attr(5))
     outcome = _evaluate_root(graph, root, segments)
     if outcome.mesh is not None:
-        mesh = outcome.mesh.transformed(world).welded(precision)
-        outcome.mesh = mesh
+        # the local mesh goes before the weld, which holds two world meshes
+        mesh, outcome.mesh = outcome.mesh.transformed(world), None
+        mesh = outcome.mesh = mesh.welded(precision)
         zmin, zmax = mesh.bbox[0][2], mesh.bbox[1][2]
         outcome.z_relation = classify_z(zmin, zmax, precision)
         if outcome.is_surface_model:
@@ -431,6 +432,9 @@ def _face_mesh(graph: InstanceGraph, shell: EntityInstance) -> TriMesh:
             if outer is None and bound.type_name == "IFCFACEOUTERBOUND":
                 outer = len(loops)
             loops.append(np.array(coords).reshape(-1, 3))
+        # ear clipping makes n - 2 triangles of a ring of n points, and each
+        # inner bound's bridge adds two points to the ring
+        _within_budget(sum(map(len, loops)) + 2 * len(loops) - 4)
         try:
             face_tris = triangulate_face(loops, outer)
         except ValueError as exc:
@@ -478,10 +482,9 @@ def _box_of_operand(graph: InstanceGraph, ref: AttributeValue) -> tuple[np.ndarr
 
 
 def _half_space_region(
-    graph: InstanceGraph, ref: AttributeValue
+    graph: InstanceGraph, inst: EntityInstance
 ) -> tuple[int, float, bool]:
     """(axis index, bound, material_below) of an axis-aligned half space."""
-    inst = _expect(graph, ref, "unsupported second operand", "IFCHALFSPACESOLID")
     plane = _expect(graph, inst.attr(0), "half space surface", "IFCPLANE")
     m = axis2_matrix(graph, plane.attr(0))
     normal = m[:3, 2]
@@ -515,7 +518,7 @@ def _eval_boolean(
     first_box = _box_of_operand(graph, root.attr(1))
 
     if second_inst.type_name == "IFCHALFSPACESOLID":
-        axis, bound, material_below = _half_space_region(graph, root.attr(2))
+        axis, bound, material_below = _half_space_region(graph, second_inst)
         if op != "DIFFERENCE":
             raise UnsupportedShape(f"half-space operand with operator {op}")
         lo, hi = first_box[0].copy(), first_box[1].copy()

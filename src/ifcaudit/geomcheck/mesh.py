@@ -17,6 +17,7 @@ from ..errors import UnsupportedShape
 np = lazy("numpy")  # only evaluating geometry loads numpy
 
 _DUMP_ROWS = 4096  # triangles per block of ``dump_ascii``'s text
+_MEASURE_ROWS = 1 << 14  # triangles per block of ``_measures``' corners
 
 
 def cross3(a, b):
@@ -39,10 +40,12 @@ class TriMesh:
     @cached_property
     def _measures(self) -> tuple[float, float, np.ndarray]:
         """Signed volume, surface area and centroid from one gather of the
-        corners. A triangle's doubled vector area ``n = (b - a) x (c - a)``
-        gives its area and, as ``a . n = a . (b x c)``, six times the signed
-        volume of its tetrahedron against the bounding-box centre: the corners
-        are taken relative to it, and it is added back to the centroid."""
+        corners, ``_MEASURE_ROWS`` triangles at a time, so that no array the
+        size of all the corners is held. A triangle's doubled vector area
+        ``n = (b - a) x (c - a)`` gives its area and, as ``a . n = a . (b x
+        c)``, six times the signed volume of its tetrahedron against the
+        bounding-box centre: the corners are taken relative to it, and it is
+        added back to the centroid."""
         t = self.triangles
         if not len(t):
             return 0.0, 0.0, self.vertices.mean(axis=0)
@@ -50,24 +53,30 @@ class TriMesh:
         centre = (lo + hi) / 2.0
         # x, y and z rows, relative to the centre
         v = np.subtract(self.vertices.T, centre[:, None], order="C")
-        a, b, c = (v.take(t[:, k], axis=1) for k in range(3))
-        b -= a  # edges, in place: three corner-sized arrays at most
-        c -= a
-        n = cross3(b, c)
-        tet = np.einsum("ij,ij->j", a, n)
-        volume = float(tet.sum() / 6.0)
-        doubled = np.sqrt(np.einsum("ij,ij->j", n, n))
-        area = float(doubled.sum() / 2.0)
-        del n
-        a *= 3.0  # 3a + (b - a) + (c - a): four times a tetrahedron's centroid
-        a += b
-        a += c
+        six_volume = doubled_area = 0.0
+        volume_moment, area_moment = np.zeros(3), np.zeros(3)
+        for start in range(0, len(t), _MEASURE_ROWS):
+            block = t[start : start + _MEASURE_ROWS]
+            a, b, c = (v.take(block[:, k], axis=1) for k in range(3))
+            b -= a  # edges, in place: three block-sized arrays at most
+            c -= a
+            n = cross3(b, c)
+            tet = np.einsum("ij,ij->j", a, n)
+            doubled = np.sqrt(np.einsum("ij,ij->j", n, n))
+            a *= 3.0  # 3a + (b - a) + (c - a): four times a tetrahedron's centroid
+            a += b
+            a += c
+            six_volume += tet.sum()
+            doubled_area += doubled.sum()
+            volume_moment += np.einsum("ij,j->i", a, tet)
+            area_moment += np.einsum("ij,j->i", a, doubled)
+        volume, area = float(six_volume / 6.0), float(doubled_area / 2.0)
         if abs(volume) > 1e-12:
             # volume centroid of a closed mesh
-            centroid = np.einsum("ij,j->i", a, tet) / (4.0 * tet.sum()) + centre
+            centroid = volume_moment / (4.0 * six_volume) + centre
         elif area:
             # area centroid of an open surface model
-            centroid = np.einsum("ij,j->i", a, doubled) / (3.0 * doubled.sum()) + centre
+            centroid = area_moment / (3.0 * doubled_area) + centre
         else:
             centroid = self.vertices.mean(axis=0)
         return volume, area, centroid
@@ -105,7 +114,8 @@ class TriMesh:
             raise UnsupportedShape(f"weld grid overflows: coordinate {reach:g}, precision {tol:g}")
         # x, y and z keys, one contiguous row each; floats, which an integer
         # cast would overflow far from the origin, sort and compare the same
-        keys = np.round(self.vertices / tol).T.copy()
+        keys = np.divide(self.vertices.T, tol, order="C")
+        np.round(keys, out=keys)
         # a stable sort, x key first: the order, first indices and inverse
         # of np.unique(keys.T, axis=0), without its structured row copies
         order = np.lexsort(keys[::-1])
@@ -113,9 +123,11 @@ class TriMesh:
         starts = np.empty(len(order), dtype=bool)
         starts[0] = True
         np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=starts[1:])
+        del keys
         first = order[starts]
         inverse = np.empty(len(order), dtype=np.int64)
         inverse[order] = np.cumsum(starts) - 1
+        del order, starts  # freed before the vertices and triangles are gathered
         vertices = self.vertices[first]
         triangles = inverse[self.triangles]
         ok = (
@@ -127,9 +139,6 @@ class TriMesh:
 
     def flipped(self) -> "TriMesh":
         return TriMesh(self.vertices, self.triangles[:, ::-1])
-
-    def oriented_outward(self) -> "TriMesh":
-        return self.flipped() if self.signed_volume < 0 else self
 
     def transformed(self, matrix: np.ndarray) -> "TriMesh":
         """Apply a 4x4 homogeneous transform."""

@@ -376,21 +376,28 @@ def strip_triangles(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     of ``upper`` becomes ``(i, j, j')`` and ``(i, j', i')``; the result has
     shape ``(..., n, 2, 3)``, quads in ring order.
     """
-    i, j = lower, np.roll(lower, -1, axis=-1)
-    i2, j2 = upper, np.roll(upper, -1, axis=-1)
-    return np.stack([np.stack([i, j, j2], -1), np.stack([i, j2, i2], -1)], -2)
+    tris = np.empty((*lower.shape, 2, 3), dtype=np.int64)
+    tris[..., 0] = lower[..., None]  # i, in both triangles
+    tris[..., :-1, 0, 1] = lower[..., 1:]  # j
+    tris[..., -1, 0, 1] = lower[..., 0]
+    tris[..., :-1, 0, 2] = upper[..., 1:]  # j'
+    tris[..., -1, 0, 2] = upper[..., 0]
+    tris[..., 1, 1] = tris[..., 0, 2]
+    tris[..., 1, 2] = upper  # i'
+    return tris
 
 
 def extrude_polygon(polygon: np.ndarray, sweep: np.ndarray) -> TriMesh:
     """Prism swept from a polygon in the z=0 plane along ``sweep``.
 
-    The polygon is made counter-clockwise for the caps; the finished mesh
-    is oriented outward whichever way the sweep points.
+    The polygon is made counter-clockwise for the caps, so the mesh faces
+    outward when the sweep rises and is flipped when it falls.
     """
     polygon = ensure_ccw(np.asarray(polygon, dtype=np.float64))
+    sweep = np.asarray(sweep, dtype=np.float64)
     n = len(polygon)
     base = np.column_stack([polygon, np.zeros(n)])
-    top = base + np.asarray(sweep, dtype=np.float64)
+    top = base + sweep
     caps = ear_clip(polygon)
     ring = np.arange(n)
     tris = np.vstack([
@@ -398,7 +405,8 @@ def extrude_polygon(polygon: np.ndarray, sweep: np.ndarray) -> TriMesh:
         caps + n,  # top
         strip_triangles(ring, ring + n).reshape(-1, 3),
     ])
-    return TriMesh(np.vstack([base, top]), tris).oriented_outward()
+    mesh = TriMesh(np.vstack([base, top]), tris)
+    return mesh.flipped() if sweep[2] < 0 else mesh
 
 
 def revolve_polygon(
@@ -409,7 +417,11 @@ def revolve_polygon(
 ) -> TriMesh:
     """Full-sweep solid of revolution of a polygon in the z=0 plane about an
     axis lying in that plane, through ``axis_point`` along the unit vector
-    ``axis_dir``."""
+    ``axis_dir``.
+
+    The strips enclose a volume of the sign opposite to the profile's first
+    moment about the axis, so the mesh is flipped when that moment is
+    positive; a profile without one keeps the winding it is built with."""
     polygon = np.asarray(polygon, dtype=np.float64)
     axis_point = np.asarray(axis_point, dtype=np.float64)
     k = np.asarray(axis_dir, dtype=np.float64)
@@ -425,13 +437,20 @@ def revolve_polygon(
     ) + axis_point
     index = np.arange(segments * len(p)).reshape(segments, len(p))
     tris = strip_triangles(index, np.roll(index, -1, axis=0))
-    return TriMesh(rings.reshape(-1, 3), tris.reshape(-1, 3)).oriented_outward()
+    mesh = TriMesh(rings.reshape(-1, 3), tris.reshape(-1, 3))
+    # six times the sum of (centroid x k)_z times area over the triangles
+    # (axis point, p_i, p_i+1)
+    x, y = p[:, 0], p[:, 1]
+    x2, y2 = np.roll(x, -1), np.roll(y, -1)
+    moment = (((x + x2) * k[1] - (y + y2) * k[0]) * (x * y2 - x2 * y)).sum()
+    return mesh.flipped() if moment > 0 else mesh
 
 
 def tube_mesh(
     start: np.ndarray, end: np.ndarray, radius: float, segments: int
 ) -> TriMesh:
-    """Capped straight tube (swept disk along a straight directrix)."""
+    """Capped straight tube (swept disk along a straight directrix), facing
+    outward: its circles run counter-clockwise about the axis."""
     start = np.asarray(start, dtype=np.float64)
     end = np.asarray(end, dtype=np.float64)
     axis = end - start
@@ -458,7 +477,7 @@ def tube_mesh(
     end_cap = np.stack([np.full_like(i, 2 * segments + 1), i + segments, j + segments], -1)
     caps = np.stack([start_cap, end_cap], -2)
     tris = np.concatenate([strip_triangles(i, i + segments), caps], axis=1)
-    return TriMesh(vertices, tris.reshape(-1, 3)).oriented_outward()
+    return TriMesh(vertices, tris.reshape(-1, 3))
 
 
 def box_mesh(minimum, maximum) -> TriMesh:

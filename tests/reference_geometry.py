@@ -1,11 +1,12 @@
 """Reference geometry kernel for differential tests.
 
 Array versions of the mesh kernel: ``ear_clip`` re-slices numpy arrays on
-every pass, ``welded`` keys vertices with ``np.unique(axis=0)``, the mesh
-properties gather the corners once per property with ``np.cross``, and
-``transformed`` multiplies with ``@``. The library's list-walk ear clipping,
-lexsort weld, one-pass properties and einsum transform must agree with
-them: the same triangles and vertices, and properties within 1e-12.
+every pass, ``strip_triangles`` stacks rolled rings, ``welded`` keys
+vertices with ``np.unique(axis=0)``, the mesh properties gather all the
+corners once per property with ``np.cross``, and ``transformed`` multiplies
+with ``@``. The library's list-walk ear clipping, one-array strips, lexsort
+weld, block-wise properties and einsum transform must agree with them: the
+same triangles and vertices, and properties within 1e-12.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ def ear_clip(points: np.ndarray) -> np.ndarray:
         remaining = np.concatenate([a[:clipped], a[clipped + 1 :]])
     triangles.append(tuple(remaining))
     return np.array(triangles, dtype=np.int64)
+
+
+def strip_triangles(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Quads ``(i, j, j')`` and ``(i, j', i')`` between two rings, ``j`` the
+    cyclic successor of ``i``; shape ``(..., n, 2, 3)``."""
+    i, j = lower, np.roll(lower, -1, axis=-1)
+    i2, j2 = upper, np.roll(upper, -1, axis=-1)
+    return np.stack([np.stack([i, j, j2], -1), np.stack([i, j2, i2], -1)], -2)
 
 
 def welded(vertices: np.ndarray, triangles: np.ndarray, tol: float):

@@ -44,6 +44,7 @@ from ifcaudit.schema import SchemaVersion
 from ifcaudit.spf import parse_spf, write_spf
 from oracles import brute_force_pair_equality
 from tests_helpers import (
+    PEAK_RSS,
     georef_fixture_l10,
     georef_fixture_l20,
     georef_fixture_l30,
@@ -290,18 +291,6 @@ def _build_big_file(target_bytes: int) -> tuple[bytes, int, int]:
     return "".join(chunks).encode("latin-1"), copies, per_copy_instances
 
 
-#: Runs its arguments as a child, then prints the child's exit code and peak
-#: RSS in kB. On Linux a child's ru_maxrss starts at the peak of the address
-#: space it was spawned from, so a bare interpreter spawns the measured child,
-#: not the test process that holds the input.
-_PEAK_RSS = """
-import os, sys
-pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
-_, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
 def test_criterion_9_scale_behavior(tmp_path):
     data, copies, per_copy = _build_big_file(100 * 1024 * 1024)
     size = len(data)
@@ -328,7 +317,7 @@ def test_criterion_9_scale_behavior(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     t0 = time.perf_counter()
     spawner = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, *command], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", PEAK_RSS, *command], env=env, capture_output=True, text=True,
         check=True,
     )
     child_elapsed = time.perf_counter() - t0

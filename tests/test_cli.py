@@ -518,6 +518,38 @@ def test_items_over_the_triangle_budget_are_item_errors(capsys, monkeypatch, sui
     ]
 
 
+def test_faces_over_the_triangle_budget_are_item_errors(capsys, monkeypatch, tmp_path):
+    import ifcaudit.geomcheck.evaluate
+    from tests_helpers import face_model, holed_face_items
+
+    from ifcaudit.spf import write_spf
+
+    path = tmp_path / "faces.ifc"
+    path.write_bytes(write_spf(face_model(holed_face_items())))
+    _, stdout, _ = run(capsys, "check", str(path))
+    intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    # the wall's one face has 12 points in three loops: 12 + 2 * 2 - 2
+    # triangles; no face of the two prisms has more than 8
+    monkeypatch.setattr(ifcaudit.geomcheck.evaluate, "TRIANGLE_BUDGET", 13)
+    code, stdout, err = run(capsys, "check", str(path))
+    assert code == 0
+    items = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    message = "14 triangles exceed the budget of 13 per item"
+    assert items.pop("W") == {
+        "slot": "W", "definition": intact["W"]["definition"],
+        **verdict_of(intact["W"]), "error": message,
+    }
+    assert items == {s: i for s, i in intact.items() if s != "W"}
+    assert err.splitlines() == [f"W: error: {message}"]
+
+
+def _limit_address_space():
+    """Cap a child's address space at 1.5 GB, in the child alone."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+
 def test_fine_revolutions_are_refused_before_they_are_built(suite_file, tmp_path):
     # without the budget, each revolution would need several GB at 4096 segments
     import os
@@ -533,21 +565,50 @@ def test_fine_revolutions_are_refused_before_they_are_built(suite_file, tmp_path
     f1 = next(p for p in suite_proxies(graph) if text(p.attr(3)) == "F1")
     with pytest.raises(UnsupportedShape):  # refused in process first: the child cannot blow up
         evaluate_item(graph, f1, segments=4096)
-    result_path = tmp_path / "check.json"
+    ifc4 = tmp_path / "ifc4.ifc"
+    assert main(["generate", "--schema", "ifc4", "--out", str(ifc4)]) == 0
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    argv = ["check", str(out), "--segments", "4096", "--out", str(result_path)]
-    done = subprocess.run(
-        [sys.executable, "-m", "ifcaudit.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+    for path in (out, ifc4):
+        result_path = tmp_path / "check.json"
+        argv = ["check", str(path), "--segments", "4096", "--out", str(result_path)]
+        done = subprocess.run(
+            [sys.executable, "-m", "ifcaudit.cli", *argv], env=env, capture_output=True,
+            text=True, timeout=120, preexec_fn=_limit_address_space,
+        )
+        assert done.returncode == 0, done.stderr
+        items = json.loads(result_path.read_text())["items"]
+        errors = {i["slot"]: i["error"] for i in items if "error" in i}
+        assert errors == {
+            "F1": "33554432 triangles exceed the budget of 16777216 per item",
+            "F2": "33652736 triangles exceed the budget of 16777216 per item",
+        }, path.name
+        assert done.stderr.splitlines() == [f"{s}: error: {e}" for s, e in errors.items()]
+
+
+def test_fine_check_child_peaks_under_300_mb(tmp_path):
+    # a 1024-segment revolution of the IFC4 suite meshes 2.1 M triangles;
+    # measuring and welding it must not hold many corner-sized arrays at once
+    import os
+    import subprocess
+    import sys
+
+    from tests_helpers import PEAK_RSS
+
+    path, result_path = tmp_path / "ifc4.ifc", tmp_path / "check.json"
+    assert main(["generate", "--schema", "ifc4", "--out", str(path)]) == 0
+    command = [
+        sys.executable, "-m", "ifcaudit.cli", "check", str(path), "--segments", "1024",
+        "--out", str(result_path),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    spawner = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *command], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
     )
-    assert done.returncode == 0, done.stderr
-    items = json.loads(result_path.read_text())["items"]
-    errors = {i["slot"]: i["error"] for i in items if "error" in i}
-    assert errors == {
-        "F1": "33554432 triangles exceed the budget of 16777216 per item",
-        "F2": "33652736 triangles exceed the budget of 16777216 per item",
-    }
-    assert done.stderr.splitlines() == [f"{s}: error: {e}" for s, e in errors.items()]
+    code, peak_kb = map(int, spawner.stdout.split())
+    assert code == 0, spawner.stderr
+    assert not any("error" in i for i in json.loads(result_path.read_text())["items"])
+    assert peak_kb < 300 * 1024, f"check child peaked at {peak_kb / 1024:.0f} MB"
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from ifcaudit.geomcheck import (
 )
 from ifcaudit.geomcheck.evaluate import _face_mesh
 from ifcaudit.geomgen import SLANT_COMPONENT
-from ifcaudit.spf.model import Reference
 from ifcaudit.spf.values import text
 from oracles import (
     column_volume,
@@ -246,16 +245,23 @@ def test_triangle_budget_counts_the_mesh(monkeypatch, suite_2x3, suite_ifc4, seg
     assert meshes == 32  # 19 + 13 sweeps; the other 9 are not displayed
 
 
-def test_half_space_region_names_a_second_operand_of_another_type(suite_2x3):
-    # _eval_boolean reads any other operand as a box, so only a direct call
-    # reaches this check
-    from ifcaudit.errors import UnsupportedShape
-    from ifcaudit.geomcheck.evaluate import _half_space_region
+def test_fine_revolution_peaks_near_its_mesh_size(suite_ifc4):
+    """Meshing, welding and measuring F2 at 512 segments holds at most three
+    times the finished mesh: no step keeps many corner-sized arrays alive."""
+    import tracemalloc
 
-    graph, _ = suite_2x3
-    (plane,) = graph.by_type("IFCPLANE")
-    with pytest.raises(UnsupportedShape, match="^unsupported second operand IFCPLANE$"):
-        _half_space_region(graph, Reference(plane.id))
+    graph, manifest = suite_ifc4
+    f2 = next(p for p in suite_proxies(graph) if text(p.attr(3)) == "F2")
+    evaluate_item(graph, f2, segments=8)  # numpy loads outside the trace
+    tracemalloc.start()
+    try:
+        mesh = evaluate_item(graph, f2, segments=512, precision=manifest.precision).mesh
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = mesh.vertices.nbytes + mesh.triangles.nbytes
+    assert len(mesh.triangles) == 536576
+    assert peak <= 3 * size, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB mesh"
 
 
 # --- faces: concave outlines and inner bounds -----------------------------------
@@ -285,6 +291,27 @@ def test_wall_face_with_windows(holed_items):
     assert outcome.mesh.surface_area == pytest.approx(14.0, rel=1e-9)
     assert outcome.mesh.centroid == pytest.approx([39.75 / 14, 0.0, 1.5], rel=1e-9)
     assert len(outcome.mesh.triangles) == 14  # n + 2h - 2: 12 vertices, 2 holes
+
+
+@pytest.mark.parametrize("suite", ["suite_2x3", "suite_ifc4", "holed"])
+def test_face_budget_counts_the_mesh(monkeypatch, request, suite):
+    """Each face checks its triangle count against the budget before it is
+    meshed; the counts add up to the shell's mesh."""
+    from ifcaudit.geomcheck import evaluate as ev
+
+    if suite == "holed":
+        graph = face_model(holed_face_items())
+    else:
+        graph, _ = request.getfixturevalue(suite)
+    budgeted = []
+    monkeypatch.setattr(ev, "_within_budget", budgeted.append)
+    shells = graph.by_type("IFCCLOSEDSHELL") + graph.by_type("IFCOPENSHELL")
+    for shell in shells:
+        budgeted.clear()
+        mesh = _face_mesh(graph, shell)
+        assert len(budgeted) == len(shell.attr(0).items)
+        assert sum(budgeted) == len(mesh.triangles)
+    assert shells
 
 
 @pytest.mark.parametrize("suite", ["suite_2x3", "suite_ifc4"])

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifcaudit.errors import UnsupportedShape
-from ifcaudit.geomcheck.mesh import TriMesh
+from ifcaudit.geomcheck.mesh import _MEASURE_ROWS, TriMesh
 from ifcaudit.geomcheck.tessellate import (
     box_mesh,
     bridge_holes,
@@ -21,6 +21,7 @@ from ifcaudit.geomcheck.tessellate import (
     polygon_area,
     rectangle_polygon,
     revolve_polygon,
+    strip_triangles,
     triangulate_face,
     tube_mesh,
 )
@@ -346,6 +347,42 @@ def test_box_is_watertight():
     assert_watertight(box_mesh((0, 0, 0), (2, 3, 4)))
 
 
+# --- orientation from construction ---------------------------------------------
+
+
+@pytest.mark.parametrize("winding", [1, -1], ids=["ccw", "cw"])
+@pytest.mark.parametrize("sweep", [*SWEEPS.values(), (0.3, -0.7, -0.7)])
+def test_extrusions_face_outward(sweep, winding):
+    mesh = extrude_polygon(PROFILES["ishape"][::winding], np.array(sweep))
+    assert mesh.signed_volume > 0
+
+
+@pytest.mark.parametrize("winding", [1, -1], ids=["ccw", "cw"])
+@pytest.mark.parametrize("side", [1, -1], ids=["left", "right"])
+@pytest.mark.parametrize("axis", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+def test_revolutions_face_outward(axis, side, winding):
+    k = np.array([*axis, 0.0])
+    across = np.array([-k[1], k[0]])  # in the plane, perpendicular to the axis
+    axis_point = np.array([0.5, -0.25, 0.0])
+    poly = PROFILES["ishape"][::winding] + axis_point[:2] + 2.0 * side * across
+    assert revolve_polygon(poly, axis_point, k, 16).signed_volume > 0
+
+
+@pytest.mark.parametrize("axis", [(3, 0, 0), (0, 0, 3), (0, 0, -3), (-1, 2, 0.5), (0.1, 0, -2)])
+def test_tubes_face_outward(axis):
+    start = np.array([1.0, -1.0, 0.5])
+    assert tube_mesh(start, start + axis, 0.25, 16).signed_volume > 0
+
+
+def test_revolution_without_first_moment_keeps_its_winding():
+    # a rectangle centred on the axis sweeps as much volume one way as the
+    # other, so no side is outward
+    mesh = revolve_polygon(rectangle_polygon(1.0, 0.5), np.zeros(3), np.array([0.0, 1.0, 0.0]), 8)
+    index = np.arange(8 * 4).reshape(8, 4)
+    built = strip_triangles(index, np.roll(index, -1, axis=0))
+    assert mesh.triangles.tolist() == built.reshape(-1, 3).tolist()
+
+
 # --- differential tests against the array kernel in reference_geometry ------
 
 
@@ -437,6 +474,32 @@ def _assert_properties_match_reference(mesh):
     assert mesh.surface_area == pytest.approx(reference_geometry.surface_area(v, t), rel=1e-12)
     expected = reference_geometry.centroid(v, t)
     assert np.abs(mesh.centroid - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("shape", [(4, 7), (3, 1), (5,), (1,)])
+def test_strips_match_reference(shape):
+    lower = np.arange(np.prod(shape)).reshape(shape) * 3
+    upper = lower + 1
+    expected = reference_geometry.strip_triangles(lower, upper)
+    assert strip_triangles(lower, upper).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("surface", [False, True], ids=["solid", "surface"])
+def test_properties_over_many_blocks_match_reference(surface):
+    if surface:
+        # a fan in the plane z = 0 has no volume: its centroid is the area centroid
+        n = 3 * _MEASURE_ROWS + 1001
+        i = np.arange(1, n - 1)
+        outline = ellipse_polygon(2.0, 1.0, n) + np.array([5.0, -3.0])
+        mesh = TriMesh(np.column_stack([outline, np.zeros(n)]), np.column_stack([0 * i, i, i + 1]))
+        assert mesh.signed_volume == 0.0
+    else:
+        poly = ellipse_polygon(1.0, 0.5, 97) + np.array([3.0, 1.0])
+        segments = 3 * _MEASURE_ROWS // (2 * 97) + 1
+        mesh = revolve_polygon(poly, np.zeros(3), np.array([0.0, 1.0, 0.0]), segments)
+    # several whole blocks and a part of one
+    assert len(mesh.triangles) > 3 * _MEASURE_ROWS and len(mesh.triangles) % _MEASURE_ROWS
+    _assert_properties_match_reference(mesh)
 
 
 @settings(max_examples=200, deadline=None)

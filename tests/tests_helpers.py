@@ -5,6 +5,17 @@ from __future__ import annotations
 from ifcaudit.spf.build import GraphBuilder, enum
 from ifcaudit.spf.model import DERIVED, InstanceGraph, Reference
 
+#: Runs its arguments as a child, then prints the child's exit code and peak
+#: RSS in kB. On Linux a child's ru_maxrss starts at the peak of the address
+#: space it was spawned from, so a bare interpreter spawns the measured child,
+#: not the test process that holds the input.
+PEAK_RSS = """
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
 
 def minimal_building(schema: str = "IFC2X3") -> InstanceGraph:
     b = GraphBuilder(schema, model_name="mini")
