@@ -409,13 +409,17 @@ def directrix_range(
     return 0.0, float(len(points.items) - 1)
 
 
-def _face_mesh(graph: InstanceGraph, shell: EntityInstance) -> TriMesh:
-    vertices: list[np.ndarray] = []
-    tris: list[np.ndarray] = []
-    base = 0  # index of the face's first vertex
+def _shell_faces(
+    graph: InstanceGraph, shell: EntityInstance
+) -> list[tuple[EntityInstance, list[np.ndarray], int | None]]:
+    """Each face of a shell: the face, its loops' points in their own
+    winding, and the index of its outer bound, if it has one."""
     faces = shell.attr(0)
     if not isinstance(faces, ListValue):
         raise UnsupportedShape("shell without face list")
+    if not faces.items:
+        raise UnsupportedShape(f"shell #{shell.id} has no triangles")
+    out = []
     for face_ref in faces.items:
         face = graph.deref(face_ref)
         bounds = face.attr(0)
@@ -432,9 +436,25 @@ def _face_mesh(graph: InstanceGraph, shell: EntityInstance) -> TriMesh:
             if outer is None and bound.type_name == "IFCFACEOUTERBOUND":
                 outer = len(loops)
             loops.append(np.array(coords).reshape(-1, 3))
-        # ear clipping makes n - 2 triangles of a ring of n points, and each
-        # inner bound's bridge adds two points to the ring
-        _within_budget(sum(map(len, loops)) + 2 * len(loops) - 4)
+        out.append((face, loops, outer))
+    return out
+
+
+def _face_mesh(graph: InstanceGraph, shells: list[EntityInstance]) -> TriMesh:
+    """One mesh of the faces of ``shells``, all of them read and counted
+    against the budget before any is triangulated."""
+    faces = [face for shell in shells for face in _shell_faces(graph, shell)]
+    # ear clipping makes n - 2 triangles of a ring of n points, and each
+    # inner bound's bridge adds two points to the ring. A face whose count
+    # would be negative (no bound, or one of fewer than 2 points) cannot be
+    # triangulated: it counts 0, so that it cannot offset the other faces
+    _within_budget(
+        sum(max(0, sum(map(len, loops)) + 2 * len(loops) - 4) for _, loops, _ in faces)
+    )
+    vertices: list[np.ndarray] = []
+    tris: list[np.ndarray] = []
+    base = 0  # index of the face's first vertex
+    for face, loops, outer in faces:
         try:
             face_tris = triangulate_face(loops, outer)
         except ValueError as exc:
@@ -442,8 +462,6 @@ def _face_mesh(graph: InstanceGraph, shell: EntityInstance) -> TriMesh:
         tris.append(face_tris + base)
         vertices.extend(loops)
         base += sum(map(len, loops))
-    if not tris:
-        raise UnsupportedShape(f"shell #{shell.id} has no triangles")
     return TriMesh(np.vstack(vertices), np.vstack(tris))
 
 
@@ -453,13 +471,12 @@ def _eval_faces(
     is_surface = root.type_name != "IFCFACETEDBREP"
     if is_surface:
         refs = root.attr(0)
-        if not isinstance(refs, ListValue):
+        if not isinstance(refs, ListValue) or not refs.items:
             raise UnsupportedShape("surface model without shells")
         shells = [graph.deref(r) for r in refs.items]
     else:
         shells = [graph.deref(root.attr(0))]
-    mesh = TriMesh.concat([_face_mesh(graph, s) for s in shells])
-    return EvaluationOutcome(kind, mesh, is_surface_model=is_surface)
+    return EvaluationOutcome(kind, _face_mesh(graph, shells), is_surface_model=is_surface)
 
 
 # --- axis-aligned boolean results ---------------------------------------------
@@ -468,7 +485,7 @@ def _eval_faces(
 def _box_of_operand(graph: InstanceGraph, ref: AttributeValue) -> tuple[np.ndarray, np.ndarray]:
     inst = graph.deref(ref)
     if inst.type_name == "IFCFACETEDBREP":
-        operand, mesh = "brep", _face_mesh(graph, graph.deref(inst.attr(0)))
+        operand, mesh = "brep", _face_mesh(graph, [graph.deref(inst.attr(0))])
     elif inst.type_name == "IFCEXTRUDEDAREASOLID":
         operand, mesh = "extrusion", _evaluate_root(graph, inst, segments=4).mesh
         if mesh is None:

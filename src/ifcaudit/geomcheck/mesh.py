@@ -18,6 +18,8 @@ np = lazy("numpy")  # only evaluating geometry loads numpy
 
 _DUMP_ROWS = 4096  # triangles per block of ``dump_ascii``'s text
 _MEASURE_ROWS = 1 << 14  # triangles per block of ``_measures``' corners
+#: Most vertices a mesh may have: every triangle index is an int32.
+MAX_VERTICES = 2**31 - 1
 
 
 def cross3(a, b):
@@ -29,13 +31,20 @@ def cross3(a, b):
 
 
 class TriMesh:
+    """Vertices as float64 rows and triangles as int32 rows of three vertex
+    indices. The indices are range-checked in the caller's dtype before
+    they are narrowed, so none wraps."""
+
     def __init__(self, vertices, triangles):
         self.vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-        self.triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-        if len(self.triangles) and self.triangles.max() >= len(self.vertices):
+        if len(self.vertices) > MAX_VERTICES:
+            raise ValueError(f"{len(self.vertices)} vertices exceed the index limit")
+        triangles = np.asarray(triangles).reshape(-1, 3)
+        if len(triangles) and triangles.max() >= len(self.vertices):
             raise ValueError("triangle index out of range")
-        if len(self.triangles) and self.triangles.min() < 0:
+        if len(triangles) and triangles.min() < 0:
             raise ValueError("negative triangle index")
+        self.triangles = triangles.astype(np.int32, copy=False)
 
     @cached_property
     def _measures(self) -> tuple[float, float, np.ndarray]:
@@ -119,14 +128,17 @@ class TriMesh:
         # a stable sort, x key first: the order, first indices and inverse
         # of np.unique(keys.T, axis=0), without its structured row copies
         order = np.lexsort(keys[::-1])
-        keys = keys[:, order]
-        starts = np.empty(len(order), dtype=bool)
+        # a sorted row differs from the one before it in any key: one key
+        # row sorted at a time, not a sorted copy of all three
+        starts = np.zeros(len(order), dtype=bool)
         starts[0] = True
-        np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=starts[1:])
-        del keys
+        for k in range(3):
+            row = keys[k][order]
+            starts[1:] |= row[1:] != row[:-1]
+        del keys, row
         first = order[starts]
-        inverse = np.empty(len(order), dtype=np.int64)
-        inverse[order] = np.cumsum(starts) - 1
+        inverse = np.empty(len(order), dtype=np.int32)
+        inverse[order] = np.cumsum(starts, dtype=np.int32) - 1
         del order, starts  # freed before the vertices and triangles are gathered
         vertices = self.vertices[first]
         triangles = inverse[self.triangles]
@@ -152,7 +164,10 @@ class TriMesh:
     @staticmethod
     def concat(meshes: list["TriMesh"]) -> "TriMesh":
         if not meshes:
-            return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+            return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int32))
+        total = sum(len(mesh.vertices) for mesh in meshes)
+        if total > MAX_VERTICES:  # before an offset index could wrap
+            raise ValueError(f"{total} vertices exceed the index limit")
         verts = []
         tris = []
         offset = 0

@@ -10,6 +10,8 @@ from .mesh import TriMesh, cross3
 
 np = lazy("numpy")  # only evaluating geometry loads numpy
 
+_FACE_CELLS = 1 << 16  # point pairs per block of a face's all-pairs tests
+
 
 def polygon_area(points: np.ndarray) -> float:
     """Signed shoelace area of a closed 2D polygon (CCW positive)."""
@@ -87,7 +89,7 @@ def ear_clip(points: np.ndarray) -> np.ndarray:
             rejected[k] = False
         corner = min(changed, key=lambda k: n if k == first else k)
     triangles.append((first, next_[first], next_[next_[first]]))
-    return np.array(triangles, dtype=np.int64)
+    return np.array(triangles, dtype=np.int32)
 
 
 class _Run:
@@ -162,14 +164,25 @@ def _crossing(p, q, a, b):
     )
 
 
-def _inside(points: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Which 2D points lie inside a closed 2D ring (crossing count)."""
+def _blocks(rows: int, columns: int):
+    """Slices of ``range(rows)`` whose blocks hold about ``_FACE_CELLS``
+    cells of a rows x columns test, so its memory does not grow with the
+    square of a face's points."""
+    step = max(1, _FACE_CELLS // max(1, columns))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _inside(points: np.ndarray, ring: np.ndarray) -> bool:
+    """Whether every 2D point lies inside a closed 2D ring (crossing count)."""
     a, b = ring[None, :, :], np.roll(ring, -1, axis=0)[None, :, :]
-    p = points[:, None, :]
-    spans = (a[..., 1] > p[..., 1]) != (b[..., 1] > p[..., 1])
-    # a spanning edge crosses the ray to +x when p is left of it going up
-    crosses = spans & ((_cross2(a, b, p) > 0) == (b[..., 1] > a[..., 1]))
-    return crosses.sum(axis=1) % 2 == 1
+    for rows in _blocks(len(points), len(ring)):
+        p = points[rows, None, :]
+        spans = (a[..., 1] > p[..., 1]) != (b[..., 1] > p[..., 1])
+        # a spanning edge crosses the ray to +x when p is left of it going up
+        crosses = spans & ((_cross2(a, b, p) > 0) == (b[..., 1] > a[..., 1]))
+        if not (crosses.sum(axis=1) % 2 == 1).all():
+            return False
+    return True
 
 
 def _touching(points: np.ndarray, following: np.ndarray, loop_of: np.ndarray) -> bool:
@@ -178,10 +191,14 @@ def _touching(points: np.ndarray, following: np.ndarray, loop_of: np.ndarray) ->
     edge = following - points
     length = np.sqrt((edge**2).sum(axis=1))[:, None]
     slack = 1e-9 * length.max() * length
-    off = abs(_cross2(points[:, None], following[:, None], points))  # length x distance
-    along = ((points - points[:, None]) * edge[:, None]).sum(axis=2)  # length x position
-    on_edge = (off <= slack) & (-slack <= along) & (along <= length**2 + slack)
-    return bool((on_edge & (length > 0) & (loop_of[:, None] != loop_of)).any())
+    for rows in _blocks(len(points), len(points)):  # a block of edges
+        span, tol = length[rows], slack[rows]
+        off = abs(_cross2(points[rows, None], following[rows, None], points))  # length x distance
+        along = ((points - points[rows, None]) * edge[rows, None]).sum(axis=2)  # length x position
+        on_edge = (off <= tol) & (-tol <= along) & (along <= span**2 + tol)
+        if (on_edge & (span > 0) & (loop_of[rows, None] != loop_of)).any():
+            return True
+    return False
 
 
 def bridge_holes(points: np.ndarray, ring: list[int], holes: list[list[int]]) -> list[int]:
@@ -268,7 +285,10 @@ def triangulate_face(loops: list[np.ndarray], outer: int | None) -> np.ndarray:
     ]
     # every edge against every other: edges that share a vertex do not cross
     following = points[sum((ring[1:] + ring[:1] for ring in rings), [])]
-    if _crossing(points[:, None], following[:, None], points, following).any():
+    if any(
+        _crossing(points[rows, None], following[rows, None], points, following).any()
+        for rows in _blocks(len(points), len(points))
+    ):
         raise ValueError("bound edges cross")
     if holes:
         # touching bounds, such as windows sharing an edge, would make the
@@ -276,9 +296,9 @@ def triangulate_face(loops: list[np.ndarray], outer: int | None) -> np.ndarray:
         loop_of = np.repeat(np.arange(len(rings)), [len(ring) for ring in rings])
         if _touching(points, following, loop_of):
             raise ValueError("bounds touch")
-        if not _inside(points[sum(holes, [])], points[rings[outer]]).all():
+        if not _inside(points[sum(holes, [])], points[rings[outer]]):
             raise ValueError("inner bound lies outside the outer bound")
-    merged = np.array(bridge_holes(points, rings[outer], holes))
+    merged = np.array(bridge_holes(points, rings[outer], holes), dtype=np.int32)
     return merged[ear_clip(points[merged])]
 
 
@@ -376,7 +396,7 @@ def strip_triangles(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     of ``upper`` becomes ``(i, j, j')`` and ``(i, j', i')``; the result has
     shape ``(..., n, 2, 3)``, quads in ring order.
     """
-    tris = np.empty((*lower.shape, 2, 3), dtype=np.int64)
+    tris = np.empty((*lower.shape, 2, 3), dtype=np.int32)
     tris[..., 0] = lower[..., None]  # i, in both triangles
     tris[..., :-1, 0, 1] = lower[..., 1:]  # j
     tris[..., -1, 0, 1] = lower[..., 0]
@@ -471,7 +491,7 @@ def tube_mesh(
     ring_a = start + circle
     ring_b = end + circle
     vertices = np.vstack([ring_a, ring_b, start[None, :], end[None, :]])
-    i = np.arange(segments)
+    i = np.arange(segments, dtype=np.int32)
     j = np.roll(i, -1)
     start_cap = np.stack([np.full_like(i, 2 * segments), j, i], -1)
     end_cap = np.stack([np.full_like(i, 2 * segments + 1), i + segments, j + segments], -1)

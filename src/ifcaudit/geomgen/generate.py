@@ -13,6 +13,7 @@ from ..spf.build import GraphBuilder, enum, typed
 from ..spf.model import DERIVED, EntityInstance, InstanceGraph, Reference
 from .suite import (
     BELOW_PRECISION_ITEM,
+    CLIP_PLANE_Z,
     CUBE_EDGE,
     CUBE_OVERLAP,
     DEFAULT_PRECISION,
@@ -244,7 +245,7 @@ def build_geometry(
 
     if kind is ShapeKind.BOOLEAN_CLIPPING_RESULT:
         cube = _extruded_cube(w)
-        plane = b.add("IFCPLANE", w.axis3((0.0, 0.0, 0.5)))
+        plane = b.add("IFCPLANE", w.axis3((0.0, 0.0, CLIP_PLANE_Z)))
         half_space = b.add("IFCHALFSPACESOLID", plane, True)
         root = b.add(
             "IFCBOOLEANCLIPPINGRESULT", enum("DIFFERENCE"), cube, half_space

@@ -231,6 +231,18 @@ def test_generated_suite_bytes_are_pinned(schema, below_precision):
     assert digest == PINNED_SUITE_DIGESTS[schema.value, below_precision]
 
 
+def test_clipping_plane_is_written_at_clip_plane_z(monkeypatch):
+    from ifcaudit.geomgen import ShapeKind, generate
+    from ifcaudit.spf.values import numbers
+
+    monkeypatch.setattr(generate, "CLIP_PLANE_Z", 0.25)
+    (item,) = (i for i in SUITE_ITEMS if i.kind is ShapeKind.BOOLEAN_CLIPPING_RESULT)
+    fragment = {inst.id: inst for inst in generate_item(item, SchemaVersion.IFC2X3)}
+    (plane,) = (inst for inst in fragment.values() if inst.type_name == "IFCPLANE")
+    location = fragment[fragment[plane.attr(0).id].attr(0).id]
+    assert numbers(location.attr(0)) == [0.0, 0.0, 0.25]
+
+
 def test_generated_item_fragments_are_pinned():
     from ifcaudit.spf import format_instance
 

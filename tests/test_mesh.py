@@ -106,6 +106,48 @@ def test_index_range_validation():
         TriMesh([(0, 0, 0)], [(0, 1, 2)])
 
 
+def test_index_past_int32_is_refused_not_wrapped():
+    # narrowed unchecked, 2**32 would wrap to vertex 0
+    triangles = np.array([(0, 1, 2**32)], dtype=np.int64)
+    with pytest.raises(ValueError, match="out of range"):
+        TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], triangles)
+    with pytest.raises(ValueError, match="negative"):
+        TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], triangles - 2**32 - 1)
+
+
+def test_vertex_limit_is_checked_by_constructor_and_concat(monkeypatch):
+    import ifcaudit.geomcheck.mesh
+
+    monkeypatch.setattr(ifcaudit.geomcheck.mesh, "MAX_VERTICES", 8)
+    box = box_mesh((0, 0, 0), (1, 1, 1))  # 8 vertices: at the limit
+    with pytest.raises(ValueError, match="^9 vertices exceed the index limit$"):
+        TriMesh(np.vstack([box.vertices, box.vertices[:1]]), box.triangles)
+    with pytest.raises(ValueError, match="^16 vertices exceed the index limit$"):
+        TriMesh.concat([box, box])
+
+
+def test_every_builder_and_transform_gives_int32_triangles():
+    box = box_mesh((0, 0, 0), (1, 1, 1))
+    ellipse = ellipse_polygon(1.0, 0.5, 16)
+    meshes = {
+        "extrude_polygon": extrude_polygon(ellipse, np.array([0.0, 0.0, -1.0])),
+        "revolve_polygon": revolve_polygon(
+            ellipse + (3.0, 0.0), np.zeros(3), np.array([0.0, 1.0, 0.0]), 8
+        ),
+        "tube_mesh": tube_mesh(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.25, 8),
+        "box_mesh": box,
+        "concat": TriMesh.concat([box, box]),
+        "concat of none": TriMesh.concat([]),
+        "flipped": box.flipped(),
+        "transformed": box.transformed(np.eye(4)),
+        "welded": TriMesh.concat([box, box]).welded(1e-6),
+        "int64 indices": TriMesh(box.vertices, box.triangles.astype(np.int64)),
+    }
+    for name, mesh in meshes.items():
+        assert mesh.triangles.dtype == np.int32, name
+    assert len(meshes["welded"].vertices) == 8
+
+
 def test_polygon_area_and_centroid():
     rect = rectangle_polygon(2.0, 1.0)
     assert polygon_area(rect) == pytest.approx(2.0)
@@ -232,6 +274,28 @@ def test_face_with_touching_holes_is_refused():
         triangulate_face(loops, 0)
     loops[2] = square(5, 2)
     assert len(triangulate_face(loops, 0)) == 12 + 2 * 2 - 2
+
+
+@pytest.mark.parametrize("holes", [0, 1])
+def test_fine_face_peaks_in_bounded_memory(holes):
+    """A 2000-point face, with or without a hole, is checked for crossing
+    edges, touching bounds and holes outside in blocks of point pairs: an
+    all-pairs array would hold about 160 MB."""
+    import tracemalloc
+
+    def loop(semi1, semi2, n):
+        return np.column_stack([ellipse_polygon(semi1, semi2, n), np.zeros(n)])
+
+    loops = [loop(2.0, 1.0, 2000 - 1000 * holes)] + [loop(1.0, 0.5, 1000)] * holes
+    triangulate_face([loop(2.0, 1.0, 8), loop(1.0, 0.5, 8)], 0)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        triangles = triangulate_face(loops, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(triangles) == 2000 + 2 * holes - 2
+    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_ear_clip_fine_ishape_is_fast():
