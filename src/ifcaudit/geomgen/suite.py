@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 
 from ..schema import SchemaVersion
 
-GRID_ROWS = "ABCDEF"
-GRID_COLUMNS = (1, 2, 3, 4, 5)
-
 # Shape dimensions are toolkit conventions (meters); all expected values in
 # the test suite derive from these.
 CUBE_EDGE = 1.0

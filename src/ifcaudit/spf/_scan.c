@@ -7,9 +7,9 @@
  * tests the same conditions in the same order; the notes below name the
  * pattern each step stands for.
  *
- * Ids and long references become ints only after their record has matched,
- * as in the pure scanner, so a digit string too long for int() is a
- * ValueError exactly where ``int()`` raises one there.
+ * Ids become ints only after their record has matched, as in the pure
+ * scanner, so an id too long for int() fails with the same reason and
+ * offset. Neither scanner reads references: ``model.References`` does.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -24,6 +24,7 @@ typedef const unsigned char *Buf;
 
 static PyObject *MalformedFile; /* ifcaudit.errors.MalformedFile */
 static PyObject *RecordTable;   /* ifcaudit.spf.model.RecordTable, found on the first scan */
+static PyObject *References;    /* ifcaudit.spf.model.References, likewise */
 static PyObject *Array;         /* array.array */
 
 /* getattr(import_module(module), name), or NULL with an error set. */
@@ -89,41 +90,39 @@ static int append_new(PyObject *list, PyObject *item)
     return status;
 }
 
-/* int(s[a:b]) for at most SHORT_DIGITS ASCII digits. */
-static long long short_int(Buf s, Py_ssize_t a, Py_ssize_t b)
+/* int(s[at + 1:b]), the digits of an id whose '#' is at offset at; an id
+ * too long for int() is malformed there. */
+static PyObject *read_id(Buf s, Py_ssize_t at, Py_ssize_t b)
 {
-    long long value = 0;
-    for (; a < b; a++)
-        value = value * 10 + (s[a] - '0');
-    return value;
-}
-
-/* int(s[a:b]) for a string of ASCII digits. */
-static PyObject *to_int(Buf s, Py_ssize_t a, Py_ssize_t b)
-{
-    if (b - a <= SHORT_DIGITS)
-        return PyLong_FromLongLong(short_int(s, a, b));
+    Py_ssize_t a = at + 1;
+    if (b - a <= SHORT_DIGITS) {
+        long long value = 0;
+        for (; a < b; a++)
+            value = value * 10 + (s[a] - '0');
+        return PyLong_FromLongLong(value);
+    }
     PyObject *digits = PyBytes_FromStringAndSize((const char *)s + a, b - a);
     if (digits == NULL)
         return NULL;
     PyObject *value = PyNumber_Long(digits);
     Py_DECREF(digits);
+    if (value == NULL && PyErr_ExceptionMatches(PyExc_ValueError)) {
+        PyErr_Clear();
+        malformed("instance id too long to read", at);
+    }
     return value;
 }
 
 /* A column of fixed-size numbers: an array.array filled through a buffer,
- * which its frombytes() empties when full. A reference column that meets a
- * value past the range of long long turns into a list of ints (wide). */
+ * which its frombytes() empties when full. */
 typedef struct {
-    PyObject *values; /* the array, or the list once wide */
-    int wide;
+    PyObject *values;
     size_t used;
     char buf[1 << 14];
 } Column;
 
 static int column_init(Column *c, const char *typecode)
 {
-    c->wide = 0;
     c->used = 0;
     c->values = PyObject_CallFunction(Array, "s", typecode);
     return c->values == NULL ? -1 : 0;
@@ -146,35 +145,6 @@ static int column_push(Column *c, const void *item, size_t size)
     memcpy(c->buf + c->used, item, size);
     c->used += size;
     return 0;
-}
-
-/* Appends the reference int(s[a:b]) to refs. */
-static int push_reference(Column *refs, Buf s, Py_ssize_t a, Py_ssize_t b)
-{
-    long long value;
-    if (b - a <= SHORT_DIGITS && !refs->wide) {
-        value = short_int(s, a, b);
-        return column_push(refs, &value, sizeof value);
-    }
-    PyObject *ref = to_int(s, a, b);
-    if (ref == NULL)
-        return -1;
-    if (!refs->wide) {
-        int overflow;
-        value = PyLong_AsLongLongAndOverflow(ref, &overflow);
-        if (!overflow) {
-            Py_DECREF(ref);
-            return column_push(refs, &value, sizeof value);
-        }
-        PyObject *list = column_flush(refs) < 0 ? NULL : PySequence_List(refs->values);
-        if (list == NULL) {
-            Py_DECREF(ref);
-            return -1;
-        }
-        Py_SETREF(refs->values, list);
-        refs->wide = 1;
-    }
-    return append_new(refs->values, ref);
 }
 
 /* Each skip_* takes the offset of a lexeme's first byte and returns the
@@ -237,18 +207,10 @@ static Py_ssize_t skip_trivia(Buf s, Py_ssize_t i, Py_ssize_t n)
 }
 
 /* _close_parameters: walks a record's parameters from i, just past its '(',
- * and returns the offset of the ')' that closes it, or -1 with an error set.
- *
- * The references met on the way (_REFERENCES: '#' and digits outside
- * strings, binaries and comments) go into refs in order, but for the first
- * skip of them. With held set, the walk stops adding at the first reference
- * longer than SHORT_DIGITS, whose record has not matched yet, so it must not
- * reach int(): *held becomes the number of references before it. */
-static Py_ssize_t close_parameters(Buf s, Py_ssize_t i, Py_ssize_t n, Column *refs, Py_ssize_t skip,
-                                   Py_ssize_t *held)
+ * and returns the offset of the ')' that closes it, or -1 with an error set. */
+static Py_ssize_t close_parameters(Buf s, Py_ssize_t i, Py_ssize_t n)
 {
     int depth = 1;
-    Py_ssize_t added = 0;
     while (i < n) {
         Py_ssize_t end = i + 1;
         switch (s[i]) {
@@ -270,19 +232,6 @@ static Py_ssize_t close_parameters(Buf s, Py_ssize_t i, Py_ssize_t n, Column *re
         case '/':
             if (is_comment(s, i, n))
                 end = skip_comment(s, i, n);
-            break;
-        case '#':
-            while (end < n && is_digit(s[end]))
-                end++;
-            if (end == i + 1 || skip-- > 0 || (held != NULL && *held >= 0))
-                break;
-            if (held != NULL && end - i - 1 > SHORT_DIGITS) {
-                *held = added;
-                break;
-            }
-            if (push_reference(refs, s, i + 1, end) < 0)
-                return -1;
-            added++;
             break;
         }
         if (end < 0)
@@ -318,10 +267,10 @@ static Py_ssize_t type_code(Buf s, Py_ssize_t a, Py_ssize_t b, PyObject *codes, 
     return code;
 }
 
-/* The columns of the record table being filled, and the references. */
+/* The columns of the record table being filled. */
 typedef struct {
     PyObject *ids, *names, *codes_of; /* list of ints, list of names, name -> code */
-    Column codes, starts, ends, refs;
+    Column codes, starts, ends;
 } Table;
 
 /* _COMPLEX from just past its '(' (inner ')' and '"' are plain bytes here):
@@ -341,7 +290,7 @@ static Py_ssize_t read_complex(Buf s, Py_ssize_t at, Py_ssize_t id_end, Py_ssize
     }
     if (i >= n)
         return unparseable(s, at, n);
-    PyObject *id = to_int(s, at + 1, id_end);
+    PyObject *id = read_id(s, at, id_end);
     if (id == NULL)
         return -1;
     PyObject *message = PyUnicode_FromFormat("unsupported complex entity instance #%S skipped", id);
@@ -358,7 +307,7 @@ static Py_ssize_t read_complex(Buf s, Py_ssize_t at, Py_ssize_t id_end, Py_ssize
  * set. */
 static Py_ssize_t read_record(Buf s, Py_ssize_t at, Py_ssize_t n, Table *t, PyObject *diagnostics)
 {
-    Py_ssize_t i = at + 1, id_end, name_start, name_end, held = -1;
+    Py_ssize_t i = at + 1, id_end, name_start, name_end;
     long long pstart, pend;
     while (i < n && is_digit(s[i]))
         i++;
@@ -379,23 +328,20 @@ static Py_ssize_t read_record(Buf s, Py_ssize_t at, Py_ssize_t n, Table *t, PyOb
     if (i >= n || s[i] != '(')
         return unparseable(s, at, n);
     pstart = i + 1;
-    pend = close_parameters(s, pstart, n, &t->refs, 0, &held);
+    pend = close_parameters(s, pstart, n);
     if (pend < 0)
         return -1;
     i = skip_ws(s, pend + 1, n);
     if (i >= n || s[i] != ';')
         return malformed("missing record terminator ';'", pend + 1);
 
-    if (append_new(t->ids, to_int(s, at + 1, id_end)) < 0)
+    if (append_new(t->ids, read_id(s, at, id_end)) < 0)
         return -1;
     Py_ssize_t code = type_code(s, name_start, name_end, t->codes_of, t->names);
     unsigned int type = (unsigned int)code;
     if (code < 0 || column_push(&t->codes, &type, sizeof type) < 0
         || column_push(&t->starts, &pstart, sizeof pstart) < 0
         || column_push(&t->ends, &pend, sizeof pend) < 0)
-        return -1;
-    /* walk again to read the held references now that the record matched */
-    if (held >= 0 && close_parameters(s, pstart, n, &t->refs, held, NULL) < 0)
         return -1;
     return i + 1;
 }
@@ -409,11 +355,13 @@ static PyObject *scan_records(PyObject *Py_UNUSED(module), PyObject *args)
     /* not imported with this module, which ifcaudit.spf imports as it loads */
     if (RecordTable == NULL && (RecordTable = imported("ifcaudit.spf.model", "RecordTable")) == NULL)
         return NULL;
+    if (References == NULL && (References = imported("ifcaudit.spf.model", "References")) == NULL)
+        return NULL;
     Buf s = (Buf)PyBytes_AS_STRING(data);
     Py_ssize_t n = PyBytes_GET_SIZE(data);
     Py_ssize_t i = start < 0 ? 0 : (start > n ? n : start);
 
-    Table *t = PyMem_Calloc(1, sizeof *t); /* four buffers: too large for the stack */
+    Table *t = PyMem_Calloc(1, sizeof *t); /* three buffers: too large for the stack */
     if (t == NULL)
         return PyErr_NoMemory();
     t->ids = PyList_New(0);
@@ -422,7 +370,7 @@ static PyObject *scan_records(PyObject *Py_UNUSED(module), PyObject *args)
     diagnostics = PyList_New(0);
     int ready = t->ids != NULL && t->names != NULL && t->codes_of != NULL && diagnostics != NULL
                 && column_init(&t->codes, "I") == 0 && column_init(&t->starts, "q") == 0
-                && column_init(&t->ends, "q") == 0 && column_init(&t->refs, "q") == 0;
+                && column_init(&t->ends, "q") == 0;
     while (ready) {
         i = skip_trivia(s, i, n);
         if (i < n && s[i] == '#') {
@@ -435,13 +383,16 @@ static PyObject *scan_records(PyObject *Py_UNUSED(module), PyObject *args)
             Py_ssize_t end = skip_trivia(s, i + 6, n);
             if (end < n && s[end] == ';') {
                 if (column_flush(&t->codes) < 0 || column_flush(&t->starts) < 0
-                    || column_flush(&t->ends) < 0 || column_flush(&t->refs) < 0)
+                    || column_flush(&t->ends) < 0)
                     break;
                 PyObject *table = PyObject_CallFunctionObjArgs(
                     RecordTable, t->ids, t->codes.values, t->names, t->starts.values,
                     t->ends.values, NULL);
-                if (table != NULL)
-                    result = Py_BuildValue("(NOOn)", table, t->refs.values, diagnostics, end + 1);
+                PyObject *refs = table == NULL ? NULL
+                                 : PyObject_CallFunctionObjArgs(References, data, table, NULL);
+                if (refs != NULL)
+                    result = Py_BuildValue("(ONOn)", table, refs, diagnostics, end + 1);
+                Py_XDECREF(table);
                 break;
             }
         }
@@ -459,7 +410,6 @@ static PyObject *scan_records(PyObject *Py_UNUSED(module), PyObject *args)
     Py_XDECREF(t->codes.values);
     Py_XDECREF(t->starts.values);
     Py_XDECREF(t->ends.values);
-    Py_XDECREF(t->refs.values);
     PyMem_Free(t);
     Py_XDECREF(diagnostics);
     return result;

@@ -22,6 +22,8 @@ what it took. A failed match therefore costs time linear in what it read.
 
 ``backend`` imports this module only when the compiled scanner is missing or
 a caller asks for both backends, so its patterns are compiled only then.
+The references in the parameters are found by :class:`model.References`,
+and only when a reader asks for them.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ import re
 from array import array
 
 from ..errors import MalformedFile
-from .lexemes import BINARY, BLANKS, COMMENT, KEYWORD, STRING, TRIVIA
-from .model import RecordTable
+from .lexemes import BLANKS, COMMENT, KEYWORD, OPAQUE, STRING, TRIVIA
+from .model import RecordTable, References
 
-# strings, binaries and comments: a ';', '(', ')' or '#' inside means nothing
-_OPAQUE = STRING + rb"|" + BINARY + rb"|" + COMMENT
-_ATOMS = rb"[^;'\"/()]++|/(?!\*)|" + _OPAQUE
+_ATOMS = rb"[^;'\"/()]++|/(?!\*)|" + OPAQUE
 
 #: Parenthesised groups nest this deep inside parameters that ``_RUN``
 #: matches; deeper records take the token walk in ``_close_parameters``.
@@ -58,9 +58,8 @@ _COMPLEX = re.compile(
     + rb"\((?:[^;'/]++|/(?!\*)|" + STRING + rb"|" + COMMENT + rb")*+;"
 )
 _ENDSEC = re.compile(rb"ENDSEC" + TRIVIA.pattern + rb";")
-_TOKEN = re.compile(rb"[^;'\"/()]++|/(?!\*)|[()]|" + _OPAQUE)
+_TOKEN = re.compile(rb"[^;'\"/()]++|/(?!\*)|[()]|" + OPAQUE)
 _TERMINATOR = re.compile(BLANKS + rb";")
-_REFERENCES = re.compile(_OPAQUE + rb"|#([0-9]++)")
 
 
 def _close_parameters(data: bytes, pos: int) -> tuple[int, int]:
@@ -100,23 +99,15 @@ class _TypeCodes(dict):
 
 def scan_records(
     data: bytes, start: int
-) -> tuple[RecordTable, array | list[int], list[tuple[str, str]], int]:
+) -> tuple[RecordTable, References, list[tuple[str, str]], int]:
     """Scan ``#id=TYPE(...);`` records from ``start`` up to the section's
     ENDSEC keyword.
 
     Returns ``(records, references, diagnostics, end_pos)``: the records as
-    a :class:`RecordTable` with parameter spans into ``data``, every
-    reference in them in order, and the offset just past ``ENDSEC;``. The
-    references are an ``array('q')``, or a list of ints when one is past
-    2**63 - 1.
+    a :class:`RecordTable` with parameter spans into ``data``, the
+    :class:`References` in them, and the offset just past ``ENDSEC;``. An
+    id too long for ``int()`` raises :class:`MalformedFile` at its ``#``.
     """
-    try:
-        return _scan(data, start, array("q"))
-    except OverflowError:  # a reference the array cannot hold: read again into a list
-        return _scan(data, start, [])
-
-
-def _scan(data: bytes, start: int, references: array | list[int]):
     ids: list[int] = []
     codes = array("I")
     starts = array("q")
@@ -125,45 +116,43 @@ def _scan(data: bytes, start: int, references: array | list[int]):
     type_codes = _TypeCodes()
 
     add_id, add_code, add_start, add_end = ids.append, codes.append, starts.append, ends.append
-    add_references = references.extend
-    find = data.find
     pos = start
-    while True:
-        for m in _RUN.finditer(data, pos):
-            spelling = m[2]
-            if spelling is None:
-                break
-            pstart, pend = m.span(3)
-            add_id(int(m[1]))
-            add_code(type_codes[spelling])
-            add_start(pstart)
-            add_end(pend)
-            if find(b"#", pstart, pend) >= 0:
-                add_references(map(int, filter(None, _REFERENCES.findall(data, pstart, pend))))
-        pos = m.end()
-        if (m := _HEAD.match(data, pos)) is not None:
-            pstart = m.end()
-            pend, pos = _close_parameters(data, pstart)
-            add_id(int(m[1]))
-            add_code(type_codes[m[2]])
-            add_start(pstart)
-            add_end(pend)
-            add_references(map(int, filter(None, _REFERENCES.findall(data, pstart, pend))))
-        elif (m := _COMPLEX.match(data, pos)) is not None:
-            diagnostics.append(
-                (
-                    "complex-instance",
-                    f"unsupported complex entity instance #{int(m[1])} skipped",
-                )
-            )
+    try:
+        while True:
+            for m in _RUN.finditer(data, pos):
+                spelling = m[2]
+                if spelling is None:
+                    break
+                pstart, pend = m.span(3)
+                add_id(int(m[1]))
+                add_code(type_codes[spelling])
+                add_start(pstart)
+                add_end(pend)
             pos = m.end()
-        elif (m := _ENDSEC.match(data, pos)) is not None:
-            table = RecordTable(ids, codes, type_codes.names, starts, ends)
-            return table, references, diagnostics, m.end()
-        elif pos >= len(data):
-            raise MalformedFile("missing ENDSEC", pos)
-        elif data.startswith(b"/*", pos):
-            raise MalformedFile("unterminated comment", pos)
-        else:
-            snippet = data[pos : pos + 30]
-            raise MalformedFile(f"unparseable content in DATA section: {snippet!r}", pos)
+            if (m := _HEAD.match(data, pos)) is not None:
+                pstart = m.end()
+                pend, pos = _close_parameters(data, pstart)
+                add_id(int(m[1]))
+                add_code(type_codes[m[2]])
+                add_start(pstart)
+                add_end(pend)
+            elif (m := _COMPLEX.match(data, pos)) is not None:
+                diagnostics.append(
+                    (
+                        "complex-instance",
+                        f"unsupported complex entity instance #{int(m[1])} skipped",
+                    )
+                )
+                pos = m.end()
+            elif (m := _ENDSEC.match(data, pos)) is not None:
+                table = RecordTable(ids, codes, type_codes.names, starts, ends)
+                return table, References(data, table), diagnostics, m.end()
+            elif pos >= len(data):
+                raise MalformedFile("missing ENDSEC", pos)
+            elif data.startswith(b"/*", pos):
+                raise MalformedFile("unterminated comment", pos)
+            else:
+                snippet = data[pos : pos + 30]
+                raise MalformedFile(f"unparseable content in DATA section: {snippet!r}", pos)
+    except ValueError:  # int() refuses the digits of m's id past sys.get_int_max_str_digits()
+        raise MalformedFile("instance id too long to read", m.start(1) - 1) from None

@@ -1,5 +1,6 @@
 """Lexemes that every reader of ISO 10303-21 text matches alike: the pure
-record scanner (``_scan_py``), the header parser and the attribute parser.
+record scanner (``_scan_py``), the header parser, the attribute parser and
+the references (``model.References``).
 All of them read the file's bytes with these patterns; ``_scan.c`` reads the
 same shapes byte by byte.
 
@@ -22,6 +23,9 @@ BINARY = rb'"[^"]*+"'
 KEYWORD = rb"[A-Za-z_][A-Za-z0-9_]*+"
 #: The blanks allowed between a record's parts, where no comment may stand.
 BLANKS = rb"[ \t\r\n]*+"
+
+#: Strings, binaries and comments: a ``;``, ``(``, ``)`` or ``#`` inside means nothing.
+OPAQUE = STRING + rb"|" + BINARY + rb"|" + COMMENT
 
 #: Blanks and comments between records (and around header records).
 TRIVIA = re.compile(rb"(?:[ \t\r\n]++|" + COMMENT + rb")*+")

@@ -8,15 +8,19 @@ re-emitted without changing any printed number; strings keep the raw
 
 from __future__ import annotations
 
+import functools
 import math
+import re
+import sys
 from array import array
 from collections import Counter
-from itertools import filterfalse
+from itertools import chain, filterfalse, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from .._record import FrozenRecord, Record, set_field
 from ..errors import MalformedFile, NotAReference, NotFound
+from .lexemes import OPAQUE
 from .strings import encode_step_string
 
 
@@ -200,8 +204,11 @@ class Source(FrozenRecord):
             return parse_attributes(self.data[start:end])
         except MalformedFile as exc:
             offset = None if exc.offset is None else start + exc.offset
-            where = f"{self.path}: " if self.path else ""
-            raise MalformedFile(f"{where}#{id}: {exc.reason}", offset) from None
+            raise self.named(f"#{id}: {exc.reason}", offset) from None
+
+    def named(self, reason: str, offset: int | None) -> MalformedFile:
+        """An error in the file at ``offset``, naming ``path`` when it is set."""
+        return MalformedFile(f"{self.path}: {reason}" if self.path else reason, offset)
 
 
 class FileName(Record):
@@ -268,6 +275,45 @@ class RecordTable:
 
     def __iter__(self) -> Iterator[tuple[int, str, int, int]]:
         return zip(self.ids, map(self.names.__getitem__, self.codes), self.starts, self.ends)
+
+
+@functools.cache
+def _reference_pattern() -> re.Pattern:
+    """A string, binary or comment, or a reference: ``#`` and the digits of
+    group 1. Compiled on first use, which only ``parse`` makes."""
+    return re.compile(OPAQUE + rb"|#([0-9]++)")
+
+
+class References:
+    """The references in the parameters of a scanned :class:`RecordTable`'s
+    records, overwritten definitions included: each ``#`` and its digits
+    outside strings, binaries and comments. Iterating finds them anew, in
+    file order, as ints; a reference too long for ``int()`` raises
+    :class:`MalformedFile` at its ``#``. Only the table's parameter spans
+    are kept, so a graph that drops overwritten rows frees their ids."""
+
+    __slots__ = ("data", "starts", "ends")
+
+    def __init__(self, data: bytes, table: RecordTable):
+        self.data = data
+        self.starts = table.starts
+        self.ends = table.ends
+
+    def __iter__(self) -> Iterator[int]:
+        data, pattern, starts, ends = self.data, _reference_pattern(), self.starts, self.ends
+        # one findall per record, all of them run from C
+        found = chain.from_iterable(map(pattern.findall, repeat(data), starts, ends))
+        try:
+            yield from map(int, filter(None, found))
+        except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            at = next(
+                m.start()
+                for start, end in zip(starts, ends)
+                for m in pattern.finditer(data, start, end)
+                if m[1] is not None and len(m[1]) > limit
+            )
+            raise MalformedFile("reference too long to read", at) from None
 
 
 class EntityInstance:
@@ -353,7 +399,8 @@ class InstanceGraph:
     first resolved, listed by type or iterated over, and stays one, so an
     instance keeps its identity and its read attributes; ``type_counts``
     reads the type codes and builds none. ``add`` appends a row and keeps
-    the instance it is given.
+    the instance it is given. A parsed graph also keeps the scan's
+    :class:`References`, which only :meth:`dangling` reads.
     """
 
     def __init__(
@@ -365,6 +412,7 @@ class InstanceGraph:
         *,
         source: Source | None = None,
         records: RecordTable | None = None,
+        references: Iterable[int] = (),
     ):
         self.header = header or SpfHeader()
         self.diagnostics: list[Diagnostic] = [] if diagnostics is None else diagnostics
@@ -384,6 +432,7 @@ class InstanceGraph:
             )
             rows = dict(zip(records.ids, range(len(records))))
         self._source = source
+        self._references = references
         self._records = records
         self._rows = rows
         self._codes = dict(zip(records.names, range(len(records.names))))  # name -> code
@@ -446,10 +495,14 @@ class InstanceGraph:
         t = self._records
         return {t.names[code]: n for code, n in Counter(t.codes).items()}
 
-    def dangling(self, references: Iterable[int]) -> list[int]:
-        """The ids among ``references`` that name no instance, sorted, each
-        once."""
-        return sorted(set(filterfalse(self._rows.__contains__, references)))
+    def dangling(self) -> list[int]:
+        """The ids that the references of the file the graph was read from
+        name and no instance has, sorted, each once. A reference too long to
+        read raises :class:`MalformedFile`, naming the file."""
+        try:
+            return sorted(set(filterfalse(self._rows.__contains__, self._references)))
+        except MalformedFile as exc:
+            raise self._source.named(exc.reason, exc.offset) from None
 
     def unread_escapes(self) -> list[str]:
         """Check the syntax of every record whose attributes are not read

@@ -37,10 +37,12 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
 
     Attributes are parsed lazily, on first access, which keeps census-scale
     work linear in the number of records rather than the number of attribute
-    tokens. :func:`materialize` checks them all and records string-escape
-    anomalies in the graph diagnostics; the header's are recorded as it is
-    read. A syntax error met in a record when its attributes are first read
-    names ``path``, the file's name.
+    tokens; references are found only when :meth:`InstanceGraph.dangling`
+    reads them. :func:`materialize` checks every record and records dangling
+    references and string-escape anomalies in the graph diagnostics; the
+    header's escapes are recorded as it is read. A syntax error met in a
+    record when its attributes are first read names ``path``, the file's
+    name.
 
     No instance is built here: the graph holds the scanner's record table
     and builds an instance when one is first asked for. The instances share
@@ -66,10 +68,7 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
         raise MalformedFile("missing DATA section", pos)
 
     _, scan = active_backend()
-    try:
-        records, references, scan_diags, pos = scan(data, pos + 5)
-    except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
-        raise MalformedFile("instance id or reference too long to read") from None
+    records, refs, scan_diags, pos = scan(data, pos + 5)
     for code, message in scan_diags:
         diagnostics.append(Diagnostic(code, message))
 
@@ -79,9 +78,8 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
             Diagnostic("missing-end-sentinel", "file does not end with END-ISO-10303-21;")
         )
 
-    graph = InstanceGraph(
-        header, None, diagnostics, len(data), source=Source(data, path), records=records
-    )
+    graph = InstanceGraph(header, None, diagnostics, len(data), source=Source(data, path),
+                          records=records, references=refs)
     if len(graph) < len(records):
         seen: set[int] = set()
         for inst_id in records.ids:
@@ -90,10 +88,6 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
                     Diagnostic("duplicate-id", f"instance #{inst_id} defined twice; last kept")
                 )
             seen.add(inst_id)
-    for ref in graph.dangling(references):
-        diagnostics.append(
-            Diagnostic("dangling-reference", f"reference to missing instance #{ref}")
-        )
     return graph
 
 
@@ -109,11 +103,19 @@ def load(path: str | os.PathLike) -> InstanceGraph:
 
 def materialize(graph: InstanceGraph) -> None:
     """Check the syntax of every record not read yet, without keeping its
-    values, and add an ``unknown-escape`` diagnostic to the graph for each
-    string escape passed through verbatim. A syntax error raises
-    :class:`MalformedFile`. Records stay unread and no instance is built,
-    so a second call reads them and adds their diagnostics again."""
-    graph.diagnostics += map(_unknown_escape, graph.unread_escapes())
+    values, and add to the graph's diagnostics a ``dangling-reference`` for
+    each id its references name and no instance has, in id order, then an
+    ``unknown-escape`` for each string escape passed through verbatim. A
+    syntax error raises :class:`MalformedFile` and adds none. Records stay
+    unread and no instance is built, so a second call reads them and adds
+    their diagnostics again."""
+    dangling, escapes = graph.dangling(), graph.unread_escapes()
+    graph.diagnostics += map(_dangling_reference, dangling)
+    graph.diagnostics += map(_unknown_escape, escapes)
+
+
+def _dangling_reference(id: int) -> Diagnostic:
+    return Diagnostic("dangling-reference", f"reference to missing instance #{id}")
 
 
 def _unknown_escape(escape: str) -> Diagnostic:

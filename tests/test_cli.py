@@ -253,9 +253,12 @@ def test_georef_reads_around_deep_nesting(capsys, deep_file):
 LONG_DIGITS = b"9" * 5000  # past Python's default int-string limit of 4300 digits
 
 
+#: where the number stands, the command, and its error; ``None`` where the
+#: command never reads the number, so it succeeds
 UNREADABLE_NUMBERS = [
-    ("id", "census", "too long to read"), ("id", "parse", "too long to read"),
-    ("reference", "census", "too long to read"), ("reference", "parse", "too long to read"),
+    ("id", "census", "instance id too long to read"),
+    ("id", "parse", "instance id too long to read"),
+    ("reference", "census", None), ("reference", "parse", "reference too long to read"),
     ("integer", "georef", "too long to read"), ("integer", "parse", "too long to read"),
     ("real", "georef", "real out of range"), ("real", "parse", "real out of range"),
 ]
@@ -286,11 +289,18 @@ def test_overlong_integer_is_malformed(capsys, tmp_path, where, command, reason)
         assert data.count(old) == 1
         path.write_bytes(data.replace(old, new))
     code, stdout, err = run(capsys, command, str(path))
+    if reason is None:
+        assert (code, err) == (0, "")
+        assert json.loads(stdout)["counts"]["IFCWALL"] == 1
+        return
     assert code == 2
     assert stdout == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
     assert reason in lines[0]
+    if where in ("id", "reference"):  # the offset of the '#' before the digits
+        offset = path.read_bytes().index(b"#" + LONG_DIGITS)
+        assert lines[0].endswith(f" (at byte {offset})")
 
 
 def test_parse_reports_unknown_escape(capsys, tmp_path):
@@ -324,6 +334,71 @@ def test_only_parse_materializes(capsys, monkeypatch, suite_file):
         assert code == 0, argv
     with pytest.raises(AssertionError, match="materialize called"):
         main(["parse", str(out)])
+
+
+#: an ignored header record, a dangling #99 in a kept record, an overwritten
+#: definition that holds the only #77, and an unknown escape
+DIAGNOSED = b"""ISO-10303-21;
+HEADER;
+FILE_DESCRIPTION((''),'2;1');
+FILE_NAME('order','2020-01-01T00:00:00',(''),(''),'','','');
+FILE_SCHEMA(('IFC2X3'));
+FILE_POPULATION('IFC2X3','','');
+ENDSEC;
+DATA;
+#1=IFCBUILDING($,$,'B',$,$,$,$,$,$,$,$,$);
+#3=IFCWALL('w',$,$,$,$,#99,#1,$);
+#2=IFCWALL('old',$,$,$,$,#77,$,$);
+#2=IFCWALL('new \\Q note',$,$,$,$,#1,$,$);
+ENDSEC;
+END-ISO-10303-21;
+"""
+
+
+def test_parse_lists_diagnostics_in_order(capsys, tmp_path):
+    path = tmp_path / "diagnosed.ifc"
+    path.write_bytes(DIAGNOSED)
+    code, stdout, err = run(capsys, "parse", str(path))
+    expected = [
+        "[ignored-header-record] header record FILE_POPULATION ignored",
+        "[duplicate-id] instance #2 defined twice; last kept",
+        "[dangling-reference] reference to missing instance #77",
+        "[dangling-reference] reference to missing instance #99",
+        "[unknown-escape] escape sequence passed through verbatim: '\\\\Q'",
+    ]
+    assert code == 0
+    assert json.loads(stdout)["diagnostics"] == expected
+    assert err.splitlines() == expected
+
+
+def test_only_parse_reads_references(capsys, monkeypatch, suite_file, tmp_path):
+    from tests_helpers import georef_fixture_l30
+
+    from ifcaudit.spf import write_spf
+    from ifcaudit.spf.model import References
+
+    def refuse(self):
+        raise AssertionError("references read")
+
+    monkeypatch.setattr(References, "__iter__", refuse)
+    out, manifest = suite_file
+    site = tmp_path / "site.ifc"
+    site.write_bytes(write_spf(georef_fixture_l30()))
+    for argv in (
+        ["census", str(out)],
+        ["census", str(site)],
+        ["diff", str(out), str(site)],
+        ["georef", str(out)],
+        ["georef", str(site)],
+        ["check", str(out), "--manifest", str(manifest)],
+        ["report", "roundtrip", str(out), str(site)],
+        ["report", "roundtrip", str(site), str(site)],
+    ):
+        code, *_ = run(capsys, *argv)
+        assert code == 0, argv
+    for path in (out, site):
+        with pytest.raises(AssertionError, match="references read"):
+            main(["parse", str(path)])
 
 
 def rewrite_once(path, pattern: str, replacement: str) -> None:

@@ -128,6 +128,7 @@ def test_ids_and_references_past_64_bits():
     big = 2**64 + 1
     graph = parse_spf(with_records(b"#%d=IFCWALL(#1,#%d,#%d);\n" % (big, big, big + 1)))
     assert big in graph and graph.resolve(big).type_name == "IFCWALL"
+    materialize(graph)
     assert [d.message for d in graph.diagnostics] == [f"reference to missing instance #{big + 1}"]
 
 

@@ -107,6 +107,7 @@ def test_add_keeps_the_graph_in_step():
 def test_dangling_reference_diagnosed():
     data = MINIMAL.replace(b"'B',$", b"'B',#42")
     graph = parse_spf(data)
+    materialize(graph)
     assert any(
         d.code == "dangling-reference" and "#42" in d.message
         for d in graph.diagnostics
@@ -116,6 +117,7 @@ def test_dangling_reference_diagnosed():
 def test_reference_inside_string_is_not_a_reference():
     data = MINIMAL.replace(b"'B'", b"'see #42; ok'")
     graph = parse_spf(data)
+    materialize(graph)
     assert not any(d.code == "dangling-reference" for d in graph.diagnostics)
 
 
@@ -125,6 +127,7 @@ def test_comments_discarded():
     )
     graph = parse_spf(data)
     assert len(graph) == 1
+    materialize(graph)
     assert not any(d.code == "dangling-reference" for d in graph.diagnostics)
 
 

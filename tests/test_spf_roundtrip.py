@@ -55,7 +55,7 @@ def test_census_stable_across_roundtrip(suite_2x3):
 def test_reference_closure(suite_2x3):
     graph, _ = suite_2x3
     reparsed = parse_spf(write_spf(graph))
-    assert not any(d.code == "dangling-reference" for d in reparsed.diagnostics)
+    assert reparsed.dangling() == []
 
 
 def test_every_reference_resolves(suite_2x3):
