@@ -164,7 +164,7 @@ class _SuiteWriter:
             "IFCRELCONTAINEDINSPATIALSTRUCTURE", self.guid("rel-storey"),
             self.history, None, None, self.proxies, self.storey,
         )
-        return self.b.graph
+        return self.b.graph()
 
 
 def _positive_length(value: float):
@@ -360,5 +360,6 @@ def generate_item(
     seed = f"ifcaudit:{schema.value}:{item.slot}"
     writer = _SuiteWriter(schema, GraphBuilder(schema.value), seed)
     root, _ = build_geometry(writer, item, precision)
-    assert root.id in writer.b.graph
-    return list(writer.b.graph)
+    graph = writer.b.graph()
+    assert root.id in graph
+    return list(graph)

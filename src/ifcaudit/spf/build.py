@@ -1,11 +1,16 @@
-"""Convenience layer for constructing instance graphs programmatically."""
+"""Construction of SPF files from Python values.
+
+The builder writes each record as text, the way :func:`write_spf` would
+print it, and :meth:`GraphBuilder.graph` parses that text: a built graph is
+read through the same parser as any other file."""
 
 from __future__ import annotations
+
+from typing import get_args
 
 from .model import (
     UNSET,
     AttributeValue,
-    EntityInstance,
     EnumToken,
     FileName,
     InstanceGraph,
@@ -17,13 +22,20 @@ from .model import (
     Text,
     TypedValue,
 )
+from . import parser
+from .writer import format_value, spf_file
+
+
+#: the classes of the ``AttributeValue`` union, which ``isinstance`` checks
+#: far faster than the union itself
+_VALUE_CLASSES = get_args(AttributeValue)
 
 
 def value_of(v) -> AttributeValue:
     """Wrap a plain Python value as an attribute value."""
     if v is None:
         return UNSET
-    if isinstance(v, AttributeValue):
+    if isinstance(v, _VALUE_CLASSES):
         return v
     if isinstance(v, bool):
         return EnumToken("T" if v else "F")
@@ -47,7 +59,8 @@ def enum(name: str) -> EnumToken:
 
 
 class GraphBuilder:
-    """Assigns ids sequentially and wraps attribute values on the fly."""
+    """Assigns ids sequentially and writes each record once, as a line of
+    SPF text."""
 
     def __init__(
         self,
@@ -55,7 +68,7 @@ class GraphBuilder:
         model_name: str = "model",
         timestamp: str = "1970-01-01T00:00:00",
     ):
-        header = SpfHeader(
+        self._header = SpfHeader(
             description=["ViewDefinition [CoordinationView]"],
             implementation_level="2;1",
             file_name=FileName(
@@ -69,15 +82,16 @@ class GraphBuilder:
             ),
             file_schema=[schema.upper()],
         )
-        self.graph = InstanceGraph(header=header)
-        self._next = 1
+        self._records: list[str] = []
 
     def add(self, type_name: str, *attrs) -> Reference:
-        inst = EntityInstance(
-            self._next,
-            type_name.upper(),
-            attributes=tuple(value_of(a) for a in attrs),
-        )
-        self.graph.add(inst)
-        self._next += 1
-        return Reference(inst.id)
+        id = len(self._records) + 1
+        params = ",".join(format_value(value_of(a)) for a in attrs)
+        self._records.append(f"#{id}={type_name.upper()}({params});")
+        return Reference(id)
+
+    def graph(self) -> InstanceGraph:
+        """A new graph, parsed from the header and the records added so far.
+        ``parse_spf`` is looked up on its module at each call, so a wrapper
+        set there (a tracer's span) sees this parse too."""
+        return parser.parse_spf(spf_file(self._header, self._records))

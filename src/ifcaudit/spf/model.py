@@ -4,6 +4,9 @@ Attribute values form a small tagged union mirroring the ISO 10303-21
 parameter grammar. Reals keep their source lexeme so a parsed file can be
 re-emitted without changing any printed number; strings keep the raw
 (escaped) form next to the decoded text for the same reason.
+
+Every :class:`InstanceGraph` is parsed from SPF bytes: ``spf.build`` writes
+the records of a graph built in code as text and parses them.
 """
 
 from __future__ import annotations
@@ -317,33 +320,24 @@ class References:
 
 
 class EntityInstance:
-    """One ``#id=TYPE(...)`` record.
+    """One ``#id=TYPE(...)`` record of a parsed graph.
 
-    Attribute trees are built lazily: instances created by the parser keep a
-    span into the source bytes and only materialize attribute values when
-    accessed. Instances built programmatically carry their attributes
-    directly. The memoization is idempotent, so concurrent readers may race
-    on it harmlessly. ``type_name`` is fixed when the instance is built: the
-    graph counts and lists instances by the type its record table holds.
+    The instance keeps a span into the source bytes and builds its attribute
+    values when they are first read. The memoization is idempotent, so
+    concurrent readers may race on it harmlessly. ``type_name`` is fixed
+    when the instance is built: the graph counts and lists instances by the
+    type its record table holds.
     """
 
     __slots__ = ("id", "_type_name", "_attrs", "_src", "_pstart", "_pend")
 
-    def __init__(
-        self,
-        id: int,
-        type_name: str,
-        attributes: tuple[AttributeValue, ...] | None = None,
-        _src: Source | None = None,
-        _pstart: int = 0,
-        _pend: int = 0,
-    ):
+    def __init__(self, id: int, type_name: str, src: Source, start: int, end: int):
         self.id = id
         self._type_name = type_name
-        self._attrs = attributes
-        self._src = _src
-        self._pstart = _pstart
-        self._pend = _pend
+        self._attrs: tuple[AttributeValue, ...] | None = None
+        self._src = src
+        self._pstart = start
+        self._pend = end
 
     type_name = property(attrgetter("_type_name"), doc="The type name the instance was built with.")
 
@@ -358,10 +352,7 @@ class EntityInstance:
     def _parse(self) -> tuple[tuple[AttributeValue, ...], list[str]]:
         """Parse the source span without keeping the values; returns them
         and the unknown string escapes met."""
-        src = self._src
-        if src is None:
-            return (), []
-        return src.parse(self.id, self._pstart, self._pend)
+        return self._src.parse(self.id, self._pstart, self._pend)
 
     def attr(self, index: int) -> AttributeValue:
         """Attribute at ``index``, UNSET when the record is shorter."""
@@ -385,40 +376,35 @@ class EntityInstance:
 
 
 class InstanceGraph:
-    """Parsed or constructed SPF content: a header and its instances by id.
+    """Parsed SPF content: a header and its instances by id. Every graph
+    comes from :func:`parse_spf`; a graph built in code is parsed from the
+    text its builder wrote.
 
     The graph is read through ``len``, iteration (in first-definition
     order), ``in`` (by id), :meth:`resolve`, :meth:`deref`, :meth:`by_type`,
-    :meth:`type_counts`, :meth:`dangling` and :meth:`unread_escapes`, and
-    grows through :meth:`add`.
+    :meth:`type_counts`, :meth:`dangling` and :meth:`unread_escapes`.
 
     It keeps one store: a :class:`RecordTable` with one row per instance,
     ``rows`` (id -> row) and the instances built so far. An id defined twice
     in ``records`` keeps its first position and its last definition. A
-    parsed record becomes an :class:`EntityInstance` when it is
-    first resolved, listed by type or iterated over, and stays one, so an
-    instance keeps its identity and its read attributes; ``type_counts``
-    reads the type codes and builds none. ``add`` appends a row and keeps
-    the instance it is given. A parsed graph also keeps the scan's
-    :class:`References`, which only :meth:`dangling` reads.
+    record becomes an :class:`EntityInstance` when it is first resolved,
+    listed by type or iterated over, and stays one, so an instance keeps its
+    identity and its read attributes; ``type_counts`` reads the type codes
+    and builds none. The graph also keeps the scan's :class:`References`,
+    which only :meth:`dangling` reads.
     """
 
     def __init__(
         self,
-        header: SpfHeader | None = None,
-        instances: dict[int, EntityInstance] | None = None,
-        diagnostics: list[Diagnostic] | None = None,
-        byte_size: int = 0,
-        *,
-        source: Source | None = None,
-        records: RecordTable | None = None,
-        references: Iterable[int] = (),
+        header: SpfHeader,
+        diagnostics: list[Diagnostic],
+        source: Source,
+        records: RecordTable,
+        references: Iterable[int],
     ):
-        self.header = header or SpfHeader()
-        self.diagnostics: list[Diagnostic] = [] if diagnostics is None else diagnostics
-        self.byte_size = byte_size
-        if records is None:
-            records = RecordTable([], array("I"), [], array("q"), array("q"))
+        self.header = header
+        self.diagnostics = diagnostics
+        self.byte_size = len(source.data)
         # each id at its first position, mapped to the row of its last definition
         rows = dict(zip(records.ids, range(len(records))))
         if len(rows) < len(records):  # an id defined twice: one row per id
@@ -437,31 +423,14 @@ class InstanceGraph:
         self._rows = rows
         self._codes = dict(zip(records.names, range(len(records.names))))  # name -> code
         self._views: dict[int, EntityInstance] = {}
-        for instance in (instances or {}).values():
-            self.add(instance)
 
     def _view(self, id: int, row: int) -> EntityInstance:
         """A new instance for ``row``, kept as the instance of ``id``."""
         t = self._records
         inst = self._views[id] = EntityInstance(
-            id, t.names[t.codes[row]], None, self._source, t.starts[row], t.ends[row]
+            id, t.names[t.codes[row]], self._source, t.starts[row], t.ends[row]
         )
         return inst
-
-    def add(self, instance: EntityInstance) -> None:
-        id, name, rows, t = instance.id, instance.type_name, self._rows, self._records
-        if id in rows:
-            raise ValueError(f"duplicate instance id #{id}")
-        code = self._codes.get(name)
-        if code is None:
-            code = self._codes[name] = len(t.names)
-            t.names.append(name)
-        rows[id] = len(t.ids)
-        t.ids.append(id)
-        t.codes.append(code)
-        t.starts.append(0)
-        t.ends.append(0)
-        self._views[id] = instance
 
     def resolve(self, id: int) -> EntityInstance:
         inst = self._views.get(id)

@@ -78,8 +78,7 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
             Diagnostic("missing-end-sentinel", "file does not end with END-ISO-10303-21;")
         )
 
-    graph = InstanceGraph(header, None, diagnostics, len(data), source=Source(data, path),
-                          records=records, references=refs)
+    graph = InstanceGraph(header, diagnostics, Source(data, path), records, refs)
     if len(graph) < len(records):
         seen: set[int] = set()
         for inst_id in records.ids:

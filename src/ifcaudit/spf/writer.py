@@ -2,13 +2,15 @@
 
 Printing is deterministic: a graph always serializes to the same bytes, and
 re-parsing the output yields a structurally identical graph. Reals re-emit
-their stored lexeme, so numbers pass through untouched.
+their stored lexeme, so numbers pass through untouched. ``spf.build`` writes
+the files it builds through :func:`spf_file` too.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Iterable
 
 from .model import (
     DERIVED,
@@ -22,6 +24,7 @@ from .model import (
     ListValue,
     Real,
     Reference,
+    SpfHeader,
     Text,
     TypedValue,
 )
@@ -66,14 +69,15 @@ def _quote_list(items: list[str]) -> str:
     return "(" + ",".join(_quote(v) for v in items) + ")"
 
 
-def write_spf(graph: InstanceGraph) -> bytes:
-    """Serialize the graph; also refreshes ``graph.byte_size``."""
-    h = graph.header
-    fn = h.file_name
+def spf_file(header: SpfHeader, records: Iterable[str]) -> bytes:
+    """A whole file: ``header``, then the ``records`` (each one
+    ``#id=TYPE(params);`` line) as its DATA section."""
+    fn = header.file_name
     lines = [
         "ISO-10303-21;",
         "HEADER;",
-        f"FILE_DESCRIPTION({_quote_list(h.description)},{_quote(h.implementation_level)});",
+        f"FILE_DESCRIPTION({_quote_list(header.description)},"
+        f"{_quote(header.implementation_level)});",
         "FILE_NAME({},{},{},{},{},{},{});".format(
             _quote(fn.name),
             _quote(fn.timestamp),
@@ -83,17 +87,20 @@ def write_spf(graph: InstanceGraph) -> bytes:
             _quote(fn.originating_system),
             _quote(fn.authorization),
         ),
-        f"FILE_SCHEMA({_quote_list(h.file_schema)});",
+        f"FILE_SCHEMA({_quote_list(header.file_schema)});",
         "ENDSEC;",
         "DATA;",
+        *records,
+        "ENDSEC;",
+        "END-ISO-10303-21;",
+        "",
     ]
-    lines.extend(format_instance(inst) for inst in graph)
-    lines.append("ENDSEC;")
-    lines.append("END-ISO-10303-21;")
-    lines.append("")
-    out = "\n".join(lines).encode("latin-1")
-    graph.byte_size = len(out)
-    return out
+    return "\n".join(lines).encode("latin-1")
+
+
+def write_spf(graph: InstanceGraph) -> bytes:
+    """Serialize the graph."""
+    return spf_file(graph.header, map(format_instance, graph))
 
 
 def save(graph: InstanceGraph, path: str | os.PathLike) -> int:

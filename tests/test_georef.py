@@ -16,6 +16,8 @@ from tests_helpers import (
     georef_fixture_l30,
     georef_fixture_l40,
     georef_fixture_l50,
+    record_lines,
+    with_record_lines,
 )
 
 
@@ -198,31 +200,29 @@ REFERENCE_EDGES = {
     [(edge, case) for edge, (*_, cases) in REFERENCE_EDGES.items() for case in cases],
 )
 def test_reference_edges(edge, case):
-    from ifcaudit.spf.build import value_of
-    from ifcaudit.spf.model import UNSET, EntityInstance, Reference
+    from ifcaudit.spf import UNSET, Reference, format_value
 
     fixture, type_name, index, cases = REFERENCE_EDGES[edge]
     graph = fixture()
     assert 97 not in graph and 98 not in graph
-    graph.add(EntityInstance(98, "IFCDIRECTION", (value_of((0.0, 1.0)),)))
     (holder,) = graph.by_type(type_name)
     attrs = list(holder.attributes)
     assert isinstance(attrs[index], Reference)
     replacement = {"unset": UNSET, "dangling": Reference(97), "wrong-type": Reference(98)}
-    if case in replacement:
-        attrs[index] = replacement[case]
-        holder._attrs = tuple(attrs)
+    attrs[index] = replacement.get(case, attrs[index])
+    edited = f"#{holder.id}={type_name}({','.join(map(format_value, attrs))});"
+    lines = [edited if line.startswith(f"#{holder.id}=") else line for line in record_lines(graph)]
+    graph = with_record_lines(graph, lines + ["#98=IFCDIRECTION((0.,1.));"])
     report = detect_georef(graph)
     assert (report.levels, report.diagnostics) == cases[case]
 
 
 def test_dangling_building_address_behind_a_site_address():
     # the site's address is the payload, and the building's is still checked
-    from ifcaudit.spf.model import UNSET, EntityInstance, Reference
-
     graph = georef_fixture_l10()
     assert 97 not in graph
-    graph.add(EntityInstance(99, "IFCBUILDING", tuple([UNSET] * 11) + (Reference(97),)))
+    building = "#99=IFCBUILDING(" + "$," * 11 + "#97);"
+    graph = with_record_lines(graph, record_lines(graph) + [building])
     report = detect_georef(graph)
     assert report.levels == [10]
     assert report.detected[LoGeoRefLevel.L10].payload["host"] == "site"

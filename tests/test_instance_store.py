@@ -17,11 +17,14 @@ from ifcaudit.cli import main
 from ifcaudit.spf import (
     EntityInstance,
     InstanceGraph,
+    SpfHeader,
     Text,
     materialize,
     parse_spf,
     write_spf,
 )
+from ifcaudit.spf.backend import active_backend
+from ifcaudit.spf.model import Source
 from test_acceptance import _build_big_file
 from test_spf_parse import MINIMAL
 
@@ -81,36 +84,16 @@ def test_census_counts_codes_without_instances(built):
     assert built == []
 
 
-def test_add_after_parse_keeps_the_graph_in_step():
-    graph = parse_spf(with_records(b"#5=IFCWALL('w');\n#3=IFCSLAB($);\n"))
-    walls = graph.by_type("IFCWALL")  # listed before the add
-    assert [inst.id for inst in walls] == [5]
-    wall = EntityInstance(9, "IFCWALL", (Text.of("v"),))
-    door = EntityInstance(2, "IFCDOOR", ())
-    graph.add(wall)
-    graph.add(door)
-    assert len(graph) == 5
-    assert [inst.id for inst in graph] == [1, 5, 3, 9, 2]
-    assert 9 in graph and 2 in graph and 4 not in graph
-    assert graph.resolve(9) is wall and graph.resolve(2) is door
-    assert graph.by_type("IFCWALL") == [graph.resolve(5), wall]
-    assert graph.by_type("IFCWALL")[1] is wall
-    assert graph.by_type("IFCDOOR") == [door]
-    assert census(graph).counts == {"IFCBUILDING": 1, "IFCWALL": 2, "IFCSLAB": 1, "IFCDOOR": 1}
-    with pytest.raises(ValueError):
-        graph.add(EntityInstance(3, "IFCDOOR", ()))
-    assert len(graph) == 5 and graph.resolve(3).type_name == "IFCSLAB"
-
-
 def test_duplicate_id_keeps_first_position_and_last_definition():
     records = b"#2=IFCWALL('a');\n#3=IFCSLAB($);\n#2=IFCDOOR('b');\n#2=IFCDOOR('c');\n"
     graph = parse_spf(with_records(records))
     assert [inst.id for inst in graph] == [1, 2, 3]
+    assert 2 in graph and 3 in graph and 4 not in graph
     assert graph.resolve(2).type_name == "IFCDOOR"
     assert graph.resolve(2).attributes == (Text("c", "c"),)
     assert census(graph).counts == {"IFCBUILDING": 1, "IFCDOOR": 1, "IFCSLAB": 1}
     assert graph.by_type("IFCWALL") == []
-    assert [inst.id for inst in graph.by_type("IFCDOOR")] == [2]
+    assert [inst.id for inst in graph.by_type("IfcDoor")] == [2]
     assert [d.message for d in graph.diagnostics if d.code == "duplicate-id"] == [
         "instance #2 defined twice; last kept"
     ] * 2
@@ -133,9 +116,12 @@ def test_ids_and_references_past_64_bits():
 
 
 def test_graph_keeps_the_diagnostics_list_it_is_given():
+    data = with_records(b"#2=IFCWALL('w');\n")
+    records, references, _, _ = active_backend()[1](data, data.index(b"DATA;") + 5)
     diagnostics = []
-    graph = InstanceGraph(None, None, diagnostics)
+    graph = InstanceGraph(SpfHeader(), diagnostics, Source(data), records, references)
     assert graph.diagnostics is diagnostics
+    assert graph.byte_size == len(data)
 
 
 def test_type_name_is_fixed_when_the_instance_is_built():

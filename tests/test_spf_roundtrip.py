@@ -20,6 +20,7 @@ from ifcaudit.spf import (
     write_spf,
 )
 from ifcaudit.spf.attrparse import MAX_NESTING, parse_attributes
+from ifcaudit.spf.build import GraphBuilder, enum, typed, value_of
 
 
 def test_roundtrip_suite_2x3(suite_2x3):
@@ -152,12 +153,44 @@ def test_written_values_parse_back(values):
 
 
 def test_builder_takes_every_attribute_value():
-    from ifcaudit.spf.build import GraphBuilder, enum
-
     b = GraphBuilder("IFC4")
     b.add("IFCSIUNIT", DERIVED, enum("LENGTHUNIT"), None, enum("METRE"))
     b.add("IFCPIXELTEXTURE", True, False, None, None, None, 2, 1, 8, [Binary("0FF"), Binary("3AB")])
-    graph = b.graph
+    graph = b.graph()
     assert graph.resolve(1).attr(0) is DERIVED
     assert graph.resolve(2).attr(8) == ListValue((Binary("0FF"), Binary("3AB")))
     assert graph.structurally_equal(parse_spf(write_spf(graph)))
+
+
+#: plain Python values as ``GraphBuilder.add`` takes them
+PLAIN_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.just(DERIVED),
+    st.integers(),
+    st.integers(2**63, 2**200),
+    st.integers(-(2**200), -(2**63) - 1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e16, -1e16, 5e-324, 2.225073858507201e-308]),
+    st.text(),
+    st.text(alphabet="'\\\n aé\u0416\u20ac\U0001f600"),
+    st.builds(Binary, st.from_regex(r"[0-3][0-9A-F]*", fullmatch=True)),
+    st.builds(enum, TYPE_NAMES),
+)
+PLAIN_TREES = st.recursive(
+    PLAIN_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.builds(typed, TYPE_NAMES, inner)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PLAIN_TREES, max_size=6))
+def test_builder_values_round_trip_through_text(values):
+    # the builder writes each value as text and the graph parses it back
+    b = GraphBuilder("IFC4")
+    b.add("IFCPROXY", *values)
+    graph = b.graph()
+    materialize(graph)
+    assert graph.resolve(1).attributes == tuple(map(value_of, values))
+    assert graph.diagnostics == []

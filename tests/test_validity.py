@@ -61,9 +61,10 @@ def test_below_precision_warning():
 
 def test_unsupported_shape():
     b = GraphBuilder("IFC2X3")
-    sphere = b.add("IFCSPHERE", 1.0, None)
+    b.add("IFCSPHERE", 1.0, None)
+    graph = b.graph()
     with pytest.raises(UnsupportedShape):
-        check_validity(b.graph, list(b.graph), 1e-5)
+        check_validity(graph, list(graph), 1e-5)
 
 
 def test_direction_dot_tolerance_boundary():
@@ -86,7 +87,7 @@ def test_direction_dot_tolerance_boundary():
             "IFCEXTRUDEDAREASOLID", profile, pos, direction,
             typed("IFCPOSITIVELENGTHMEASURE", 2.0),
         )
-        return b.graph
+        return b.graph()
 
     graph = extrusion_with_dz(0.0)
     verdict = check_validity(graph, list(graph), 1e-5)
@@ -101,14 +102,17 @@ def test_direction_dot_tolerance_boundary():
     assert InvalidReason.VALID_EXTRUSION_DIRECTION in verdict.reasons
 
 
-def extrusion(b: GraphBuilder, direction) -> list:
+def extrusion(b: GraphBuilder, direction) -> tuple:
+    """Add a solid extruded along ``direction``; the built graph and its
+    instances."""
     from ifcaudit.spf.build import typed
 
     b.add(
         "IFCEXTRUDEDAREASOLID", None, None, direction,
         typed("IFCPOSITIVELENGTHMEASURE", 1.0),
     )
-    return list(b.graph)
+    graph = b.graph()
+    return graph, list(graph)
 
 
 def test_typed_direction_ratios_are_read():
@@ -116,7 +120,7 @@ def test_typed_direction_ratios_are_read():
 
     b = GraphBuilder("IFC2X3")
     direction = b.add("IFCDIRECTION", [typed("IFCREAL", r) for r in (1.0, 0.0, 0.0)])
-    verdict = check_validity(b.graph, extrusion(b, direction), 1e-5)
+    verdict = check_validity(*extrusion(b, direction), 1e-5)
     assert verdict.reasons == {InvalidReason.VALID_EXTRUSION_DIRECTION}
 
 
@@ -131,7 +135,8 @@ def test_typed_sweep_parameters_are_read():
         "IFCSWEPTDISKSOLID", line, typed("IFCPOSITIVELENGTHMEASURE", 0.1), None,
         typed("IFCPARAMETERVALUE", 0.0), typed("IFCPARAMETERVALUE", 2.0),
     )
-    verdict = check_validity(b.graph, list(b.graph), 1e-5)
+    graph = b.graph()
+    verdict = check_validity(graph, list(graph), 1e-5)
     assert verdict.reasons == {InvalidReason.PARAM_RANGE}
 
 
@@ -139,6 +144,6 @@ def test_dangling_extrusion_direction_is_unreadable():
     from ifcaudit.spf.model import Reference
 
     b = GraphBuilder("IFC2X3")
-    verdict = check_validity(b.graph, extrusion(b, Reference(999)), 1e-5)
+    verdict = check_validity(*extrusion(b, Reference(999)), 1e-5)
     assert verdict.valid
     assert verdict.details == ["#1: extrusion direction unreadable"]

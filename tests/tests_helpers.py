@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from ifcaudit.spf import format_instance, parse_spf
 from ifcaudit.spf.build import GraphBuilder, enum
 from ifcaudit.spf.model import DERIVED, InstanceGraph, Reference
+from ifcaudit.spf.writer import spf_file
 
 #: Runs its arguments as a child, then prints the child's exit code and peak
 #: RSS in kB. On Linux a child's ru_maxrss starts at the peak of the address
@@ -17,10 +21,21 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def record_lines(graph: InstanceGraph) -> list[str]:
+    """Each record of ``graph`` as ``write_spf`` prints it."""
+    return list(map(format_instance, graph))
+
+
+def with_record_lines(graph: InstanceGraph, lines: Iterable[str]) -> InstanceGraph:
+    """The file of ``graph``'s header and ``lines`` (``#id=TYPE(...);``
+    records), parsed."""
+    return parse_spf(spf_file(graph.header, lines))
+
+
 def minimal_building(schema: str = "IFC2X3") -> InstanceGraph:
     b = GraphBuilder(schema, model_name="mini")
     b.add("IFCBUILDING", *([None] * 12))
-    return b.graph
+    return b.graph()
 
 
 def _site_skeleton(b: GraphBuilder, *, lat=None, lon=None, elevation=None,
@@ -53,7 +68,7 @@ def georef_fixture_l10(schema: str = "IFC2X3", host: str = "site") -> InstanceGr
         _site_skeleton(b)
     else:
         _site_skeleton(b, address=address)
-    return b.graph
+    return b.graph()
 
 
 def georef_fixture_l20(schema: str = "IFC2X3",
@@ -62,7 +77,7 @@ def georef_fixture_l20(schema: str = "IFC2X3",
     b = GraphBuilder(schema)
     _length_unit(b)
     _site_skeleton(b, lat=list(lat), lon=list(lon), elevation=elevation)
-    return b.graph
+    return b.graph()
 
 
 def georef_fixture_l30(schema: str = "IFC2X3",
@@ -70,7 +85,7 @@ def georef_fixture_l30(schema: str = "IFC2X3",
     b = GraphBuilder(schema)
     _length_unit(b)
     _site_skeleton(b, site_location=location)
-    return b.graph
+    return b.graph()
 
 
 def georef_fixture_l40(schema: str = "IFC2X3",
@@ -88,7 +103,7 @@ def georef_fixture_l40(schema: str = "IFC2X3",
         "IFCPROJECT", "projguid", None, "P", None, None, None, None, [ctx], units
     )
     _site_skeleton(b)
-    return b.graph
+    return b.graph()
 
 
 def georef_fixture_l50(schema: str = "IFC4",
@@ -113,7 +128,7 @@ def georef_fixture_l50(schema: str = "IFC4",
         rotation[0], rotation[1], None,
     )
     _site_skeleton(b)
-    return b.graph
+    return b.graph()
 
 
 def prism_faces(outline, holes=(), height=1.0):
@@ -170,7 +185,7 @@ def face_model(items, schema: str = "IFC2X3") -> InstanceGraph:
             "IFCBUILDINGELEMENTPROXY", f"proxy-{slot}", None, slot, slot, None,
             placement, product_shape, None, None,
         )
-    return b.graph
+    return b.graph()
 
 
 #: outline of a U, area 7: a prism of height 1 over it has area 30
