@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import benchkit, geomcheck, geomgen, spf
+from . import benchkit, geomcheck, geomgen
 from ._commands import EXIT_FINDINGS, EXIT_OK, SystemExit_, _emit, _json_dump, _load
 from ._lazy import lazy
 from .errors import IfcAuditError, NoAnswers, TooFewRespondents
@@ -43,7 +43,7 @@ def cmd_generate(args) -> int:
         )
     except ValueError as exc:  # both numbers are checked above; the grid's extent is not
         raise SystemExit_(f"--{exc}") from None
-    spf.save(graph, args.out)
+    Path(args.out).write_bytes(graph.source.data)  # the bytes it was parsed from
     if args.manifest:
         Path(args.manifest).write_text(
             _json_dump(manifest.to_dict()), encoding="utf-8"

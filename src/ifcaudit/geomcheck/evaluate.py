@@ -269,9 +269,10 @@ def evaluate_item(
     world = placement_matrix(graph, proxy.attr(5))
     outcome = _evaluate_root(graph, root, segments)
     if outcome.mesh is not None:
-        # the local mesh goes before the weld, which holds two world meshes
-        mesh, outcome.mesh = outcome.mesh.transformed(world), None
-        mesh = outcome.mesh = mesh.welded(precision)
+        # the local mesh goes before the weld, which frees the world mesh's
+        # arrays as it replaces them
+        mesh = outcome.mesh = outcome.mesh.transformed(world)
+        mesh.weld(precision)
         zmin, zmax = mesh.bbox[0][2], mesh.bbox[1][2]
         outcome.z_relation = classify_z(zmin, zmax, precision)
         if outcome.is_surface_model:

@@ -53,11 +53,10 @@ __all__ = [
     "materialize",
     "parse_spf",
     "real_lexeme",
-    "save",
     "write_spf",
 ]
 __getattr__ = lazy_exports(
     __name__,
     ("writer",),
-    dict.fromkeys(("format_instance", "format_value", "save", "write_spf"), "writer"),
+    dict.fromkeys(("format_instance", "format_value", "write_spf"), "writer"),
 )

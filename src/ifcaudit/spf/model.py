@@ -391,7 +391,8 @@ class InstanceGraph:
     listed by type or iterated over, and stays one, so an instance keeps its
     identity and its read attributes; ``type_counts`` reads the type codes
     and builds none. The graph also keeps the scan's :class:`References`,
-    which only :meth:`dangling` reads.
+    which only :meth:`dangling` reads, and ``source``, the :class:`Source`
+    whose bytes it was parsed from.
     """
 
     def __init__(
@@ -417,7 +418,7 @@ class InstanceGraph:
                 array("q", map(records.ends.__getitem__, last)),
             )
             rows = dict(zip(records.ids, range(len(records))))
-        self._source = source
+        self.source = source
         self._references = references
         self._records = records
         self._rows = rows
@@ -428,7 +429,7 @@ class InstanceGraph:
         """A new instance for ``row``, kept as the instance of ``id``."""
         t = self._records
         inst = self._views[id] = EntityInstance(
-            id, t.names[t.codes[row]], self._source, t.starts[row], t.ends[row]
+            id, t.names[t.codes[row]], self.source, t.starts[row], t.ends[row]
         )
         return inst
 
@@ -471,7 +472,7 @@ class InstanceGraph:
         try:
             return sorted(set(filterfalse(self._rows.__contains__, self._references)))
         except MalformedFile as exc:
-            raise self._source.named(exc.reason, exc.offset) from None
+            raise self.source.named(exc.reason, exc.offset) from None
 
     def unread_escapes(self) -> list[str]:
         """Check the syntax of every record whose attributes are not read
@@ -479,7 +480,7 @@ class InstanceGraph:
         the unknown string escapes met, in order. A syntax error raises
         :class:`MalformedFile`."""
         unknown: list[str] = []
-        t, views, source = self._records, self._views, self._source
+        t, views, source = self._records, self._views, self.source
         for id, row in self._rows.items():
             inst = views.get(id)
             if inst is None:

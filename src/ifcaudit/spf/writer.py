@@ -8,8 +8,6 @@ the files it builds through :func:`spf_file` too.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
 from typing import Iterable
 
 from .model import (
@@ -101,9 +99,3 @@ def spf_file(header: SpfHeader, records: Iterable[str]) -> bytes:
 def write_spf(graph: InstanceGraph) -> bytes:
     """Serialize the graph."""
     return spf_file(graph.header, map(format_instance, graph))
-
-
-def save(graph: InstanceGraph, path: str | os.PathLike) -> int:
-    data = write_spf(graph)
-    Path(path).write_bytes(data)
-    return len(data)

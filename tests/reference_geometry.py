@@ -4,9 +4,10 @@ Array versions of the mesh kernel: ``ear_clip`` re-slices numpy arrays on
 every pass, ``strip_triangles`` stacks rolled rings, ``welded`` keys
 vertices with ``np.unique(axis=0)``, the mesh properties gather all the
 corners once per property with ``np.cross``, and ``transformed`` multiplies
-with ``@``. The library's list-walk ear clipping, one-array strips, lexsort
-weld, block-wise properties and einsum transform must agree with them: the
-same triangles and vertices, and properties within 1e-12.
+with ``@``. The library's list-walk ear clipping, one-array strips, weld on
+one packed key of ranks, block-wise properties and einsum transform must
+agree with them: the same triangles and vertices, and properties within
+1e-12.
 """
 
 from __future__ import annotations

@@ -669,9 +669,10 @@ def test_fine_revolutions_are_refused_before_they_are_built(suite_file, tmp_path
         assert done.stderr.splitlines() == [f"{s}: error: {e}" for s, e in errors.items()]
 
 
-def test_fine_check_child_peaks_under_180_mb(tmp_path):
+def test_fine_check_child_peaks_under_140_mb(tmp_path):
     # a 1024-segment revolution of the IFC4 suite meshes 2.1 M triangles;
     # measuring and welding it must not hold many corner-sized arrays at once
+    # (about 129 MB with the weld in place, 153 MB with two meshes alive)
     import os
     import subprocess
     import sys
@@ -692,7 +693,7 @@ def test_fine_check_child_peaks_under_180_mb(tmp_path):
     code, peak_kb = map(int, spawner.stdout.split())
     assert code == 0, spawner.stderr
     assert not any("error" in i for i in json.loads(result_path.read_text())["items"])
-    assert peak_kb < 180 * 1024, f"check child peaked at {peak_kb / 1024:.0f} MB"
+    assert peak_kb < 140 * 1024, f"check child peaked at {peak_kb / 1024:.0f} MB"
 
 
 @pytest.mark.parametrize(

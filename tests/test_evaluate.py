@@ -246,10 +246,11 @@ def test_triangle_budget_counts_the_mesh(monkeypatch, suite_2x3, suite_ifc4, seg
 
 
 def test_fine_revolution_peaks_near_its_mesh_size(suite_ifc4):
-    """Meshing, welding and measuring F2 at 512 segments holds at most three
-    times the finished mesh: no step keeps many corner-sized arrays alive.
-    With int32 indices and a weld that sorts one key row at a time, the
-    peak is about 30 MB (44 MB with int64 indices and all keys sorted)."""
+    """Meshing, welding and measuring F2 at 512 segments holds at most twice
+    the finished mesh: no step keeps many corner-sized arrays alive. With a
+    weld in place that sorts one packed key, the peak is about 22.5 MB (30
+    MB with the input and output meshes alive together, 44 MB with int64
+    indices and all keys sorted)."""
     import tracemalloc
 
     graph, manifest = suite_ifc4
@@ -263,8 +264,8 @@ def test_fine_revolution_peaks_near_its_mesh_size(suite_ifc4):
         tracemalloc.stop()
     size = mesh.vertices.nbytes + mesh.triangles.nbytes
     assert len(mesh.triangles) == 536576
-    assert peak <= 3 * size, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB mesh"
-    assert peak <= 35e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 2 * size, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB mesh"
+    assert peak <= 25e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # --- faces: concave outlines and inner bounds -----------------------------------

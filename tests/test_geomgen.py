@@ -229,6 +229,8 @@ def test_generated_suite_bytes_are_pinned(schema, below_precision):
     )
     digest = _digest([write_spf(graph)])
     assert digest == PINNED_SUITE_DIGESTS[schema.value, below_precision]
+    # ``generate`` writes the bytes the graph was parsed from
+    assert graph.source.data == write_spf(graph)
 
 
 def test_clipping_plane_is_written_at_clip_plane_z(monkeypatch):

@@ -54,13 +54,15 @@ def test_flip_negates_signed_volume():
 def test_weld_merges_duplicate_vertices():
     verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0)]
     tris = [(0, 1, 2), (3, 1, 2)]
-    mesh = TriMesh(verts, tris).welded(1e-6)
+    mesh = TriMesh(verts, tris)
+    mesh.weld(1e-6)
     assert len(mesh.vertices) == 3
 
 
 def test_weld_drops_collapsed_triangles():
     verts = [(0, 0, 0), (1e-9, 0, 0), (0, 1, 0)]
-    mesh = TriMesh(verts, [(0, 1, 2)]).welded(1e-6)
+    mesh = TriMesh(verts, [(0, 1, 2)])
+    mesh.weld(1e-6)
     assert len(mesh.triangles) == 0
 
 
@@ -70,8 +72,10 @@ def test_weld_far_from_the_origin():
     n = len(box.vertices)
     doubled = TriMesh(np.vstack([box.vertices] * 2), np.vstack([box.triangles, box.triangles + n]))
     shift = np.array([1e15, 0.0, 0.0])
-    near = doubled.welded(1e-5)
-    far = TriMesh(doubled.vertices + shift, doubled.triangles).welded(1e-5)
+    far = TriMesh(doubled.vertices + shift, doubled.triangles)
+    near = doubled
+    for mesh in (near, far):
+        mesh.weld(1e-5)
     assert len(near.vertices) == n
     assert far.vertices.tolist() == (near.vertices + shift).tolist()
     assert far.triangles.tolist() == near.triangles.tolist()
@@ -84,10 +88,11 @@ def test_weld_refuses_overflowing_grid_keys(scale, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before the division overflows
         with pytest.raises(UnsupportedShape, match="weld grid overflows"):
-            TriMesh(box.vertices * scale, box.triangles).welded(tol)
+            TriMesh(box.vertices * scale, box.triangles).weld(tol)
         # with keys up to 1e300, nothing overflows and nothing merges
         near = TriMesh(box.vertices * math.copysign(1e300 * tol, scale), box.triangles)
-        assert len(near.welded(tol).vertices) == 8
+        near.weld(tol)
+        assert len(near.vertices) == 8
 
 
 def test_centroid_far_from_the_origin():
@@ -140,9 +145,10 @@ def test_every_builder_and_transform_gives_int32_triangles():
         "concat of none": TriMesh.concat([]),
         "flipped": box.flipped(),
         "transformed": box.transformed(np.eye(4)),
-        "welded": TriMesh.concat([box, box]).welded(1e-6),
+        "welded": TriMesh.concat([box, box]),
         "int64 indices": TriMesh(box.vertices, box.triangles.astype(np.int64)),
     }
+    meshes["welded"].weld(1e-6)
     for name, mesh in meshes.items():
         assert mesh.triangles.dtype == np.int32, name
     assert len(meshes["welded"].vertices) == 8
@@ -519,10 +525,75 @@ def test_weld_matches_reference(grid, jitter, triangles):
     tol = 1e-3
     vertices = (np.array(grid) + np.array(jitter[: len(grid)])) * tol
     triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3) % len(vertices)
-    mesh = TriMesh(vertices, triangles).welded(tol)
+    mesh = TriMesh(vertices, triangles)
+    mesh.weld(tol)
     expected_vertices, expected_triangles = reference_geometry.welded(vertices, triangles, tol)
     assert mesh.vertices.tolist() == expected_vertices.tolist()
     assert mesh.triangles.tolist() == expected_triangles.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(10**17), 10**17) | st.integers(-3, 3), min_size=3, max_size=12),
+    st.lists(st.tuples(*[st.integers(0, 13)] * 3), min_size=1, max_size=40),
+    st.lists(st.tuples(*[st.integers(0, 39)] * 3), max_size=40),
+)
+def test_weld_matches_reference_past_packed_key_values(values, picks, triangles):
+    # grid keys from -1e17 to 1e17 on every axis, each drawn from the same
+    # few values: a key packed from the values themselves would overflow int64
+    tol = 1e-3
+    pool = np.array([-(10**17), 10**17, *values], dtype=np.float64)
+    vertices = pool[np.array([(0, 0, 0), (1, 1, 1), *picks]) % len(pool)] * tol
+    triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3) % len(vertices)
+    mesh = TriMesh(vertices, triangles)
+    mesh.weld(tol)
+    expected_vertices, expected_triangles = reference_geometry.welded(vertices, triangles, tol)
+    assert mesh.vertices.tolist() == expected_vertices.tolist()
+    assert mesh.triangles.tolist() == expected_triangles.tolist()
+
+
+def _box_with_a_speck(tol):
+    """A unit box and, at its far corner, a box of ``0.4 * tol`` that welding
+    collapses onto that corner: the weld moves its bbox, volume and centroid."""
+    speck = box_mesh((1, 1, 1), (1 + 0.4 * tol,) * 3)
+    return TriMesh.concat([box_mesh((0, 0, 0), (1, 1, 1)), speck])
+
+
+def _properties(mesh):
+    return [*map(np.ndarray.tolist, mesh.bbox), mesh.volume, mesh.centroid.tolist()]
+
+
+def test_weld_recomputes_bbox_and_measures():
+    mesh = _box_with_a_speck(1e-3)
+    before = _properties(mesh)  # cached before the weld
+    mesh.weld(1e-3)
+    assert (len(mesh.vertices), len(mesh.triangles)) == (8, 12)
+    after = _properties(mesh)
+    assert after == _properties(TriMesh(mesh.vertices, mesh.triangles))
+    assert after[1] == [1.0, 1.0, 1.0]
+    assert all(a != b for a, b in zip(after[1:], before[1:]))  # hi, volume, centroid
+
+
+@pytest.mark.parametrize("welded", ["original", "derived"])
+@pytest.mark.parametrize("derive", ["transformed", "flipped"])
+def test_weld_leaves_meshes_that_share_its_arrays_alone(derive, welded):
+    original = _box_with_a_speck(1e-3)
+    if derive == "transformed":
+        derived = original.transformed(np.eye(4))
+    else:
+        derived = original.flipped()
+        assert np.shares_memory(derived.vertices, original.vertices)
+    assert np.shares_memory(derived.triangles, original.triangles)
+    mesh, other = (original, derived) if welded == "original" else (derived, original)
+    arrays = other.vertices, other.triangles
+    copies = [a.copy() for a in arrays]
+    measures = _properties(other)
+    mesh.weld(1e-3)
+    assert len(mesh.vertices) == 8
+    assert other.vertices is arrays[0] and other.triangles is arrays[1]
+    assert other.vertices.tolist() == copies[0].tolist()
+    assert other.triangles.tolist() == copies[1].tolist()
+    assert _properties(other) == measures == _properties(TriMesh(*copies))
 
 
 def _placement(matrix, offset):
