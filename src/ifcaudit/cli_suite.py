@@ -154,7 +154,8 @@ def cmd_check(args) -> int:
                 dump_name = f"#{proxy.id}"
             dumped.add(dump_name)
             dump_path = dump_dir / f"{dump_name}.tris"
-            dump_path.write_text(outcome.mesh.dump_ascii(), encoding="utf-8")
+            with dump_path.open("w", encoding="utf-8") as dump:
+                outcome.mesh.dump_ascii(dump)
 
     _emit(_json_dump({"items": results}), args.out)
     if args.expect_match and mismatches:

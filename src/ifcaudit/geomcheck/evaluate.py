@@ -269,9 +269,8 @@ def evaluate_item(
     world = placement_matrix(graph, proxy.attr(5))
     outcome = _evaluate_root(graph, root, segments)
     if outcome.mesh is not None:
-        # the local mesh goes before the weld, which frees the world mesh's
-        # arrays as it replaces them
-        mesh = outcome.mesh = outcome.mesh.transformed(world)
+        mesh = outcome.mesh
+        mesh.transform(world)
         mesh.weld(precision)
         zmin, zmax = mesh.bbox[0][2], mesh.bbox[1][2]
         outcome.z_relation = classify_z(zmin, zmax, precision)
@@ -330,7 +329,7 @@ def _eval_extrusion(
         )
     _within_budget(4 * len(polygon) - 4)  # two caps of n - 2, two per side
     mesh = extrude_polygon(polygon, unit * depth)
-    mesh = mesh.transformed(axis2_matrix(graph, root.attr(1)))
+    mesh.transform(axis2_matrix(graph, root.attr(1)))
     smooth = curved and segments >= SMOOTH_SEGMENT_THRESHOLD
     return EvaluationOutcome(shape_class, mesh, smooth_curves=smooth, warnings=warnings)
 
@@ -352,7 +351,7 @@ def _eval_revolution(
         raise UnsupportedShape("only full-sweep revolutions are supported")
     _within_budget(2 * segments * len(polygon))  # two per side, per step
     mesh = revolve_polygon(polygon, axis_point, _unit(axis.attr(1), axis_dir), segments)
-    mesh = mesh.transformed(axis2_matrix(graph, root.attr(1)))
+    mesh.transform(axis2_matrix(graph, root.attr(1)))
     return EvaluationOutcome(
         shape_class, mesh, smooth_curves=segments >= SMOOTH_SEGMENT_THRESHOLD
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import TextIO
 
 from .._lazy import lazy
 from ..errors import UnsupportedShape
@@ -17,7 +18,8 @@ from ..errors import UnsupportedShape
 np = lazy("numpy")  # only evaluating geometry loads numpy
 
 _DUMP_ROWS = 4096  # triangles per block of ``dump_ascii``'s text
-_MEASURE_ROWS = 1 << 14  # triangles per block of ``_measures``' corners
+#: Rows per block of the passes that measure a mesh or change it in place
+_BLOCK_ROWS = 1 << 14
 #: Most vertices a mesh may have: every triangle index is an int32.
 MAX_VERTICES = 2**31 - 1
 
@@ -30,16 +32,25 @@ def cross3(a, b):
     )
 
 
-def _dense_ranks(keys) -> tuple[np.ndarray, int]:
-    """Each key's int32 rank among the distinct keys, and their count: equal
-    keys share a rank, and ranks keep the keys' order."""
-    order = np.argsort(keys)
-    keys = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[0] = False  # ranks from 0
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    del keys
-    sorted_ranks = np.cumsum(new, dtype=np.int32)
+def _sorted_starts(keys, kind=None) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts ``keys``, and whether each sorted key differs
+    from the one before it (the first does). Neighbours are compared
+    ``_BLOCK_ROWS`` at a time, so no sorted copy of the keys is made."""
+    order = np.argsort(keys, kind=kind)
+    starts = np.empty(len(keys), dtype=bool)
+    starts[0] = True
+    for start in range(1, len(keys), _BLOCK_ROWS):
+        pair = keys.take(order[start - 1 : start + _BLOCK_ROWS])
+        np.not_equal(pair[1:], pair[:-1], out=starts[start : start + _BLOCK_ROWS])
+    return order, starts
+
+
+def _dense_ranks(order, starts) -> tuple[np.ndarray, int]:
+    """Each key's int32 rank among the distinct keys, and their count, from
+    :func:`_sorted_starts`: equal keys share a rank, and ranks keep the
+    keys' order. Called once the keys are freed; it writes into ``starts``."""
+    starts[0] = False  # ranks from 0
+    sorted_ranks = np.cumsum(starts, dtype=np.int32)
     ranks = np.empty(len(order), dtype=np.int32)
     ranks[order] = sorted_ranks
     return ranks, int(sorted_ranks[-1]) + 1
@@ -49,13 +60,20 @@ def _grid_ranks(values, tol: float) -> tuple[np.ndarray, int]:
     """:func:`_dense_ranks` of ``values`` rounded to multiples of ``tol``."""
     keys = np.divide(values, tol)
     np.round(keys, out=keys)
-    return _dense_ranks(keys)
+    order, starts = _sorted_starts(keys)
+    del keys
+    return _dense_ranks(order, starts)
 
 
 class TriMesh:
     """Vertices as float64 rows and triangles as int32 rows of three vertex
     indices. The indices are range-checked in the caller's dtype before
-    they are narrowed, so none wraps."""
+    they are narrowed, so none wraps.
+
+    A mesh owns the arrays it is given: it keeps a float64 vertex array and
+    an int32 triangle array as they are, and ``transform``, ``flip`` and
+    ``weld`` write into them. A caller that still needs an array passes a
+    copy."""
 
     def __init__(self, vertices, triangles):
         self.vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
@@ -68,10 +86,15 @@ class TriMesh:
             raise ValueError("negative triangle index")
         self.triangles = triangles.astype(np.int32, copy=False)
 
+    def _changed(self) -> None:
+        """Drop the properties cached from the old arrays."""
+        for stale in ("bbox", "_measures"):
+            self.__dict__.pop(stale, None)
+
     @cached_property
     def _measures(self) -> tuple[float, float, np.ndarray]:
         """Signed volume, surface area and centroid from one gather of the
-        corners, ``_MEASURE_ROWS`` triangles at a time, so that no array the
+        corners, ``_BLOCK_ROWS`` triangles at a time, so that no array the
         size of all the corners is held. A triangle's doubled vector area
         ``n = (b - a) x (c - a)`` gives its area and, as ``a . n = a . (b x
         c)``, six times the signed volume of its tetrahedron against the
@@ -82,13 +105,15 @@ class TriMesh:
             return 0.0, 0.0, self.vertices.mean(axis=0)
         lo, hi = self.bbox
         centre = (lo + hi) / 2.0
-        # x, y and z rows, relative to the centre
-        v = np.subtract(self.vertices.T, centre[:, None], order="C")
         six_volume = doubled_area = 0.0
         volume_moment, area_moment = np.zeros(3), np.zeros(3)
-        for start in range(0, len(t), _MEASURE_ROWS):
-            block = t[start : start + _MEASURE_ROWS]
-            a, b, c = (v.take(block[:, k], axis=1) for k in range(3))
+        for start in range(0, len(t), _BLOCK_ROWS):
+            block = t[start : start + _BLOCK_ROWS]
+            # x, y and z rows of each corner, relative to the centre
+            a, b, c = (
+                np.subtract(self.vertices.take(block[:, k], axis=0).T, centre[:, None], order="C")
+                for k in range(3)
+            )
             b -= a  # edges, in place: three block-sized arrays at most
             c -= a
             n = cross3(b, c)
@@ -138,11 +163,11 @@ class TriMesh:
         return np.array([c.min() for c in columns]), np.array([c.max() for c in columns])
 
     def weld(self, tol: float) -> None:
-        """Merge vertices closer than ``tol`` (grid snapping), in place. The
-        mesh gets new ``vertices`` and ``triangles`` arrays and never writes
-        into the old ones, which ``transformed`` and ``flipped`` share with
-        other meshes. Raises :class:`UnsupportedShape` when a grid key would
-        overflow to infinity, which would merge distinct vertices."""
+        """Merge vertices closer than ``tol`` (grid snapping), in place: the
+        kept vertices move to the first rows of the vertex array, in the
+        order of ``np.unique`` on the grid keys. Raises
+        :class:`UnsupportedShape` when a grid key would overflow to
+        infinity, which would merge distinct vertices."""
         if tol <= 0 or not len(self.vertices):
             return
         reach = float(np.abs(self.bbox).max())
@@ -151,55 +176,64 @@ class TriMesh:
         # one int64 key whose order is the (x, y, z) order of the grid keys:
         # the grid keys reach about 1e308, so their dense ranks are packed, and
         # no product reaches n * n <= 2**62
-        columns = self.vertices.T
-        key, _ = _grid_ranks(columns[0], tol)
+        v, t = self.vertices, self.triangles
+        key, _ = _grid_ranks(v[:, 0], tol)
         key = key.astype(np.int64)
-        y, ny = _grid_ranks(columns[1], tol)
+        y, ny = _grid_ranks(v[:, 1], tol)
         key *= ny
         key += y
         del y
-        key, _ = _dense_ranks(key)
+        order, starts = _sorted_starts(key)
+        del key
+        key, _ = _dense_ranks(order, starts)
+        del order, starts
         key = key.astype(np.int64)
-        z, nz = _grid_ranks(columns[2], tol)
+        z, nz = _grid_ranks(v[:, 2], tol)
         key *= nz
         key += z
-        del z, columns  # a view would keep the old vertices alive
+        del z
         # a stable sort keeps equal keys in index order: the order, first
         # indices and inverse of np.unique(keys, axis=0)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.empty(len(order), dtype=bool)
-        starts[0] = True
-        np.not_equal(key[1:], key[:-1], out=starts[1:])
+        order, starts = _sorted_starts(key, kind="stable")
         del key
-        first = order[starts]
-        inverse = np.empty(len(order), dtype=np.int32)
-        inverse[order] = np.cumsum(starts, dtype=np.int32) - 1
+        first = order[starts].astype(np.int32)
+        inverse, kept = _dense_ranks(order, starts)
         del order, starts  # freed before the vertices and triangles are gathered
-        self.vertices = self.vertices.take(first, axis=0)  # far faster than [first]
+        for column in range(3):  # take would copy the strided column first
+            v[:kept, column] = v[first, column]
         del first
-        triangles = inverse[self.triangles]
+        self.vertices = v[:kept]
+        for start in range(0, len(t), _BLOCK_ROWS):
+            block = t[start : start + _BLOCK_ROWS]
+            np.take(inverse, block, out=block)
         del inverse
-        ok = (
-            (triangles[:, 0] != triangles[:, 1])
-            & (triangles[:, 1] != triangles[:, 2])
-            & (triangles[:, 0] != triangles[:, 2])
-        )
-        self.triangles = triangles if ok.all() else triangles[ok]
-        for stale in ("bbox", "_measures"):
-            self.__dict__.pop(stale, None)
+        ok = (t[:, 0] != t[:, 1]) & (t[:, 1] != t[:, 2]) & (t[:, 0] != t[:, 2])
+        if not ok.all():
+            self.triangles = t[ok]
+        self._changed()
 
-    def flipped(self) -> "TriMesh":
-        return TriMesh(self.vertices, self.triangles[:, ::-1])
+    def flip(self) -> None:
+        """Reverse every triangle's winding, in place: ``(a, b, c)`` becomes
+        ``(c, b, a)``."""
+        t = self.triangles
+        first = t[:, 0].copy()
+        t[:, 0] = t[:, 2]
+        t[:, 2] = first
+        self._changed()
 
-    def transformed(self, matrix: np.ndarray) -> "TriMesh":
-        """Apply a 4x4 homogeneous transform."""
+    def transform(self, matrix: np.ndarray) -> None:
+        """Apply a 4x4 homogeneous transform in place, ``_BLOCK_ROWS``
+        vertices at a time."""
         m = np.asarray(matrix, dtype=np.float64)
-        # einsum, not ``@``: OpenBLAS runs a tall n x 3 product on threads,
-        # whose start in each process costs about 0.1 s on a 2-core machine
-        pts = np.einsum("ij,kj->ik", self.vertices, m[:3, :3])
-        pts += m[:3, 3]
-        return TriMesh(pts, self.triangles)
+        rotation, offset = m[:3, :3], m[:3, 3]
+        v = self.vertices
+        for start in range(0, len(v), _BLOCK_ROWS):
+            block = v[start : start + _BLOCK_ROWS]
+            # einsum, not ``@``: OpenBLAS runs a tall n x 3 product on
+            # threads, whose start in each process costs about 0.1 s on a
+            # 2-core machine
+            np.add(np.einsum("ij,kj->ik", block, rotation), offset, out=block)
+        self._changed()
 
     @staticmethod
     def concat(meshes: list["TriMesh"]) -> "TriMesh":
@@ -217,19 +251,19 @@ class TriMesh:
             offset += len(mesh.vertices)
         return TriMesh(np.vstack(verts), np.vstack(tris))
 
-    def dump_ascii(self) -> str:
-        """One triangle per line: nine floats (three xyz corners), as
-        ``np.savetxt(..., fmt="%.9g")`` writes them."""
+    def dump_ascii(self, out: TextIO) -> None:
+        """Write one triangle per line to the text file ``out``: nine floats
+        (three xyz corners), as ``np.savetxt(..., fmt="%.9g")`` writes them,
+        ``_DUMP_ROWS`` triangles at a time, so the whole text is never held."""
         # one format call for the vertices: a vertex is the corner of about
         # six triangles, so each is formatted once and its text reused
         v, t = self.vertices, self.triangles
         corners = ("%.9g %.9g %.9g\n" * len(v) % tuple(v.ravel().tolist())).split("\n")
-        text = "".join(
-            "".join([f"{corners[a]} {corners[b]} {corners[c]}\n" for a, b, c in block.tolist()])
-            # blocks of rows bound the Python objects alive at once
-            for block in np.split(t, range(_DUMP_ROWS, len(t), _DUMP_ROWS))
-        )
-        return text or "\n"  # an empty mesh dumps as one blank line
+        if not len(t):
+            out.write("\n")  # an empty mesh dumps as one blank line
+        for start in range(0, len(t), _DUMP_ROWS):
+            rows = t[start : start + _DUMP_ROWS].tolist()
+            out.write("".join([f"{corners[a]} {corners[b]} {corners[c]}\n" for a, b, c in rows]))
 
     def __repr__(self) -> str:
         return f"TriMesh({len(self.vertices)} vertices, {len(self.triangles)} triangles)"

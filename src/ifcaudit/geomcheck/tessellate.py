@@ -426,7 +426,9 @@ def extrude_polygon(polygon: np.ndarray, sweep: np.ndarray) -> TriMesh:
         strip_triangles(ring, ring + n).reshape(-1, 3),
     ])
     mesh = TriMesh(np.vstack([base, top]), tris)
-    return mesh.flipped() if sweep[2] < 0 else mesh
+    if sweep[2] < 0:
+        mesh.flip()
+    return mesh
 
 
 def revolve_polygon(
@@ -450,12 +452,12 @@ def revolve_polygon(
     p = np.column_stack([polygon, np.zeros(len(polygon))]) - axis_point
     cos, sin = _cos_sin(2.0 * math.pi * np.arange(segments) / segments)
     cos, sin = cos[:, None, None], sin[:, None, None]
-    rings = (
-        p * cos
-        + cross3(k, p.T).T * sin
-        + np.outer(np.einsum("ij,j->i", p, k), k) * (1.0 - cos)
-    ) + axis_point
-    index = np.arange(segments * len(p)).reshape(segments, len(p))
+    # summed in place, in the formula's order: one term's temporary at a time
+    rings = p * cos
+    rings += cross3(k, p.T).T * sin
+    rings += np.outer(np.einsum("ij,j->i", p, k), k) * (1.0 - cos)
+    rings += axis_point
+    index = np.arange(segments * len(p), dtype=np.int32).reshape(segments, len(p))
     tris = strip_triangles(index, np.roll(index, -1, axis=0))
     mesh = TriMesh(rings.reshape(-1, 3), tris.reshape(-1, 3))
     # six times the sum of (centroid x k)_z times area over the triangles
@@ -463,7 +465,9 @@ def revolve_polygon(
     x, y = p[:, 0], p[:, 1]
     x2, y2 = np.roll(x, -1), np.roll(y, -1)
     moment = (((x + x2) * k[1] - (y + y2) * k[0]) * (x * y2 - x2 * y)).sum()
-    return mesh.flipped() if moment > 0 else mesh
+    if moment > 0:
+        mesh.flip()
+    return mesh
 
 
 def tube_mesh(

@@ -3,11 +3,12 @@
 Array versions of the mesh kernel: ``ear_clip`` re-slices numpy arrays on
 every pass, ``strip_triangles`` stacks rolled rings, ``welded`` keys
 vertices with ``np.unique(axis=0)``, the mesh properties gather all the
-corners once per property with ``np.cross``, and ``transformed`` multiplies
-with ``@``. The library's list-walk ear clipping, one-array strips, weld on
-one packed key of ranks, block-wise properties and einsum transform must
-agree with them: the same triangles and vertices, and properties within
-1e-12.
+corners once per property with ``np.cross``, and ``transformed`` returns
+new vertices multiplied with ``@``. The library's list-walk ear clipping,
+one-array strips, in-place weld on one packed key of ranks, block-wise
+properties and in-place, block-wise einsum ``TriMesh.transform`` must agree
+with them: the same triangles and vertices, transformed vertices within
+1e-12 (equal where the arithmetic is exact), and properties within 1e-12.
 """
 
 from __future__ import annotations

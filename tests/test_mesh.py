@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifcaudit.errors import UnsupportedShape
-from ifcaudit.geomcheck.mesh import _MEASURE_ROWS, TriMesh
+from ifcaudit.geomcheck.mesh import _BLOCK_ROWS, TriMesh
 from ifcaudit.geomcheck.tessellate import (
     box_mesh,
     bridge_holes,
@@ -48,7 +48,12 @@ def test_volume_against_column_oracle_box():
 
 def test_flip_negates_signed_volume():
     mesh = box_mesh((0, 0, 0), (1, 1, 1))
-    assert mesh.flipped().signed_volume == pytest.approx(-mesh.signed_volume)
+    a, b, c = reference_geometry.corners(mesh.vertices, mesh.triangles)
+    volume = mesh.signed_volume
+    mesh.flip()
+    flipped = reference_geometry.corners(mesh.vertices, mesh.triangles)
+    assert [x.tolist() for x in flipped] == [c.tolist(), b.tolist(), a.tolist()]
+    assert mesh.signed_volume == pytest.approx(-volume)
 
 
 def test_weld_merges_duplicate_vertices():
@@ -72,7 +77,7 @@ def test_weld_far_from_the_origin():
     n = len(box.vertices)
     doubled = TriMesh(np.vstack([box.vertices] * 2), np.vstack([box.triangles, box.triangles + n]))
     shift = np.array([1e15, 0.0, 0.0])
-    far = TriMesh(doubled.vertices + shift, doubled.triangles)
+    far = TriMesh(doubled.vertices + shift, doubled.triangles.copy())
     near = doubled
     for mesh in (near, far):
         mesh.weld(1e-5)
@@ -88,9 +93,9 @@ def test_weld_refuses_overflowing_grid_keys(scale, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before the division overflows
         with pytest.raises(UnsupportedShape, match="weld grid overflows"):
-            TriMesh(box.vertices * scale, box.triangles).weld(tol)
+            TriMesh(box.vertices * scale, box.triangles.copy()).weld(tol)
         # with keys up to 1e300, nothing overflows and nothing merges
-        near = TriMesh(box.vertices * math.copysign(1e300 * tol, scale), box.triangles)
+        near = TriMesh(box.vertices * math.copysign(1e300 * tol, scale), box.triangles.copy())
         near.weld(tol)
         assert len(near.vertices) == 8
 
@@ -133,6 +138,9 @@ def test_vertex_limit_is_checked_by_constructor_and_concat(monkeypatch):
 
 def test_every_builder_and_transform_gives_int32_triangles():
     box = box_mesh((0, 0, 0), (1, 1, 1))
+    flipped, transformed = box_mesh((0, 0, 0), (1, 1, 1)), box_mesh((0, 0, 0), (1, 1, 1))
+    flipped.flip()
+    transformed.transform(np.eye(4))
     ellipse = ellipse_polygon(1.0, 0.5, 16)
     meshes = {
         "extrude_polygon": extrude_polygon(ellipse, np.array([0.0, 0.0, -1.0])),
@@ -143,10 +151,10 @@ def test_every_builder_and_transform_gives_int32_triangles():
         "box_mesh": box,
         "concat": TriMesh.concat([box, box]),
         "concat of none": TriMesh.concat([]),
-        "flipped": box.flipped(),
-        "transformed": box.transformed(np.eye(4)),
+        "flipped": flipped,
+        "transformed": transformed,
         "welded": TriMesh.concat([box, box]),
-        "int64 indices": TriMesh(box.vertices, box.triangles.astype(np.int64)),
+        "int64 indices": TriMesh(box.vertices.copy(), box.triangles.astype(np.int64)),
     }
     meshes["welded"].weld(1e-6)
     for name, mesh in meshes.items():
@@ -368,8 +376,9 @@ def test_ellipse_refinement_monotone():
 
 def test_dump_ascii_format():
     mesh = box_mesh((0, 0, 0), (1, 1, 1))
-    text = mesh.dump_ascii()
-    lines = text.strip().splitlines()
+    out = io.StringIO()
+    mesh.dump_ascii(out)
+    lines = out.getvalue().strip().splitlines()
     assert len(lines) == 12
     assert all(len(line.split()) == 9 for line in lines)
 
@@ -525,7 +534,7 @@ def test_weld_matches_reference(grid, jitter, triangles):
     tol = 1e-3
     vertices = (np.array(grid) + np.array(jitter[: len(grid)])) * tol
     triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3) % len(vertices)
-    mesh = TriMesh(vertices, triangles)
+    mesh = TriMesh(vertices.copy(), triangles.copy())  # the weld writes into its arrays
     mesh.weld(tol)
     expected_vertices, expected_triangles = reference_geometry.welded(vertices, triangles, tol)
     assert mesh.vertices.tolist() == expected_vertices.tolist()
@@ -545,9 +554,25 @@ def test_weld_matches_reference_past_packed_key_values(values, picks, triangles)
     pool = np.array([-(10**17), 10**17, *values], dtype=np.float64)
     vertices = pool[np.array([(0, 0, 0), (1, 1, 1), *picks]) % len(pool)] * tol
     triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3) % len(vertices)
-    mesh = TriMesh(vertices, triangles)
+    mesh = TriMesh(vertices.copy(), triangles.copy())  # the weld writes into its arrays
     mesh.weld(tol)
     expected_vertices, expected_triangles = reference_geometry.welded(vertices, triangles, tol)
+    assert mesh.vertices.tolist() == expected_vertices.tolist()
+    assert mesh.triangles.tolist() == expected_triangles.tolist()
+
+
+def test_weld_over_many_blocks_matches_reference():
+    # sorted keys compared, and triangles remapped, across block boundaries:
+    # about 5 in 6 vertices merge, and some triangles collapse
+    tol = 1e-3
+    rng = np.random.default_rng(5)
+    n = 3 * _BLOCK_ROWS + 7
+    vertices = (rng.integers(-10, 10, size=(n, 3)) + rng.uniform(-0.4, 0.4, size=(n, 3))) * tol
+    triangles = rng.integers(0, n, size=(2 * n, 3))
+    mesh = TriMesh(vertices.copy(), triangles.copy())
+    mesh.weld(tol)
+    expected_vertices, expected_triangles = reference_geometry.welded(vertices, triangles, tol)
+    assert len(mesh.triangles) < len(triangles)
     assert mesh.vertices.tolist() == expected_vertices.tolist()
     assert mesh.triangles.tolist() == expected_triangles.tolist()
 
@@ -560,7 +585,8 @@ def _box_with_a_speck(tol):
 
 
 def _properties(mesh):
-    return [*map(np.ndarray.tolist, mesh.bbox), mesh.volume, mesh.centroid.tolist()]
+    bbox = map(np.ndarray.tolist, mesh.bbox)
+    return [*bbox, mesh.signed_volume, mesh.surface_area, mesh.centroid.tolist()]
 
 
 def test_weld_recomputes_bbox_and_measures():
@@ -571,29 +597,20 @@ def test_weld_recomputes_bbox_and_measures():
     after = _properties(mesh)
     assert after == _properties(TriMesh(mesh.vertices, mesh.triangles))
     assert after[1] == [1.0, 1.0, 1.0]
-    assert all(a != b for a, b in zip(after[1:], before[1:]))  # hi, volume, centroid
+    assert all(a != b for a, b in zip(after[1:], before[1:]))  # hi, volume, area, centroid
 
 
-@pytest.mark.parametrize("welded", ["original", "derived"])
-@pytest.mark.parametrize("derive", ["transformed", "flipped"])
-def test_weld_leaves_meshes_that_share_its_arrays_alone(derive, welded):
-    original = _box_with_a_speck(1e-3)
-    if derive == "transformed":
-        derived = original.transformed(np.eye(4))
+@pytest.mark.parametrize("operation", ["transform", "flip"])
+def test_in_place_operations_drop_cached_properties(operation):
+    mesh = _box_with_a_speck(1e-3)
+    before = _properties(mesh)  # cached before the operation
+    if operation == "transform":
+        mesh.transform(_placement(range(9), (1.0, -2.0, 3.0)))
     else:
-        derived = original.flipped()
-        assert np.shares_memory(derived.vertices, original.vertices)
-    assert np.shares_memory(derived.triangles, original.triangles)
-    mesh, other = (original, derived) if welded == "original" else (derived, original)
-    arrays = other.vertices, other.triangles
-    copies = [a.copy() for a in arrays]
-    measures = _properties(other)
-    mesh.weld(1e-3)
-    assert len(mesh.vertices) == 8
-    assert other.vertices is arrays[0] and other.triangles is arrays[1]
-    assert other.vertices.tolist() == copies[0].tolist()
-    assert other.triangles.tolist() == copies[1].tolist()
-    assert _properties(other) == measures == _properties(TriMesh(*copies))
+        mesh.flip()
+    after = _properties(mesh)
+    assert after == _properties(TriMesh(mesh.vertices.copy(), mesh.triangles.copy()))
+    assert after != before
 
 
 def _placement(matrix, offset):
@@ -623,18 +640,31 @@ def test_strips_match_reference(shape):
 def test_properties_over_many_blocks_match_reference(surface):
     if surface:
         # a fan in the plane z = 0 has no volume: its centroid is the area centroid
-        n = 3 * _MEASURE_ROWS + 1001
+        n = 3 * _BLOCK_ROWS + 1001
         i = np.arange(1, n - 1)
         outline = ellipse_polygon(2.0, 1.0, n) + np.array([5.0, -3.0])
         mesh = TriMesh(np.column_stack([outline, np.zeros(n)]), np.column_stack([0 * i, i, i + 1]))
         assert mesh.signed_volume == 0.0
     else:
         poly = ellipse_polygon(1.0, 0.5, 97) + np.array([3.0, 1.0])
-        segments = 3 * _MEASURE_ROWS // (2 * 97) + 1
+        segments = 3 * _BLOCK_ROWS // (2 * 97) + 1
         mesh = revolve_polygon(poly, np.zeros(3), np.array([0.0, 1.0, 0.0]), segments)
     # several whole blocks and a part of one
-    assert len(mesh.triangles) > 3 * _MEASURE_ROWS and len(mesh.triangles) % _MEASURE_ROWS
+    assert len(mesh.triangles) > 3 * _BLOCK_ROWS and len(mesh.triangles) % _BLOCK_ROWS
     _assert_properties_match_reference(mesh)
+
+
+def test_transform_matches_reference_exactly():
+    # small integers and dyadic factors: every product and sum is exact, so
+    # the block-wise einsum and the reference's ``@`` give the same bits
+    rng = np.random.default_rng(3)
+    vertices = rng.integers(-1000, 1000, size=(2 * _BLOCK_ROWS + 5, 3)).astype(np.float64)
+    matrix = np.eye(4)
+    matrix[:3] = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 3.0], size=(3, 4))
+    expected = reference_geometry.transformed(vertices, matrix)
+    mesh = TriMesh(vertices, np.zeros((0, 3), dtype=np.int32))
+    mesh.transform(matrix)
+    assert mesh.vertices.tolist() == expected.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -645,10 +675,10 @@ def test_properties_over_many_blocks_match_reference(surface):
     st.tuples(*[st.floats(-100.0, 100.0)] * 3),
 )
 def test_solid_properties_match_reference(poly, sweep, matrix, offset):
-    local = extrude_polygon(poly, np.array(sweep))
+    mesh = extrude_polygon(poly, np.array(sweep))
     matrix = _placement(matrix, offset)
-    mesh = local.transformed(matrix)
-    expected = reference_geometry.transformed(local.vertices, matrix)
+    expected = reference_geometry.transformed(mesh.vertices, matrix)
+    mesh.transform(matrix)
     assert np.abs(mesh.vertices - expected).max() <= 1e-12 * np.abs(expected).max()
     _assert_properties_match_reference(mesh)
 
@@ -679,7 +709,7 @@ def test_dump_matches_savetxt(coordinates, repeat):
     triangles = np.arange(len(vertices) // 3 * 3).reshape(-1, 3)
     if len(triangles) and repeat:
         triangles = np.tile(triangles, (repeat // len(triangles) + 1, 1))
-    mesh = TriMesh(vertices, triangles)
-    out = io.StringIO()
-    np.savetxt(out, np.hstack(reference_geometry.corners(vertices, triangles)), fmt="%.9g")
-    assert mesh.dump_ascii() == (out.getvalue() or "\n")
+    expected, out = io.StringIO(), io.StringIO()
+    np.savetxt(expected, np.hstack(reference_geometry.corners(vertices, triangles)), fmt="%.9g")
+    TriMesh(vertices, triangles).dump_ascii(out)
+    assert out.getvalue() == (expected.getvalue() or "\n")
