@@ -32,37 +32,32 @@ def cross3(a, b):
     )
 
 
-def _sorted_starts(keys, kind=None) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts ``keys``, and whether each sorted key differs
-    from the one before it (the first does). Neighbours are compared
-    ``_BLOCK_ROWS`` at a time, so no sorted copy of the keys is made."""
-    order = np.argsort(keys, kind=kind)
-    starts = np.empty(len(keys), dtype=bool)
-    starts[0] = True
-    for start in range(1, len(keys), _BLOCK_ROWS):
-        pair = keys.take(order[start - 1 : start + _BLOCK_ROWS])
-        np.not_equal(pair[1:], pair[:-1], out=starts[start : start + _BLOCK_ROWS])
-    return order, starts
-
-
-def _dense_ranks(order, starts) -> tuple[np.ndarray, int]:
-    """Each key's int32 rank among the distinct keys, and their count, from
-    :func:`_sorted_starts`: equal keys share a rank, and ranks keep the
-    keys' order. Called once the keys are freed; it writes into ``starts``."""
-    starts[0] = False  # ranks from 0
-    sorted_ranks = np.cumsum(starts, dtype=np.int32)
-    ranks = np.empty(len(order), dtype=np.int32)
-    ranks[order] = sorted_ranks
-    return ranks, int(sorted_ranks[-1]) + 1
-
-
-def _grid_ranks(values, tol: float) -> tuple[np.ndarray, int]:
-    """:func:`_dense_ranks` of ``values`` rounded to multiples of ``tol``."""
-    keys = np.divide(values, tol)
-    np.round(keys, out=keys)
-    order, starts = _sorted_starts(keys)
-    del keys
-    return _dense_ranks(order, starts)
+def _dense_ranks(n: int, keys, dtype, out=None) -> tuple[np.ndarray, int]:
+    """Each of ``n`` keys' int32 rank among the distinct keys, and their
+    count: equal keys share a rank, and ranks keep the keys' order.
+    ``keys(start, stop)`` gives the ``dtype`` keys of rows ``start:stop``,
+    read twice a block at a time: to fill one sorted copy, whose distinct
+    values move to its front, and to search there for each block's ranks,
+    written into ``out`` if given once the block's keys are read."""
+    ordered = np.empty(n, dtype=dtype)
+    for start in range(0, n, _BLOCK_ROWS):
+        ordered[start : start + _BLOCK_ROWS] = keys(start, start + _BLOCK_ROWS)
+    ordered.sort()
+    # the write position never passes the read position, and meets it only
+    # while every value so far is distinct, where it writes each one back
+    kept = 1
+    for start in range(1, n, _BLOCK_ROWS):
+        pair = ordered[start - 1 : start + _BLOCK_ROWS]
+        distinct = pair[1:][pair[1:] != pair[:-1]]
+        ordered[kept : kept + len(distinct)] = distinct
+        kept += len(distinct)
+    distinct = ordered[:kept]
+    if out is None:
+        out = np.empty(n, dtype=np.int32)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = keys(start, start + _BLOCK_ROWS)
+        out[start : start + _BLOCK_ROWS] = np.searchsorted(distinct, block)
+    return out, kept
 
 
 class TriMesh:
@@ -167,47 +162,49 @@ class TriMesh:
         kept vertices move to the first rows of the vertex array, in the
         order of ``np.unique`` on the grid keys. Raises
         :class:`UnsupportedShape` when a grid key would overflow to
-        infinity, which would merge distinct vertices."""
+        infinity, which would merge distinct vertices.
+
+        The grid keys are ranked by :func:`_dense_ranks`, which searches a
+        sorted copy: x, y, the packed (x, y) ranks, z, then the packed
+        ((x, y), z) ranks, which are the inverse. Its working set is that
+        8-byte copy and two int32 rank arrays, about 16 bytes a vertex, and
+        no permutation; a group's first index is the least of its rows."""
         if tol <= 0 or not len(self.vertices):
             return
         reach = float(np.abs(self.bbox).max())
         if not math.isfinite(reach / tol):
             raise UnsupportedShape(f"weld grid overflows: coordinate {reach:g}, precision {tol:g}")
-        # one int64 key whose order is the (x, y, z) order of the grid keys:
-        # the grid keys reach about 1e308, so their dense ranks are packed, and
-        # no product reaches n * n <= 2**62
-        v, t = self.vertices, self.triangles
-        key, _ = _grid_ranks(v[:, 0], tol)
-        key = key.astype(np.int64)
-        y, ny = _grid_ranks(v[:, 1], tol)
-        key *= ny
-        key += y
+        v, t, n = self.vertices, self.triangles, len(self.vertices)
+
+        def grid(column):  # the grid keys of one axis reach about 1e308
+            return lambda start, stop: np.round(v[start:stop, column] / tol)
+
+        def packed(high, count, low):  # below n * n <= 2**62
+            return lambda start, stop: high[start:stop].astype(np.int64) * count + low[start:stop]
+
+        key, _ = _dense_ranks(n, grid(0), np.float64)
+        y, ny = _dense_ranks(n, grid(1), np.float64)
+        _dense_ranks(n, packed(key, ny, y), np.int64, out=key)
         del y
-        order, starts = _sorted_starts(key)
-        del key
-        key, _ = _dense_ranks(order, starts)
-        del order, starts
-        key = key.astype(np.int64)
-        z, nz = _grid_ranks(v[:, 2], tol)
-        key *= nz
-        key += z
-        del z
-        # a stable sort keeps equal keys in index order: the order, first
-        # indices and inverse of np.unique(keys, axis=0)
-        order, starts = _sorted_starts(key, kind="stable")
-        del key
-        first = order[starts].astype(np.int32)
-        inverse, kept = _dense_ranks(order, starts)
-        del order, starts  # freed before the vertices and triangles are gathered
+        z, nz = _dense_ranks(n, grid(2), np.float64)
+        inverse, kept = _dense_ranks(n, packed(key, nz, z), np.int64, out=key)
+        del key, z
+        # each kept vertex's first index, as np.unique(keys, axis=0) finds it
+        first = np.full(kept, n, dtype=np.int32)
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = np.arange(start, min(start + _BLOCK_ROWS, n), dtype=np.int32)
+            np.minimum.at(first, inverse[start : start + _BLOCK_ROWS], rows)
         for column in range(3):  # take would copy the strided column first
             v[:kept, column] = v[first, column]
         del first
         self.vertices = v[:kept]
+        ok = np.empty(len(t), dtype=bool)
         for start in range(0, len(t), _BLOCK_ROWS):
             block = t[start : start + _BLOCK_ROWS]
             np.take(inverse, block, out=block)
+            a, b, c = block.T
+            ok[start : start + _BLOCK_ROWS] = (a != b) & (b != c) & (a != c)
         del inverse
-        ok = (t[:, 0] != t[:, 1]) & (t[:, 1] != t[:, 2]) & (t[:, 0] != t[:, 2])
         if not ok.all():
             self.triangles = t[ok]
         self._changed()
@@ -255,15 +252,16 @@ class TriMesh:
         """Write one triangle per line to the text file ``out``: nine floats
         (three xyz corners), as ``np.savetxt(..., fmt="%.9g")`` writes them,
         ``_DUMP_ROWS`` triangles at a time, so the whole text is never held."""
-        # one format call for the vertices: a vertex is the corner of about
-        # six triangles, so each is formatted once and its text reused
         v, t = self.vertices, self.triangles
-        corners = ("%.9g %.9g %.9g\n" * len(v) % tuple(v.ravel().tolist())).split("\n")
         if not len(t):
             out.write("\n")  # an empty mesh dumps as one blank line
         for start in range(0, len(t), _DUMP_ROWS):
-            rows = t[start : start + _DUMP_ROWS].tolist()
-            out.write("".join([f"{corners[a]} {corners[b]} {corners[c]}\n" for a, b, c in rows]))
+            # one format call for the vertices the block uses: a vertex is the
+            # corner of about six triangles, so each is formatted once per block
+            used, corners = np.unique(t[start : start + _DUMP_ROWS], return_inverse=True)
+            text = ("%.9g %.9g %.9g\n" * len(used) % tuple(v[used].ravel().tolist())).split("\n")
+            rows = corners.reshape(-1, 3).tolist()
+            out.write("".join([f"{text[a]} {text[b]} {text[c]}\n" for a, b, c in rows]))
 
     def __repr__(self) -> str:
         return f"TriMesh({len(self.vertices)} vertices, {len(self.triangles)} triangles)"

@@ -3,12 +3,13 @@
 Array versions of the mesh kernel: ``ear_clip`` re-slices numpy arrays on
 every pass, ``strip_triangles`` stacks rolled rings, ``welded`` keys
 vertices with ``np.unique(axis=0)``, the mesh properties gather all the
-corners once per property with ``np.cross``, and ``transformed`` returns
-new vertices multiplied with ``@``. The library's list-walk ear clipping,
-one-array strips, in-place weld on one packed key of ranks, block-wise
-properties and in-place, block-wise einsum ``TriMesh.transform`` must agree
-with them: the same triangles and vertices, transformed vertices within
-1e-12 (equal where the arithmetic is exact), and properties within 1e-12.
+corners once per property with ``np.cross`` (tetrahedra against the first
+vertex), and ``transformed`` returns new vertices multiplied with ``@``.
+The library's list-walk ear clipping, one-array strips, in-place weld on
+ranks searched in sorted copies, block-wise properties and in-place,
+block-wise einsum ``TriMesh.transform`` must agree with them: the same
+triangles and vertices, transformed vertices within 1e-12 (equal where the
+arithmetic is exact), and properties within 1e-12.
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ def corners(vertices, triangles):
 
 
 def signed_volume(vertices, triangles) -> float:
-    a, b, c = corners(vertices, triangles)
+    # tetrahedra against the first vertex: a small solid far from the origin
+    # loses no digits to cancellation
+    a, b, c = corners(vertices - vertices[0], triangles)
     return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
 
@@ -82,10 +85,12 @@ def surface_area(vertices, triangles) -> float:
 
 def centroid(vertices, triangles) -> np.ndarray:
     a, b, c = corners(vertices, triangles)
-    tet_vol = np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+    # tetrahedra against the first vertex, as in signed_volume
+    apex = vertices[0]
+    tet_vol = np.einsum("ij,ij->i", a - apex, np.cross(b - apex, c - apex)) / 6.0
     total = tet_vol.sum()
     if abs(total) > 1e-12:
-        return (((a + b + c) / 4.0) * tet_vol[:, None]).sum(axis=0) / total
+        return (((a + b + c + apex) / 4.0) * tet_vol[:, None]).sum(axis=0) / total
     areas = np.linalg.norm(np.cross(b - a, c - a), axis=1) / 2.0
     if areas.sum() == 0.0:
         return vertices.mean(axis=0)

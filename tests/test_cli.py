@@ -695,22 +695,25 @@ def _ifc4_check_child(tmp_path, *options):
     return peak_kb / 1024, items
 
 
-def test_fine_check_child_peaks_under_140_mb(tmp_path):
+def test_fine_check_child_peaks_under_108_mb(tmp_path):
     # a 1024-segment revolution of the IFC4 suite meshes 2.1 M triangles;
     # building, measuring and welding it must not hold many corner-sized
-    # arrays at once (about 113 MB with meshes changed in place, 129 MB with
-    # a new array from every transform, 153 MB with two meshes alive)
+    # arrays at once (about 100 MB with the weld's ranks searched in a sorted
+    # copy, 113 MB with argsort permutations, 129 MB with a new array from
+    # every transform, 153 MB with two meshes alive)
     peak_mb, _ = _ifc4_check_child(tmp_path, "--segments", "1024")
-    assert peak_mb < 120, f"check child peaked at {peak_mb:.0f} MB"
+    assert peak_mb < 108, f"check child peaked at {peak_mb:.0f} MB"
 
 
-def test_mesh_dump_child_peaks_under_115_mb(tmp_path):
+def test_mesh_dump_child_peaks_under_60_mb(tmp_path):
     # the dump of a 512-segment revolution is about 48 MB of text: written
-    # a block at a time it is never held whole, nor encoded whole (about
-    # 103 MB, against 175 MB with the text and its bytes held)
+    # a block at a time, with only the block's vertices formatted, it is
+    # never held whole, nor encoded whole (about 52 MB, against 103 MB with
+    # every vertex formatted at once and 175 MB with the text and its bytes
+    # held)
     dump_dir = tmp_path / "meshes"
     peak_mb, items = _ifc4_check_child(tmp_path, "--segments", "512", "--mesh-dump", str(dump_dir))
-    assert peak_mb < 115, f"check child peaked at {peak_mb:.0f} MB"
+    assert peak_mb < 60, f"check child peaked at {peak_mb:.0f} MB"
     assert len(list(dump_dir.glob("*.tris"))) == sum(i["volume"] is not None for i in items)
 
 

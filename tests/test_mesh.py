@@ -2,6 +2,7 @@ import io
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -577,6 +578,58 @@ def test_weld_over_many_blocks_matches_reference():
     assert mesh.triangles.tolist() == expected_triangles.tolist()
 
 
+def _merge_across_blocks(v, tol):
+    # equal grid keys on either side of each block boundary
+    v[_BLOCK_ROWS] = v[_BLOCK_ROWS - 1] + 0.3 * tol
+    v[2 * _BLOCK_ROWS] = v[2 * _BLOCK_ROWS - 1] - 0.3 * tol
+    return 2
+
+
+def _merge_into_an_earlier_block(v, tol):
+    # a group kept at its first index, in the first block, whose other
+    # (jittered) members are in later blocks
+    v[_BLOCK_ROWS + 5] = v[3] + 0.3 * tol
+    v[2 * _BLOCK_ROWS + 6] = v[3] - 0.3 * tol
+    return 2
+
+
+def _merge_signed_zeros(v, tol):
+    # grid keys of -0.0 and 0.0 are one key: vertex 0 is at the origin
+    v[_BLOCK_ROWS + 1] = (-0.0, -0.0, -0.0)
+    v[2 * _BLOCK_ROWS + 2] = (-0.4 * tol, 0.0, -0.2 * tol)
+    return 2
+
+
+def _merge_huge_keys(v, tol):
+    # grid keys of +-1e17, as in test_weld_matches_reference_past_packed_key_values
+    v[7] = v[_BLOCK_ROWS + 7] = np.array([1, -1, 1]) * 1e17 * tol
+    v[2 * _BLOCK_ROWS + 7] = np.array([-1, 1, -1]) * 1e17 * tol
+    return 1
+
+
+@pytest.mark.parametrize(
+    "merge",
+    [_merge_across_blocks, _merge_into_an_earlier_block, _merge_signed_zeros, _merge_huge_keys],
+    ids=["across-blocks", "into-an-earlier-block", "signed-zeros", "huge-keys"],
+)
+def test_weld_ranks_across_blocks_match_reference(merge):
+    # distinct grid points over three blocks and a part of one, with a few
+    # merged as each case says; some triangles collapse
+    tol = 1e-3
+    n = 3 * _BLOCK_ROWS + 11
+    i = np.arange(n)
+    vertices = np.column_stack([i % 97, i // 97 % 89, i // (97 * 89)]) * tol
+    merged = merge(vertices, tol)
+    triangles = np.random.default_rng(11).integers(0, n, size=(n, 3))
+    triangles[:3] = [(_BLOCK_ROWS - 1, _BLOCK_ROWS, 3), (3, _BLOCK_ROWS + 5, 0), (0, 1, 2)]
+    mesh = TriMesh(vertices.copy(), triangles.copy())
+    mesh.weld(tol)
+    expected_vertices, expected_triangles = reference_geometry.welded(vertices, triangles, tol)
+    assert len(mesh.vertices) == n - merged
+    assert mesh.vertices.tolist() == expected_vertices.tolist()
+    assert mesh.triangles.tolist() == expected_triangles.tolist()
+
+
 def _box_with_a_speck(tol):
     """A unit box and, at its far corner, a box of ``0.4 * tol`` that welding
     collapses onto that corner: the weld moves its bbox, volume and centroid."""
@@ -681,6 +734,40 @@ def test_solid_properties_match_reference(poly, sweep, matrix, offset):
     mesh.transform(matrix)
     assert np.abs(mesh.vertices - expected).max() <= 1e-12 * np.abs(expected).max()
     _assert_properties_match_reference(mesh)
+
+
+def _exact_volume_and_centroid(vertices, triangles):
+    """Signed volume and volume centroid of the float mesh as exact
+    fractions: tetrahedra against the origin, with no rounding."""
+    six_volume, moment = Fraction(0), [Fraction(0)] * 3
+    for corners in vertices[triangles].tolist():
+        a, b, c = ([Fraction(x) for x in corner] for corner in corners)
+        tet = (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            + a[1] * (b[2] * c[0] - b[0] * c[2])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+        six_volume += tet
+        moment = [m + (p + q + r) * tet for m, p, q, r in zip(moment, a, b, c)]
+    return six_volume / 6, [m / (4 * six_volume) for m in moment]
+
+
+def test_solid_far_from_the_origin_matches_an_exact_sum():
+    # a small prism 80 units from the origin: tetrahedra against the origin
+    # lose about 6e-12 of its volume to cancellation, beyond the 1e-12 that
+    # the reference comparison allows
+    mesh = extrude_polygon(np.array([[2.6, 2.8], [-2.9, 2.2], [2.9, 2.7]]), np.array([0, 0, 0.5]))
+    mesh.transform(_placement(np.eye(3), (0.0, 40.0, 70.0)))
+    v, t = mesh.vertices, mesh.triangles
+    volume, centroid = _exact_volume_and_centroid(v, t)
+    reach = max(map(abs, centroid))
+    for got_volume, got_centroid in [
+        (reference_geometry.signed_volume(v, t), reference_geometry.centroid(v, t)),
+        (mesh.signed_volume, mesh.centroid),
+    ]:
+        assert abs(Fraction(got_volume) - volume) <= Fraction(1e-13) * abs(volume)
+        for got, want in zip(got_centroid.tolist(), centroid):
+            assert abs(Fraction(got) - want) <= Fraction(1e-13) * reach
 
 
 @settings(max_examples=200, deadline=None)
