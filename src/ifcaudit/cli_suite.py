@@ -104,10 +104,11 @@ def cmd_check(args) -> int:
     results = []
     mismatches = 0
     dumped: set[str] = set()  # the names of this run's mesh dumps
+    at = schema.layout("IFCBUILDINGELEMENTPROXY")
     for proxy in geomcheck.suite_proxies(graph):
         slot = name = verdict = outcome = None
         try:
-            slot, name = text(proxy.attr(3)) or "", text(proxy.attr(2)) or ""
+            slot, name = text(proxy.attr(at.Description)) or "", text(proxy.attr(at.Name)) or ""
             fragment = geomcheck.item_fragment(graph, proxy)
             verdict = geomcheck.check_validity(graph, fragment, precision)
             outcome = geomcheck.evaluate_item(

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from .._lazy import lazy
 from ..errors import MalformedFile, UnsupportedShape
 from ..geomgen.suite import PROFILE_LAYOUTS, Profile, ShapeKind
+from ..schema import layout
 from ..spf.model import (
     AttributeValue,
     EntityInstance,
@@ -44,18 +45,30 @@ DIRECTION_DOT_TOLERANCE = 1e-12
 #: a 1024-segment revolution of the suite makes about 2.1 M.
 TRIANGLE_BUDGET = 2**24
 
+#: Attribute positions, by name, of the entities read here.
+POINT, DIRECTION, PLANE = layout("IFCCARTESIANPOINT"), layout("IFCDIRECTION"), layout("IFCPLANE")
+AXIS1, AXIS2D = layout("IFCAXIS1PLACEMENT"), layout("IFCAXIS2PLACEMENT2D")
+AXIS3, LOCAL = layout("IFCAXIS2PLACEMENT3D"), layout("IFCLOCALPLACEMENT")
+CONTEXT, PROXY = layout("IFCGEOMETRICREPRESENTATIONCONTEXT"), layout("IFCBUILDINGELEMENTPROXY")
+PRODUCT_SHAPE, SHAPE = layout("IFCPRODUCTDEFINITIONSHAPE"), layout("IFCSHAPEREPRESENTATION")
+EXTRUSION, REVOLUTION = layout("IFCEXTRUDEDAREASOLID"), layout("IFCREVOLVEDAREASOLID")
+DISK, POLYLINE, LOOP = layout("IFCSWEPTDISKSOLID"), layout("IFCPOLYLINE"), layout("IFCPOLYLOOP")
+SURFACE_MODEL, BREP = layout("IFCSHELLBASEDSURFACEMODEL"), layout("IFCFACETEDBREP")
+SHELL, FACE, BOUND = layout("IFCCLOSEDSHELL"), layout("IFCFACE"), layout("IFCFACEBOUND")
+BOOLEAN, HALF_SPACE = layout("IFCBOOLEANRESULT"), layout("IFCHALFSPACESOLID")
+
 #: Supported profiles: IFC type -> (shape-class label, outline builder, the
-#: attribute indices of the builder's dimensions in its parameter order,
-#: curved). A curved builder also takes the segment count.
+#: profile's layout, the names of the builder's dimensions in its parameter
+#: order, curved). A curved builder also takes the segment count.
 _PROFILES = {
-    type_name: (profile.value, outline, tuple(index for index, _ in dimensions), curved)
+    type_name: (profile.value, outline, layout(type_name), list(dimensions), curved)
     for profile, outline, curved in (
         (Profile.RECTANGLE, rectangle_polygon, False),
         (Profile.ELLIPSE, ellipse_polygon, True),
         (Profile.I_SHAPE, ishape_polygon, True),
         (Profile.CRANE_RAIL_A_SHAPE, crane_rail_polygon, False),
     )
-    for type_name, _, dimensions in [PROFILE_LAYOUTS[profile]]
+    for type_name, dimensions in [PROFILE_LAYOUTS[profile]]
 }
 
 
@@ -100,7 +113,8 @@ def _expect(graph: InstanceGraph, ref: AttributeValue, what: str, *types: str) -
 
 
 def _point(graph: InstanceGraph, ref: AttributeValue, dim: int = 3) -> np.ndarray:
-    coords = numbers(graph.deref(ref).attr(0)) or []
+    point = _expect(graph, ref, "point", "IFCCARTESIANPOINT")
+    coords = numbers(point.attr(POINT.Coordinates)) or []
     coords = coords + [0.0] * (dim - len(coords))
     return np.array(coords[:dim])
 
@@ -110,7 +124,8 @@ def _direction(
 ) -> np.ndarray:
     if not isinstance(ref, Reference):
         return np.array(default, dtype=np.float64)
-    ratios = numbers(graph.deref(ref).attr(0)) or list(default)
+    direction = _expect(graph, ref, "direction", "IFCDIRECTION")
+    ratios = numbers(direction.attr(DIRECTION.DirectionRatios)) or list(default)
     ratios = ratios + [0.0] * (len(default) - len(ratios))
     return np.array(ratios[: len(default)], dtype=np.float64)
 
@@ -131,9 +146,10 @@ def axis2_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
     if not isinstance(ref, Reference):
         return m
     inst = _expect(graph, ref, "unsupported placement", "IFCAXIS2PLACEMENT3D")
-    location = _point(graph, inst.attr(0)) if isinstance(inst.attr(0), Reference) else np.zeros(3)
-    z = _unit(inst.attr(1), _direction(graph, inst.attr(1), (0.0, 0.0, 1.0)))
-    x_hint = _direction(graph, inst.attr(2), (1.0, 0.0, 0.0))
+    location_ref, axis_ref = inst.attr(AXIS3.Location), inst.attr(AXIS3.Axis)
+    location = _point(graph, location_ref) if isinstance(location_ref, Reference) else np.zeros(3)
+    z = _unit(axis_ref, _direction(graph, axis_ref, (0.0, 0.0, 1.0)))
+    x_hint = _direction(graph, inst.attr(AXIS3.RefDirection), (1.0, 0.0, 0.0))
     x = x_hint - (x_hint @ z) * z
     norm = np.linalg.norm(x)
     if norm < 1e-12:
@@ -155,8 +171,8 @@ def placement_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
             raise UnsupportedShape(f"placement #{ref.id} is its own ancestor")
         seen.add(ref.id)
         inst = _expect(graph, ref, "unsupported object placement", "IFCLOCALPLACEMENT")
-        chain.append(axis2_matrix(graph, inst.attr(1)))
-        ref = inst.attr(0)
+        chain.append(axis2_matrix(graph, inst.attr(LOCAL.RelativePlacement)))
+        ref = inst.attr(LOCAL.PlacementRelTo)
     matrix = np.eye(4)
     for local in reversed(chain):  # outermost parent first
         matrix = matrix @ local
@@ -168,19 +184,16 @@ def _profile_polygon(
 ) -> tuple[np.ndarray, str, bool]:
     """Outline of a profile, its shape-class label and whether it is curved."""
     profile = _expect(graph, ref, "unsupported profile", *_PROFILES)
-    label, outline, indices, curved = _PROFILES[profile.type_name]
-    dimensions = [number(profile.attr(i)) or 0.0 for i in indices]
+    label, outline, at, names, curved = _PROFILES[profile.type_name]
+    dimensions = [number(profile.attr(getattr(at, name))) or 0.0 for name in names]
     poly = outline(*dimensions, segments) if curved else outline(*dimensions)
     # apply the 2D profile position (offset plus optional rotation)
-    position = profile.attr(2)
+    position = profile.attr(at.Position)
     if isinstance(position, Reference):
         a2d = graph.deref(position)
-        offset = (
-            _point(graph, a2d.attr(0), dim=2)
-            if isinstance(a2d.attr(0), Reference)
-            else np.zeros(2)
-        )
-        ref_dir = _unit(a2d.attr(1), _direction(graph, a2d.attr(1), (1.0, 0.0)))
+        location, ref_dir_ref = a2d.attr(AXIS2D.Location), a2d.attr(AXIS2D.RefDirection)
+        offset = _point(graph, location, dim=2) if isinstance(location, Reference) else np.zeros(2)
+        ref_dir = _unit(ref_dir_ref, _direction(graph, ref_dir_ref, (1.0, 0.0)))
         rot = np.array([[ref_dir[0], -ref_dir[1]], [ref_dir[1], ref_dir[0]]])
         poly = np.einsum("ij,kj->ik", poly, rot) + offset
     return poly, label, curved
@@ -193,7 +206,7 @@ def context_precision(graph: InstanceGraph) -> float | None:
     """Point-equality tolerance declared in the geometric representation
     context, if any."""
     for context in graph.by_type("IFCGEOMETRICREPRESENTATIONCONTEXT"):
-        value = number(context.attr(3))
+        value = number(context.attr(CONTEXT.Precision))
         if value is not None and 0 < value < math.inf:
             return value
     return None
@@ -205,7 +218,7 @@ def suite_proxies(graph: InstanceGraph) -> list[EntityInstance]:
 
     def slot(proxy: EntityInstance) -> str:
         try:
-            return text(proxy.attr(3)) or ""
+            return text(proxy.attr(PROXY.Description)) or ""
         except MalformedFile:
             return ""
 
@@ -215,18 +228,18 @@ def suite_proxies(graph: InstanceGraph) -> list[EntityInstance]:
 def shape_roots(graph: InstanceGraph, proxy: EntityInstance) -> list[EntityInstance]:
     """Items of every shape representation under a proxy's product
     definition shape."""
-    rep_ref = proxy.attr(6)
+    rep_ref = proxy.attr(PROXY.Representation)
     if not isinstance(rep_ref, Reference):
         return []
     pds = graph.deref(rep_ref)
     roots = []
-    reps = pds.attr(2)
+    reps = pds.attr(PRODUCT_SHAPE.Representations)
     if isinstance(reps, ListValue):
         for rep in reps.items:
             if not isinstance(rep, Reference):
                 continue
             shape = graph.deref(rep)
-            items = shape.attr(3)
+            items = shape.attr(SHAPE.Items)
             if isinstance(items, ListValue):
                 roots.extend(graph.resolve(r.id) for r in items.items if isinstance(r, Reference))
     return roots
@@ -266,7 +279,7 @@ def evaluate_item(
     if not roots:
         raise UnsupportedShape(f"proxy #{proxy.id} has no shape representation items")
     root = roots[0]
-    world = placement_matrix(graph, proxy.attr(5))
+    world = placement_matrix(graph, proxy.attr(PROXY.ObjectPlacement))
     outcome = _evaluate_root(graph, root, segments)
     if outcome.mesh is not None:
         mesh = outcome.mesh
@@ -305,11 +318,11 @@ def _within_budget(triangles: int) -> None:
 def _eval_extrusion(
     graph: InstanceGraph, root: EntityInstance, segments: int, kind: str
 ) -> EvaluationOutcome:
-    polygon, label, curved = _profile_polygon(graph, root.attr(0), segments)
+    polygon, label, curved = _profile_polygon(graph, root.attr(EXTRUSION.SweptArea), segments)
     shape_class = f"{kind}/{label}"
     warnings: list[str] = []
-    direction = _direction(graph, root.attr(2), (0.0, 0.0, 1.0))
-    depth = number(root.attr(3)) or 0.0
+    direction = _direction(graph, root.attr(EXTRUSION.ExtrudedDirection), (0.0, 0.0, 1.0))
+    depth = number(root.attr(EXTRUSION.Depth)) or 0.0
     if depth == 0.0:
         return _not_displayed(shape_class, "zero extrusion depth; nothing to evaluate")
     if abs(direction[2]) <= DIRECTION_DOT_TOLERANCE:
@@ -329,7 +342,7 @@ def _eval_extrusion(
         )
     _within_budget(4 * len(polygon) - 4)  # two caps of n - 2, two per side
     mesh = extrude_polygon(polygon, unit * depth)
-    mesh.transform(axis2_matrix(graph, root.attr(1)))
+    mesh.transform(axis2_matrix(graph, root.attr(EXTRUSION.Position)))
     smooth = curved and segments >= SMOOTH_SEGMENT_THRESHOLD
     return EvaluationOutcome(shape_class, mesh, smooth_curves=smooth, warnings=warnings)
 
@@ -337,21 +350,20 @@ def _eval_extrusion(
 def _eval_revolution(
     graph: InstanceGraph, root: EntityInstance, segments: int, kind: str
 ) -> EvaluationOutcome:
-    polygon, label, _ = _profile_polygon(graph, root.attr(0), segments)
+    polygon, label, _ = _profile_polygon(graph, root.attr(REVOLUTION.SweptArea), segments)
     shape_class = f"{kind}/{label}"
-    axis = _expect(graph, root.attr(2), "revolution axis", "IFCAXIS1PLACEMENT")
-    axis_point = (
-        _point(graph, axis.attr(0)) if isinstance(axis.attr(0), Reference) else np.zeros(3)
-    )
-    axis_dir = _direction(graph, axis.attr(1), (0.0, 0.0, 1.0))
+    axis = _expect(graph, root.attr(REVOLUTION.Axis), "revolution axis", "IFCAXIS1PLACEMENT")
+    location, axis_ref = axis.attr(AXIS1.Location), axis.attr(AXIS1.Axis)
+    axis_point = _point(graph, location) if isinstance(location, Reference) else np.zeros(3)
+    axis_dir = _direction(graph, axis_ref, (0.0, 0.0, 1.0))
     if abs(axis_dir[2]) > 1e-9 or abs(axis_point[2]) > 1e-9:
         raise UnsupportedShape("revolution axis must lie in the profile plane")
-    angle = number(root.attr(3)) or 0.0
+    angle = number(root.attr(REVOLUTION.Angle)) or 0.0
     if abs(angle - 2.0 * math.pi) > 1e-6:
         raise UnsupportedShape("only full-sweep revolutions are supported")
     _within_budget(2 * segments * len(polygon))  # two per side, per step
-    mesh = revolve_polygon(polygon, axis_point, _unit(axis.attr(1), axis_dir), segments)
-    mesh.transform(axis2_matrix(graph, root.attr(1)))
+    mesh = revolve_polygon(polygon, axis_point, _unit(axis_ref, axis_dir), segments)
+    mesh.transform(axis2_matrix(graph, root.attr(REVOLUTION.Position)))
     return EvaluationOutcome(
         shape_class, mesh, smooth_curves=segments >= SMOOTH_SEGMENT_THRESHOLD
     )
@@ -362,18 +374,18 @@ def _eval_swept_disk(
 ) -> EvaluationOutcome:
     shape_class = f"{kind}/Disk"
     warnings: list[str] = []
-    directrix = _expect(graph, root.attr(0), "directrix", "IFCPOLYLINE")
-    point_refs = directrix.attr(0)
+    directrix = _expect(graph, root.attr(DISK.Directrix), "directrix", "IFCPOLYLINE")
+    point_refs = directrix.attr(POLYLINE.Points)
     if not isinstance(point_refs, ListValue) or len(point_refs.items) != 2:
         raise UnsupportedShape("only straight two-point directrices are supported")
     p0 = _point(graph, point_refs.items[0])
     p1 = _point(graph, point_refs.items[1])
     if not (p1 - p0).any():
         return _not_displayed(shape_class, "zero-length directrix; nothing to evaluate")
-    radius = number(root.attr(1)) or 0.0
-    start = number(root.attr(3))
-    end = number(root.attr(4))
-    low, high = directrix_range(graph, root.attr(0))
+    radius = number(root.attr(DISK.Radius)) or 0.0
+    start = number(root.attr(DISK.StartParam))
+    end = number(root.attr(DISK.EndParam))
+    low, high = directrix_range(graph, root.attr(DISK.Directrix))
     if start is None:
         start = low
     if end is None:
@@ -403,7 +415,7 @@ def directrix_range(
     curve = graph.resolve(ref.id)
     if curve.type_name != "IFCPOLYLINE":
         return None
-    points = curve.attr(0)
+    points = curve.attr(POLYLINE.Points)
     if not isinstance(points, ListValue):
         return None
     return 0.0, float(len(points.items) - 1)
@@ -414,7 +426,7 @@ def _shell_faces(
 ) -> list[tuple[EntityInstance, list[np.ndarray], int | None]]:
     """Each face of a shell: the face, its loops' points in their own
     winding, and the index of its outer bound, if it has one."""
-    faces = shell.attr(0)
+    faces = shell.attr(SHELL.CfsFaces)
     if not isinstance(faces, ListValue):
         raise UnsupportedShape("shell without face list")
     if not faces.items:
@@ -422,15 +434,15 @@ def _shell_faces(
     out = []
     for face_ref in faces.items:
         face = graph.deref(face_ref)
-        bounds = face.attr(0)
+        bounds = face.attr(FACE.Bounds)
         loops: list[np.ndarray] = []
         outer = None
         for bound_ref in bounds.items if isinstance(bounds, ListValue) else ():
             bound = graph.deref(bound_ref)
-            loop = _expect(graph, bound.attr(0), "face bound loop", "IFCPOLYLOOP")
-            pts = loop.attr(0)
+            loop = _expect(graph, bound.attr(BOUND.Bound), "face bound loop", "IFCPOLYLOOP")
+            pts = loop.attr(LOOP.Polygon)
             coords = [_point(graph, p) for p in pts.items] if isinstance(pts, ListValue) else []
-            orientation = bound.attr(1)
+            orientation = bound.attr(BOUND.Orientation)
             if isinstance(orientation, EnumToken) and orientation.name == "F":
                 coords = coords[::-1]
             if outer is None and bound.type_name == "IFCFACEOUTERBOUND":
@@ -470,12 +482,12 @@ def _eval_faces(
 ) -> EvaluationOutcome:
     is_surface = root.type_name != "IFCFACETEDBREP"
     if is_surface:
-        refs = root.attr(0)
+        refs = root.attr(SURFACE_MODEL.SbsmBoundary)
         if not isinstance(refs, ListValue) or not refs.items:
             raise UnsupportedShape("surface model without shells")
         shells = [graph.deref(r) for r in refs.items]
     else:
-        shells = [graph.deref(root.attr(0))]
+        shells = [graph.deref(root.attr(BREP.Outer))]
     return EvaluationOutcome(kind, _face_mesh(graph, shells), is_surface_model=is_surface)
 
 
@@ -485,7 +497,7 @@ def _eval_faces(
 def _box_of_operand(graph: InstanceGraph, ref: AttributeValue) -> tuple[np.ndarray, np.ndarray]:
     inst = graph.deref(ref)
     if inst.type_name == "IFCFACETEDBREP":
-        operand, mesh = "brep", _face_mesh(graph, [graph.deref(inst.attr(0))])
+        operand, mesh = "brep", _face_mesh(graph, [graph.deref(inst.attr(BREP.Outer))])
     elif inst.type_name == "IFCEXTRUDEDAREASOLID":
         operand, mesh = "extrusion", _evaluate_root(graph, inst, segments=4).mesh
         if mesh is None:
@@ -502,14 +514,14 @@ def _half_space_region(
     graph: InstanceGraph, inst: EntityInstance
 ) -> tuple[int, float, bool]:
     """(axis index, bound, material_below) of an axis-aligned half space."""
-    plane = _expect(graph, inst.attr(0), "half space surface", "IFCPLANE")
-    m = axis2_matrix(graph, plane.attr(0))
+    plane = _expect(graph, inst.attr(HALF_SPACE.BaseSurface), "half space surface", "IFCPLANE")
+    m = axis2_matrix(graph, plane.attr(PLANE.Position))
     normal = m[:3, 2]
     location = m[:3, 3]
     axis = int(np.argmax(np.abs(normal)))
     if abs(abs(normal[axis]) - 1.0) > 1e-9:
         raise UnsupportedShape("half space plane is not axis-aligned")
-    agreement = inst.attr(1)
+    agreement = inst.attr(HALF_SPACE.AgreementFlag)
     flag = isinstance(agreement, EnumToken) and agreement.name == "T"
     # agreement TRUE: the normal points away from the material
     material_below = flag == (normal[axis] > 0)
@@ -528,11 +540,11 @@ def _boxes_to_outcome(
 def _eval_boolean(
     graph: InstanceGraph, root: EntityInstance, segments: int, shape_class: str
 ) -> EvaluationOutcome:
-    operator = root.attr(0)
+    operator = root.attr(BOOLEAN.Operator)
     op = operator.name if isinstance(operator, EnumToken) else ""
 
-    second_inst = graph.deref(root.attr(2))
-    first_box = _box_of_operand(graph, root.attr(1))
+    second_inst = graph.deref(root.attr(BOOLEAN.SecondOperand))
+    first_box = _box_of_operand(graph, root.attr(BOOLEAN.FirstOperand))
 
     if second_inst.type_name == "IFCHALFSPACESOLID":
         axis, bound, material_below = _half_space_region(graph, second_inst)
@@ -545,7 +557,7 @@ def _eval_boolean(
             hi[axis] = min(hi[axis], bound)
         return _boxes_to_outcome([(lo, hi)], shape_class)
 
-    second_box = _box_of_operand(graph, root.attr(2))
+    second_box = _box_of_operand(graph, root.attr(BOOLEAN.SecondOperand))
     (alo, ahi), (blo, bhi) = first_box, second_box
     diffs = [
         k

@@ -15,7 +15,7 @@ from ..errors import UnsupportedShape
 from ..geomgen.suite import InvalidReason
 from ..spf.model import EntityInstance, InstanceGraph, TypedValue
 from ..spf.values import number, ratios, walk
-from .evaluate import DIRECTION_DOT_TOLERANCE, SHAPES, directrix_range
+from .evaluate import DIRECTION_DOT_TOLERANCE, DISK, EXTRUSION, SHAPES, directrix_range
 
 
 @dataclass
@@ -70,7 +70,7 @@ def check_validity(
 
     for inst in instances:
         if inst.type_name == "IFCEXTRUDEDAREASOLID":
-            direction = ratios(graph, inst.attr(2), "IFCDIRECTION")
+            direction = ratios(graph, inst.attr(EXTRUSION.ExtrudedDirection), "IFCDIRECTION")
             if direction is None or len(direction) < 3:
                 details.append(f"#{inst.id}: extrusion direction unreadable")
                 continue
@@ -84,9 +84,9 @@ def check_validity(
 
     for inst in instances:
         if inst.type_name == "IFCSWEPTDISKSOLID":
-            start = number(inst.attr(3))
-            end = number(inst.attr(4))
-            param_range = directrix_range(graph, inst.attr(0))
+            start = number(inst.attr(DISK.StartParam))
+            end = number(inst.attr(DISK.EndParam))
+            param_range = directrix_range(graph, inst.attr(DISK.Directrix))
             if param_range is None or start is None or end is None:
                 continue
             low, high = param_range

@@ -8,7 +8,7 @@ import os
 from datetime import datetime, timezone
 
 from ..errors import UnavailableItem
-from ..schema import SchemaVersion
+from ..schema import SchemaVersion, arity, layout
 from ..spf.build import GraphBuilder, enum, typed
 from ..spf.model import DERIVED, EntityInstance, InstanceGraph, Reference
 from .suite import (
@@ -172,13 +172,14 @@ def _positive_length(value: float):
 
 
 def _profile(w: _SuiteWriter, profile: Profile, cx: float = 0.0, cy: float = 0.0,
-             dimensions: tuple[tuple[int, float], ...] | None = None) -> Reference:
+             dimensions: dict[str, float] | None = None) -> Reference:
     """A profile at (cx, cy) laid out by ``PROFILE_LAYOUTS``; ``dimensions`` replace its own."""
-    type_name, counts, layout = PROFILE_LAYOUTS[profile]
-    attrs = [None] * counts[w.schema.value]
-    attrs[0], attrs[2] = enum("AREA"), w.axis2d(cx, cy)
-    for index, value in dimensions or layout:
-        attrs[index] = _positive_length(value)
+    type_name, own = PROFILE_LAYOUTS[profile]
+    at = layout(type_name)
+    attrs = [None] * arity(type_name, w.schema)
+    attrs[at.ProfileType], attrs[at.Position] = enum("AREA"), w.axis2d(cx, cy)
+    for name, value in (dimensions or own).items():
+        attrs[getattr(at, name)] = _positive_length(value)
     return w.b.add(type_name, *attrs)
 
 
@@ -205,7 +206,7 @@ def _brep_cube(w: _SuiteWriter, x0: float, y0: float, z0: float,
 
 def _extruded_cube(w: _SuiteWriter) -> Reference:
     # unit cube [0,1]^3 as an extrusion (clipping operands must be swept solids)
-    cube_face = ((3, CUBE_EDGE), (4, CUBE_EDGE))
+    cube_face = {"XDim": CUBE_EDGE, "YDim": CUBE_EDGE}
     profile = _profile(w, Profile.RECTANGLE, CUBE_EDGE / 2, CUBE_EDGE / 2, cube_face)
     return w.b.add(
         "IFCEXTRUDEDAREASOLID", profile, w.axis3(), w.direction(0.0, 0.0, 1.0),

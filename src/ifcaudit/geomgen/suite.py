@@ -73,30 +73,26 @@ class Profile(enum.Enum):
     NONE = "None"
 
 
-#: How each swept profile is laid out: Profile -> (IFC type, attribute count
-#: per schema, dimensions as (attribute index, value)). Attribute 0 is the
-#: ProfileType and 2 the Position; any other attribute is unset. The generator
-#: writes the profiles by this table, and the evaluator reads them by it.
+#: How each swept profile is laid out: Profile -> (IFC type, its dimensions
+#: as {attribute name: value}, in the outline builder's parameter order). The
+#: ProfileType and Position are set too; any other attribute is unset. The
+#: generator writes the profiles by this table, and the evaluator reads them by it.
 PROFILE_LAYOUTS = {
-    Profile.RECTANGLE: (
-        "IFCRECTANGLEPROFILEDEF", {"IFC2X3": 5, "IFC4": 5}, ((3, RECT_X), (4, RECT_Y))
-    ),
+    Profile.RECTANGLE: ("IFCRECTANGLEPROFILEDEF", {"XDim": RECT_X, "YDim": RECT_Y}),
     Profile.ELLIPSE: (
-        "IFCELLIPSEPROFILEDEF", {"IFC2X3": 5, "IFC4": 5},
-        ((3, ELLIPSE_SEMI_1), (4, ELLIPSE_SEMI_2)),
+        "IFCELLIPSEPROFILEDEF", {"SemiAxis1": ELLIPSE_SEMI_1, "SemiAxis2": ELLIPSE_SEMI_2}
     ),
-    Profile.I_SHAPE: (  # IFC4 adds FlangeEdgeRadius and FlangeSlope
-        "IFCISHAPEPROFILEDEF", {"IFC2X3": 8, "IFC4": 10},
-        ((3, ISHAPE_WIDTH), (4, ISHAPE_DEPTH), (5, ISHAPE_WEB), (6, ISHAPE_FLANGE),
-         (7, ISHAPE_FILLET)),
-    ),
-    Profile.CRANE_RAIL_A_SHAPE: (  # not in IFC4
-        "IFCCRANERAILASHAPEPROFILEDEF", {"IFC2X3": 15},
-        ((3, CRANE_HEIGHT), (4, CRANE_BASE_WIDTH), (6, CRANE_HEAD_WIDTH),
-         (7, CRANE_HEAD_DEPTH_2), (8, CRANE_HEAD_DEPTH_3), (9, CRANE_WEB_THICKNESS),
-         (10, CRANE_BASE_WIDTH_4), (11, CRANE_BASE_DEPTH_1), (12, CRANE_BASE_DEPTH_2),
-         (13, CRANE_BASE_DEPTH_3)),
-    ),
+    Profile.I_SHAPE: ("IFCISHAPEPROFILEDEF", {
+        "OverallWidth": ISHAPE_WIDTH, "OverallDepth": ISHAPE_DEPTH, "WebThickness": ISHAPE_WEB,
+        "FlangeThickness": ISHAPE_FLANGE, "FilletRadius": ISHAPE_FILLET,
+    }),
+    Profile.CRANE_RAIL_A_SHAPE: ("IFCCRANERAILASHAPEPROFILEDEF", {  # not in IFC4
+        "OverallHeight": CRANE_HEIGHT, "BaseWidth2": CRANE_BASE_WIDTH,
+        "HeadWidth": CRANE_HEAD_WIDTH, "HeadDepth2": CRANE_HEAD_DEPTH_2,
+        "HeadDepth3": CRANE_HEAD_DEPTH_3, "WebThickness": CRANE_WEB_THICKNESS,
+        "BaseWidth4": CRANE_BASE_WIDTH_4, "BaseDepth1": CRANE_BASE_DEPTH_1,
+        "BaseDepth2": CRANE_BASE_DEPTH_2, "BaseDepth3": CRANE_BASE_DEPTH_3,
+    }),
 }
 
 

@@ -15,12 +15,18 @@ from typing import Any
 
 from ._record import FrozenRecord, Record, set_field
 from .errors import BadLength, MixedSign
-from .schema import SchemaVersion
+from .schema import SchemaVersion, layout
 from .spf.model import UNSET, EntityInstance, EnumToken, InstanceGraph, Reference
 from .spf.values import integers, number, ratios, target, text, texts
 
 #: Location magnitude below which a placement counts as "at the origin".
 ORIGIN_TOLERANCE = 1e-9
+
+#: Attribute positions, by name, of the entities read here.
+UNIT, SITE, BUILDING = layout("IFCSIUNIT"), layout("IFCSITE"), layout("IFCBUILDING")
+ADDRESS, LOCAL = layout("IFCPOSTALADDRESS"), layout("IFCLOCALPLACEMENT")
+AXIS, CONTEXT = layout("IFCAXIS2PLACEMENT3D"), layout("IFCGEOMETRICREPRESENTATIONCONTEXT")
+CONVERSION, CRS = layout("IFCMAPCONVERSION"), layout("IFCPROJECTEDCRS")
 
 
 class LoGeoRefLevel(enum.IntEnum):
@@ -85,10 +91,10 @@ def length_unit(graph: InstanceGraph) -> tuple[str, float]:
         "FEMTO": 1e-15, "ATTO": 1e-18,
     }
     for unit in graph.by_type("IFCSIUNIT"):
-        unit_type = unit.attr(1)
+        unit_type = unit.attr(UNIT.UnitType)
         if isinstance(unit_type, EnumToken) and unit_type.name == "LENGTHUNIT":
-            prefix = unit.attr(2)
-            name = unit.attr(3)
+            prefix = unit.attr(UNIT.Prefix)
+            name = unit.attr(UNIT.Name)
             if isinstance(name, EnumToken) and name.name == "METRE":
                 if isinstance(prefix, EnumToken):
                     scale = prefixes.get(prefix.name, 1.0)
@@ -129,7 +135,8 @@ def _detect_l10(
     buildings: list[EntityInstance],
     report: LoGeoRefReport,
 ) -> None:
-    hosts = [("site", s, 13) for s in sites] + [("building", b, 11) for b in buildings]
+    hosts = [("site", s, SITE.SiteAddress) for s in sites]
+    hosts += [("building", b, BUILDING.BuildingAddress) for b in buildings]
     for host_kind, host, address_index in hosts:
         ref = host.attr(address_index)
         _dangling(graph, ref, f"{host_kind} address reference", report)
@@ -137,12 +144,12 @@ def _detect_l10(
         if address is None or LoGeoRefLevel.L10 in report.detected:
             continue  # the first address is the payload
         fields = {
-            "address_lines": texts(address.attr(4)),
-            "postal_box": text(address.attr(5)),
-            "town": text(address.attr(6)),
-            "region": text(address.attr(7)),
-            "postal_code": text(address.attr(8)),
-            "country": text(address.attr(9)),
+            "address_lines": texts(address.attr(ADDRESS.AddressLines)),
+            "postal_box": text(address.attr(ADDRESS.PostalBox)),
+            "town": text(address.attr(ADDRESS.Town)),
+            "region": text(address.attr(ADDRESS.Region)),
+            "postal_code": text(address.attr(ADDRESS.PostalCode)),
+            "country": text(address.attr(ADDRESS.Country)),
         }
         report.detected[LoGeoRefLevel.L10] = GeoParams(
             LoGeoRefLevel.L10,
@@ -157,9 +164,8 @@ def _detect_l20(
     unit_scale: float,
     report: LoGeoRefReport,
 ) -> None:
-    lat_attr, lon_attr, ele_attr = site.attr(9), site.attr(10), site.attr(11)
-    lat_parts = integers(lat_attr)
-    lon_parts = integers(lon_attr)
+    lat_parts = integers(site.attr(SITE.RefLatitude))
+    lon_parts = integers(site.attr(SITE.RefLongitude))
     if lat_parts is None or lon_parts is None:
         return
     try:
@@ -174,7 +180,7 @@ def _detect_l20(
         )
         return
     payload: dict[str, Any] = {"latitude": lat, "longitude": lon}
-    elevation = number(ele_attr)
+    elevation = number(site.attr(SITE.RefElevation))
     if elevation is not None:
         payload["elevation_m"] = elevation * unit_scale
         payload["elevation_unit"] = unit_name
@@ -184,17 +190,17 @@ def _detect_l20(
 def _detect_l30(
     graph: InstanceGraph, site: EntityInstance, unit_name: str, report: LoGeoRefReport
 ) -> None:
-    placement_ref = site.attr(5)
+    placement_ref = site.attr(SITE.ObjectPlacement)
     _dangling(graph, placement_ref, "site placement", report)
     placement = target(graph, placement_ref, "IFCLOCALPLACEMENT")
-    relative = UNSET if placement is None else placement.attr(1)
+    relative = UNSET if placement is None else placement.attr(LOCAL.RelativePlacement)
     _dangling(graph, relative, "site relative placement", report)
     axis = target(graph, relative, "IFCAXIS2PLACEMENT3D")
     if axis is None:
         return
-    location = ratios(graph, axis.attr(0), "IFCCARTESIANPOINT")
-    axis_dir = ratios(graph, axis.attr(1), "IFCDIRECTION")
-    ref_dir = ratios(graph, axis.attr(2), "IFCDIRECTION")
+    location = ratios(graph, axis.attr(AXIS.Location), "IFCCARTESIANPOINT")
+    axis_dir = ratios(graph, axis.attr(AXIS.Axis), "IFCDIRECTION")
+    ref_dir = ratios(graph, axis.attr(AXIS.RefDirection), "IFCDIRECTION")
     nonzero = location is not None and any(abs(c) > ORIGIN_TOLERANCE for c in location)
     if not nonzero and axis_dir is None and ref_dir is None:
         return
@@ -211,12 +217,13 @@ def _detect_l30(
 
 def _detect_l40(graph: InstanceGraph, unit_name: str, report: LoGeoRefReport) -> None:
     for context in graph.by_type("IFCGEOMETRICREPRESENTATIONCONTEXT"):
-        wcs = context.attr(4)
+        wcs = context.attr(CONTEXT.WorldCoordinateSystem)
         _dangling(graph, wcs, "representation context world coordinate system", report)
         axis = target(graph, wcs, "IFCAXIS2PLACEMENT3D")
-        origin = None if axis is None else ratios(graph, axis.attr(0), "IFCCARTESIANPOINT")
-        axes_set = axis is not None and (axis.attr(1) is not UNSET or axis.attr(2) is not UNSET)
-        north = ratios(graph, context.attr(5), "IFCDIRECTION")
+        read = (lambda _: UNSET) if axis is None else axis.attr  # no axis: all unset
+        origin = ratios(graph, read(AXIS.Location), "IFCCARTESIANPOINT")
+        axes_set = read(AXIS.Axis) is not UNSET or read(AXIS.RefDirection) is not UNSET
+        north = ratios(graph, context.attr(CONTEXT.TrueNorth), "IFCDIRECTION")
         origin_nonzero = origin is not None and any(
             abs(c) > ORIGIN_TOLERANCE for c in origin
         )
@@ -241,14 +248,14 @@ def _detect_l50(
         )
         return
     conversion = conversions[0]
-    _dangling(graph, conversion.attr(1), "map conversion target CRS", report)
-    crs = target(graph, conversion.attr(1), "IFCPROJECTEDCRS")
-    crs_name = None if crs is None else text(crs.attr(0))
+    _dangling(graph, conversion.attr(CONVERSION.TargetCRS), "map conversion target CRS", report)
+    crs = target(graph, conversion.attr(CONVERSION.TargetCRS), "IFCPROJECTEDCRS")
+    crs_name = None if crs is None else text(crs.attr(CRS.Name))
     if crs_name is None:
         report.diagnostics.append("IfcMapConversion without IfcProjectedCRS target")
         return
-    abscissa = number(conversion.attr(5))
-    ordinate = number(conversion.attr(6))
+    abscissa = number(conversion.attr(CONVERSION.XAxisAbscissa))
+    ordinate = number(conversion.attr(CONVERSION.XAxisOrdinate))
     if abscissa is None and ordinate is None:
         rotation = (1.0, 0.0)
     else:
@@ -261,9 +268,9 @@ def _detect_l50(
     report.detected[LoGeoRefLevel.L50] = GeoParams(
         LoGeoRefLevel.L50,
         {
-            "eastings": number(conversion.attr(2)),
-            "northings": number(conversion.attr(3)),
-            "orthogonal_height": number(conversion.attr(4)),
+            "eastings": number(conversion.attr(CONVERSION.Eastings)),
+            "northings": number(conversion.attr(CONVERSION.Northings)),
+            "orthogonal_height": number(conversion.attr(CONVERSION.OrthogonalHeight)),
             "rotation": rotation,
             "crs_name": crs_name,
         },

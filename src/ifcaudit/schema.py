@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from importlib import resources
+from types import SimpleNamespace
 
 from ._record import FrozenRecord, set_field
 
@@ -43,12 +44,15 @@ class ReportGroup(enum.Enum):
 
 
 class TypeEntry(FrozenRecord):
-    _fields = ("name", "group", "versions")
+    _fields = ("name", "group", "versions", "attributes", "ifc4_attributes")
 
-    def __init__(self, name: str, group: ReportGroup, versions: frozenset[SchemaVersion]):
+    def __init__(self, name: str, group: ReportGroup, versions: frozenset[SchemaVersion],
+                 attributes: tuple[str, ...] = (), ifc4_attributes: tuple[str, ...] = ()):
         set_field(self, "name", name)
         set_field(self, "group", group)
         set_field(self, "versions", versions)
+        set_field(self, "attributes", attributes)
+        set_field(self, "ifc4_attributes", ifc4_attributes)
 
 
 _BOTH = frozenset({SchemaVersion.IFC2X3, SchemaVersion.IFC4})
@@ -66,7 +70,8 @@ class TypeRegistry:
     @classmethod
     def from_text(cls, text: str) -> "TypeRegistry":
         """Parse the line-oriented registry format
-        ``TYPE;GROUP;IFC2X3|IFC4|BOTH``."""
+        ``TYPE;GROUP;IFC2X3|IFC4|BOTH[;NAME,...[|IFC4 NAME,...]]``: the
+        attribute names in ISO 16739 order, those only IFC4 appends last."""
         entries: dict[str, TypeEntry] = {}
         groups = {g.value.upper(): g for g in ReportGroup}
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -74,18 +79,23 @@ class TypeRegistry:
             if not line or line.startswith("#"):
                 continue
             parts = line.split(";")
-            if len(parts) != 3:
-                raise ValueError(f"registry line {lineno}: expected 3 fields, got {line!r}")
-            name, group, avail = (p.strip().upper() for p in parts)
+            if len(parts) not in (3, 4):
+                raise ValueError(f"registry line {lineno}: expected 3 or 4 fields, got {line!r}")
+            name, group, avail = (p.strip().upper() for p in parts[:3])
             if group not in groups:
                 raise ValueError(f"registry line {lineno}: unknown group {group!r}")
             if avail not in _AVAILABILITY:
                 raise ValueError(f"registry line {lineno}: bad availability {avail!r}")
-            entries[name] = TypeEntry(
-                name=name,
-                group=groups[group],
-                versions=_AVAILABILITY[avail],
-            )
+            versions = _AVAILABILITY[avail]
+            shared, bar, appended = parts[3].partition("|") if len(parts) == 4 else ("",) * 3
+            attributes = tuple(n.strip() for n in shared.split(",")) if len(parts) == 4 else ()
+            ifc4_attributes = tuple(n.strip() for n in appended.split(",")) if bar else ()
+            every = attributes + ifc4_attributes
+            if every and (not all(map(str.isidentifier, every)) or len(set(every)) < len(every)):
+                raise ValueError(f"registry line {lineno}: bad or repeated attribute names")
+            if ifc4_attributes and SchemaVersion.IFC4 not in versions:
+                raise ValueError(f"registry line {lineno}: IFC4 attributes on a type IFC4 lacks")
+            entries[name] = TypeEntry(name, groups[group], versions, attributes, ifc4_attributes)
         return cls(entries)
 
     def __contains__(self, name: str) -> bool:
@@ -115,3 +125,20 @@ def default_registry() -> TypeRegistry:
         )
         _default = TypeRegistry.from_text(text)
     return _default
+
+
+def layout(type_name: str) -> SimpleNamespace:
+    """Each attribute's position in a registered entity, by name, the same
+    in both schemas: ``layout("IFCSITE").RefLatitude`` is 9."""
+    entry = default_registry().entries[type_name]
+    names = entry.attributes + entry.ifc4_attributes
+    return SimpleNamespace(**{name: index for index, name in enumerate(names)})
+
+
+def arity(type_name: str, version: SchemaVersion) -> int:
+    """How many attributes a registered entity has in ``version``."""
+    entry = default_registry().entries[type_name]
+    if not entry.attributes or version not in entry.versions:
+        raise KeyError(f"no {version.value} attribute layout for {type_name}")
+    appended = entry.ifc4_attributes if version is SchemaVersion.IFC4 else ()
+    return len(entry.attributes) + len(appended)

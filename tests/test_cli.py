@@ -1154,6 +1154,9 @@ def _wrong_type_target(graph, read):
 
     if read == "placement":  # the RelativePlacement of B2's IfcLocalPlacement
         return "B2", graph.deref(proxies["B2"].attr(5)), 1
+    if read in ("point", "direction"):  # the Location or the Axis of B2's placement
+        axis = graph.deref(graph.deref(proxies["B2"].attr(5)).attr(1))
+        return "B2", axis, 0 if read == "point" else 1
     if read == "object placement":
         return "B2", proxies["B2"], 5
     if read == "profile":
@@ -1174,6 +1177,8 @@ def _wrong_type_target(graph, read):
     "read, error",
     [
         ("placement", "unsupported placement IFCDIRECTION"),
+        ("point", "point IFCDIRECTION"),
+        ("direction", "direction IFCCARTESIANPOINT"),
         ("object placement", "unsupported object placement IFCDIRECTION"),
         ("profile", "unsupported profile IFCDIRECTION"),
         ("revolution axis", "revolution axis IFCDIRECTION"),
@@ -1194,7 +1199,8 @@ def test_reference_of_the_wrong_type_is_an_item_error(capsys, tmp_path, suite_fi
     intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
 
     slot, record, index = _wrong_type_target(load(out), read)
-    path = repoint(out, tmp_path / "wrong.ifc", record, index, "IFCDIRECTION((1.,0.,0.))")
+    wrong = error.split()[-1]  # the type the reference names instead
+    path = repoint(out, tmp_path / "wrong.ifc", record, index, f"{wrong}((1.,0.,0.))")
     code, stdout, err = run(capsys, "check", str(path))
     assert code == 0
     assert err == f"{slot}: error: {error}\n"

@@ -1,10 +1,16 @@
+import itertools
+
 import pytest
 
+from ifcaudit.geomgen import BELOW_PRECISION_ITEM, SUITE_ITEMS
+from ifcaudit.geomgen.generate import generate_geometry_suite, generate_item
 from ifcaudit.schema import (
     ReportGroup,
     SchemaVersion,
     TypeRegistry,
+    arity,
     default_registry,
+    layout,
 )
 
 
@@ -29,11 +35,65 @@ def test_crane_rail_availability(registry):
     assert not registry.available_in("IFCCRANERAILASHAPEPROFILEDEF", SchemaVersion.IFC4)
 
 
-def test_registry_format_has_three_fields():
-    registry = TypeRegistry.from_text("# comment\nIfcWall;BuildingElements;BOTH\n")
+def test_registry_format_has_three_or_four_fields():
+    registry = TypeRegistry.from_text(
+        "# comment\nIfcWall;BuildingElements;BOTH\nIfcShape;Geometry;BOTH; A, B |C\n"
+    )
     assert registry.group_of("IFCWALL") is ReportGroup.BUILDING_ELEMENTS
-    with pytest.raises(ValueError, match="registry line 1: expected 3 fields"):
-        TypeRegistry.from_text("IFCWALL;IFCBUILDINGELEMENT;BUILDINGELEMENTS;BOTH\n")
+    assert registry.entries["IFCWALL"].attributes == ()
+    shape = registry.entries["IFCSHAPE"]
+    assert (shape.attributes, shape.ifc4_attributes) == (("A", "B"), ("C",))
+    with pytest.raises(ValueError, match="registry line 1: expected 3 or 4 fields"):
+        TypeRegistry.from_text("IFCWALL;IFCBUILDINGELEMENT;BUILDINGELEMENTS;BOTH;Name\n")
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("IFCX;Geometry;BOTH;A;B", "expected 3 or 4 fields"),  # a fifth field
+        ("IFCX;Geometry;BOTH;A,B,A", "bad or repeated attribute names"),
+        ("IFCX;Geometry;BOTH;A|A", "bad or repeated attribute names"),
+        ("IFCX;Geometry;BOTH;", "bad or repeated attribute names"),
+        ("IFCX;Geometry;BOTH;A,,B", "bad or repeated attribute names"),
+        ("IFCX;Geometry;BOTH;A|B|C", "bad or repeated attribute names"),
+        ("IFCX;Geometry;BOTH;A|", "bad or repeated attribute names"),
+        ("IFCX;Geometry;BOTH;A-B", "bad or repeated attribute names"),
+        ("IFCX;Geometry;IFC2X3;A|B", "IFC4 attributes on a type IFC4 lacks"),
+    ],
+)
+def test_registry_rejects_malformed_attribute_lists(line, error):
+    with pytest.raises(ValueError, match=f"registry line 2: {error}"):
+        TypeRegistry.from_text(f"# comment\n{line}\n")
+
+
+def test_layout_and_arity(registry):
+    assert layout("IFCSITE").RefLatitude == 9
+    ishape = layout("IFCISHAPEPROFILEDEF")
+    assert (ishape.FilletRadius, ishape.FlangeEdgeRadius, ishape.FlangeSlope) == (7, 8, 9)
+    assert arity("IFCISHAPEPROFILEDEF", SchemaVersion.IFC2X3) == 8
+    assert arity("IFCISHAPEPROFILEDEF", SchemaVersion.IFC4) == 10
+    assert arity("IFCCRANERAILASHAPEPROFILEDEF", SchemaVersion.IFC2X3) == 15
+    # IFC4 names a position IFC2X3 names differently
+    assert layout("IFCBUILDINGELEMENTPROXY").PredefinedType == 8
+    with pytest.raises(KeyError):
+        arity("IFCCRANERAILASHAPEPROFILEDEF", SchemaVersion.IFC4)  # not in IFC4
+    with pytest.raises(KeyError):
+        arity("IFCWALL", SchemaVersion.IFC4)  # registered without a layout
+    with pytest.raises(AttributeError):
+        layout("IFCWALL").Name
+    ishape_entry = registry.entries["IFCISHAPEPROFILEDEF"]
+    assert ishape_entry.ifc4_attributes == ("FlangeEdgeRadius", "FlangeSlope")
+
+
+@pytest.mark.parametrize("version", list(SchemaVersion))
+@pytest.mark.parametrize("extra", [False, True], ids=["suite", "extra-below-precision"])
+def test_written_records_have_the_arity_of_their_layout(version, extra):
+    """Every record the generator writes, in a suite or an item's fragment,
+    is of a type with a layout and has that layout's attribute count."""
+    graph, _ = generate_geometry_suite(version, include_below_precision_item=extra)
+    items = [i for i in SUITE_ITEMS + (BELOW_PRECISION_ITEM,) if version in i.available_in]
+    for inst in itertools.chain(graph, *(generate_item(i, version) for i in items)):
+        assert len(inst.attributes) == arity(inst.type_name, version), inst.type_name
 
 
 def test_generator_types_are_registered(registry, suite_2x3, suite_ifc4):

@@ -35,7 +35,8 @@ DIFF = CensusDiff({"IFCWALL": -1}, frozenset(), frozenset(), {ReportGroup.BUILDI
 REPORT = LoGeoRefReport({L10: GeoParams(L10, {"a": 1})}, ["d"])
 ENTRY_REPR = (
     "TypeEntry(name='IFCWALL', group=<ReportGroup.BUILDING_ELEMENTS: 'BuildingElements'>,"
-    " versions=frozenset({<SchemaVersion.IFC4: 'IFC4'>}))"
+    " versions=frozenset({<SchemaVersion.IFC4: 'IFC4'>}), attributes=('GlobalId', 'Name'),"
+    " ifc4_attributes=('PredefinedType',))"
 )
 FILE_NAME_REPR = (
     "FileName(name='m.ifc', timestamp='2020', authors=['a'], organizations=['o'],"
@@ -88,8 +89,9 @@ CASES = [
      "GeoParams(level=<LoGeoRefLevel.L10: 10>, payload={'a': 1})", False, True, None),
     (LoGeoRefReport, ("detected", "diagnostics"), ({L10: GeoParams(L10, {"a": 1})}, ["d"]),
      LoGeoRefReport(), REPORT_REPR, False, False, None),
-    (TypeEntry, ("name", "group", "versions"),
-     ("IFCWALL", ReportGroup.BUILDING_ELEMENTS, frozenset({IFC4})),
+    (TypeEntry, ("name", "group", "versions", "attributes", "ifc4_attributes"),
+     ("IFCWALL", ReportGroup.BUILDING_ELEMENTS, frozenset({IFC4}), ("GlobalId", "Name"),
+      ("PredefinedType",)),
      TypeEntry("IFCWALL", ReportGroup.OTHER, frozenset({IFC4})), ENTRY_REPR, True, True, None),
     (InteropReport, ("reference_census", "export_census", "diff", "family_balances", "unchanged",
                      "georef_before", "georef_after", "size_ratio", "diagnostics"),
