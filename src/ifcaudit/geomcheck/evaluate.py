@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .._lazy import lazy
 from ..errors import MalformedFile, UnsupportedShape
-from ..geomgen.suite import PROFILE_LAYOUTS, Profile, ShapeKind
+from ..geomgen.suite import DEFAULT_PRECISION, PROFILE_LAYOUTS, Profile, ShapeKind
 from ..schema import layout
 from ..spf.model import (
     AttributeValue,
@@ -19,7 +19,7 @@ from ..spf.model import (
     ListValue,
     Reference,
 )
-from ..spf.values import number, numbers, text, walk
+from ..spf.values import number, numbers, target, text, walk
 from .mesh import TriMesh, cross3
 from .tessellate import (
     box_mesh,
@@ -49,7 +49,7 @@ TRIANGLE_BUDGET = 2**24
 POINT, DIRECTION, PLANE = layout("IFCCARTESIANPOINT"), layout("IFCDIRECTION"), layout("IFCPLANE")
 AXIS1, AXIS2D = layout("IFCAXIS1PLACEMENT"), layout("IFCAXIS2PLACEMENT2D")
 AXIS3, LOCAL = layout("IFCAXIS2PLACEMENT3D"), layout("IFCLOCALPLACEMENT")
-CONTEXT, PROXY = layout("IFCGEOMETRICREPRESENTATIONCONTEXT"), layout("IFCBUILDINGELEMENTPROXY")
+CONTEXT, PRODUCT = layout("IFCGEOMETRICREPRESENTATIONCONTEXT"), layout("IFCPRODUCT")
 PRODUCT_SHAPE, SHAPE = layout("IFCPRODUCTDEFINITIONSHAPE"), layout("IFCSHAPEREPRESENTATION")
 EXTRUSION, REVOLUTION = layout("IFCEXTRUDEDAREASOLID"), layout("IFCREVOLVEDAREASOLID")
 DISK, POLYLINE, LOOP = layout("IFCSWEPTDISKSOLID"), layout("IFCPOLYLINE"), layout("IFCPOLYLOOP")
@@ -190,7 +190,7 @@ def _profile_polygon(
     # apply the 2D profile position (offset plus optional rotation)
     position = profile.attr(at.Position)
     if isinstance(position, Reference):
-        a2d = graph.deref(position)
+        a2d = _expect(graph, position, "profile position", "IFCAXIS2PLACEMENT2D")
         location, ref_dir_ref = a2d.attr(AXIS2D.Location), a2d.attr(AXIS2D.RefDirection)
         offset = _point(graph, location, dim=2) if isinstance(location, Reference) else np.zeros(2)
         ref_dir = _unit(ref_dir_ref, _direction(graph, ref_dir_ref, (1.0, 0.0)))
@@ -218,39 +218,39 @@ def suite_proxies(graph: InstanceGraph) -> list[EntityInstance]:
 
     def slot(proxy: EntityInstance) -> str:
         try:
-            return text(proxy.attr(PROXY.Description)) or ""
+            return text(proxy.attr(PRODUCT.Description)) or ""
         except MalformedFile:
             return ""
 
     return sorted(graph.by_type("IFCBUILDINGELEMENTPROXY"), key=slot)
 
 
-def shape_roots(graph: InstanceGraph, proxy: EntityInstance) -> list[EntityInstance]:
-    """Items of every shape representation under a proxy's product
+def shape_roots(graph: InstanceGraph, product: EntityInstance) -> list[EntityInstance]:
+    """Items of every shape representation under a product's product
     definition shape."""
-    rep_ref = proxy.attr(PROXY.Representation)
+    rep_ref = product.attr(PRODUCT.Representation)
     if not isinstance(rep_ref, Reference):
         return []
-    pds = graph.deref(rep_ref)
+    pds = _expect(graph, rep_ref, "product representation", "IFCPRODUCTDEFINITIONSHAPE")
     roots = []
     reps = pds.attr(PRODUCT_SHAPE.Representations)
     if isinstance(reps, ListValue):
         for rep in reps.items:
             if not isinstance(rep, Reference):
                 continue
-            shape = graph.deref(rep)
+            shape = _expect(graph, rep, "shape representation", "IFCSHAPEREPRESENTATION")
             items = shape.attr(SHAPE.Items)
             if isinstance(items, ListValue):
                 roots.extend(graph.resolve(r.id) for r in items.items if isinstance(r, Reference))
     return roots
 
 
-def item_fragment(graph: InstanceGraph, proxy: EntityInstance) -> list[EntityInstance]:
-    """Closure of geometry instances under a proxy's shape representation,
+def item_fragment(graph: InstanceGraph, product: EntityInstance) -> list[EntityInstance]:
+    """Closure of geometry instances under a product's shape representation,
     excluding the shared representation context."""
     seen: set[int] = set()
     out: list[EntityInstance] = []
-    stack = shape_roots(graph, proxy)
+    stack = shape_roots(graph, product)
     while stack:
         inst = stack.pop()
         if inst.id in seen:
@@ -270,16 +270,16 @@ def item_fragment(graph: InstanceGraph, proxy: EntityInstance) -> list[EntityIns
 
 def evaluate_item(
     graph: InstanceGraph,
-    proxy: EntityInstance,
+    product: EntityInstance,
     segments: int = DEFAULT_SEGMENTS,
-    precision: float = 1e-5,
+    precision: float = DEFAULT_PRECISION,
 ) -> EvaluationOutcome:
     """Evaluate one suite item to a mesh in world coordinates."""
-    roots = shape_roots(graph, proxy)
+    roots = shape_roots(graph, product)
     if not roots:
-        raise UnsupportedShape(f"proxy #{proxy.id} has no shape representation items")
+        raise UnsupportedShape(f"proxy #{product.id} has no shape representation items")
     root = roots[0]
-    world = placement_matrix(graph, proxy.attr(PROXY.ObjectPlacement))
+    world = placement_matrix(graph, product.attr(PRODUCT.ObjectPlacement))
     outcome = _evaluate_root(graph, root, segments)
     if outcome.mesh is not None:
         mesh = outcome.mesh
@@ -385,7 +385,7 @@ def _eval_swept_disk(
     radius = number(root.attr(DISK.Radius)) or 0.0
     start = number(root.attr(DISK.StartParam))
     end = number(root.attr(DISK.EndParam))
-    low, high = directrix_range(graph, root.attr(DISK.Directrix))
+    low, high = 0.0, 1.0  # the range of a two-point polyline
     if start is None:
         start = low
     if end is None:
@@ -410,12 +410,8 @@ def directrix_range(
     graph: InstanceGraph, ref: AttributeValue
 ) -> tuple[float, float] | None:
     """Parameter range of a polyline directrix: 0 to its segment count."""
-    if not isinstance(ref, Reference):
-        return None
-    curve = graph.resolve(ref.id)
-    if curve.type_name != "IFCPOLYLINE":
-        return None
-    points = curve.attr(POLYLINE.Points)
+    curve = target(graph, ref, "IFCPOLYLINE")
+    points = None if curve is None else curve.attr(POLYLINE.Points)
     if not isinstance(points, ListValue):
         return None
     return 0.0, float(len(points.items) - 1)
@@ -433,12 +429,12 @@ def _shell_faces(
         raise UnsupportedShape(f"shell #{shell.id} has no triangles")
     out = []
     for face_ref in faces.items:
-        face = graph.deref(face_ref)
+        face = _expect(graph, face_ref, "face", "IFCFACE")
         bounds = face.attr(FACE.Bounds)
         loops: list[np.ndarray] = []
         outer = None
         for bound_ref in bounds.items if isinstance(bounds, ListValue) else ():
-            bound = graph.deref(bound_ref)
+            bound = _expect(graph, bound_ref, "face bound", "IFCFACEBOUND", "IFCFACEOUTERBOUND")
             loop = _expect(graph, bound.attr(BOUND.Bound), "face bound loop", "IFCPOLYLOOP")
             pts = loop.attr(LOOP.Polygon)
             coords = [_point(graph, p) for p in pts.items] if isinstance(pts, ListValue) else []
@@ -485,25 +481,23 @@ def _eval_faces(
         refs = root.attr(SURFACE_MODEL.SbsmBoundary)
         if not isinstance(refs, ListValue) or not refs.items:
             raise UnsupportedShape("surface model without shells")
-        shells = [graph.deref(r) for r in refs.items]
+        shells = [_expect(graph, r, "shell", "IFCCLOSEDSHELL", "IFCOPENSHELL") for r in refs.items]
     else:
-        shells = [graph.deref(root.attr(BREP.Outer))]
+        shells = [_expect(graph, root.attr(BREP.Outer), "shell", "IFCCLOSEDSHELL")]
     return EvaluationOutcome(kind, _face_mesh(graph, shells), is_surface_model=is_surface)
 
 
 # --- axis-aligned boolean results ---------------------------------------------
 
 
-def _box_of_operand(graph: InstanceGraph, ref: AttributeValue) -> tuple[np.ndarray, np.ndarray]:
-    inst = graph.deref(ref)
-    if inst.type_name == "IFCFACETEDBREP":
-        operand, mesh = "brep", _face_mesh(graph, [graph.deref(inst.attr(BREP.Outer))])
-    elif inst.type_name == "IFCEXTRUDEDAREASOLID":
-        operand, mesh = "extrusion", _evaluate_root(graph, inst, segments=4).mesh
-        if mesh is None:
-            raise UnsupportedShape("degenerate extrusion operand")
-    else:
-        raise UnsupportedShape(f"unsupported boolean operand {inst.type_name}")
+#: Boolean operands read as boxes: IFC type -> the name errors give it.
+_BOX_OPERANDS = {"IFCFACETEDBREP": "brep", "IFCEXTRUDEDAREASOLID": "extrusion"}
+
+
+def _box_of_operand(graph: InstanceGraph, inst: EntityInstance) -> tuple[np.ndarray, np.ndarray]:
+    operand, mesh = _BOX_OPERANDS[inst.type_name], _evaluate_root(graph, inst, segments=4).mesh
+    if mesh is None:
+        raise UnsupportedShape("degenerate extrusion operand")
     lo, hi = mesh.bbox
     if abs(mesh.volume - float(np.prod(hi - lo))) > 1e-9 * max(1.0, mesh.volume):
         raise UnsupportedShape(f"{operand} operand is not an axis-aligned box")
@@ -543,11 +537,13 @@ def _eval_boolean(
     operator = root.attr(BOOLEAN.Operator)
     op = operator.name if isinstance(operator, EnumToken) else ""
 
-    second_inst = graph.deref(root.attr(BOOLEAN.SecondOperand))
-    first_box = _box_of_operand(graph, root.attr(BOOLEAN.FirstOperand))
+    box = ("unsupported boolean operand", *_BOX_OPERANDS)
+    first = _expect(graph, root.attr(BOOLEAN.FirstOperand), *box)
+    second = _expect(graph, root.attr(BOOLEAN.SecondOperand), *box, "IFCHALFSPACESOLID")
+    first_box = _box_of_operand(graph, first)
 
-    if second_inst.type_name == "IFCHALFSPACESOLID":
-        axis, bound, material_below = _half_space_region(graph, second_inst)
+    if second.type_name == "IFCHALFSPACESOLID":
+        axis, bound, material_below = _half_space_region(graph, second)
         if op != "DIFFERENCE":
             raise UnsupportedShape(f"half-space operand with operator {op}")
         lo, hi = first_box[0].copy(), first_box[1].copy()
@@ -557,8 +553,7 @@ def _eval_boolean(
             hi[axis] = min(hi[axis], bound)
         return _boxes_to_outcome([(lo, hi)], shape_class)
 
-    second_box = _box_of_operand(graph, root.attr(BOOLEAN.SecondOperand))
-    (alo, ahi), (blo, bhi) = first_box, second_box
+    (alo, ahi), (blo, bhi) = first_box, _box_of_operand(graph, second)
     diffs = [
         k
         for k in range(3)
@@ -568,12 +563,7 @@ def _eval_boolean(
         raise UnsupportedShape(
             "cube operands must be offset along a single axis"
         )
-    if not diffs:
-        # identical operands
-        if op == "DIFFERENCE":
-            return _boxes_to_outcome([], shape_class)
-        return _boxes_to_outcome([(alo, ahi)], shape_class)
-    k = diffs[0]
+    k = diffs[0] if diffs else 0  # identical operands differ along no axis
     a0, a1, b0, b1 = alo[k], ahi[k], blo[k], bhi[k]
     boxes: list[tuple[np.ndarray, np.ndarray]] = []
 

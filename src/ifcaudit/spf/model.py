@@ -345,14 +345,9 @@ class EntityInstance:
     def attributes(self) -> tuple[AttributeValue, ...]:
         attrs = self._attrs
         if attrs is None:
-            attrs = self._attrs = self._parse()[0]
+            attrs = self._attrs = self._src.parse(self.id, self._pstart, self._pend)[0]
             self._src = None  # source span no longer needed
         return attrs
-
-    def _parse(self) -> tuple[tuple[AttributeValue, ...], list[str]]:
-        """Parse the source span without keeping the values; returns them
-        and the unknown string escapes met."""
-        return self._src.parse(self.id, self._pstart, self._pend)
 
     def attr(self, index: int) -> AttributeValue:
         """Attribute at ``index``, UNSET when the record is shorter."""
@@ -386,7 +381,8 @@ class InstanceGraph:
 
     It keeps one store: a :class:`RecordTable` with one row per instance,
     ``rows`` (id -> row) and the instances built so far. An id defined twice
-    in ``records`` keeps its first position and its last definition. A
+    in ``records`` keeps its first position and its last definition, and
+    each repeat adds a ``duplicate-id`` diagnostic, in file order. A
     record becomes an :class:`EntityInstance` when it is first resolved,
     listed by type or iterated over, and stays one, so an instance keeps its
     identity and its read attributes; ``type_counts`` reads the type codes
@@ -409,6 +405,13 @@ class InstanceGraph:
         # each id at its first position, mapped to the row of its last definition
         rows = dict(zip(records.ids, range(len(records))))
         if len(rows) < len(records):  # an id defined twice: one row per id
+            seen: set[int] = set()
+            for id in records.ids:
+                if id in seen:
+                    diagnostics.append(
+                        Diagnostic("duplicate-id", f"instance #{id} defined twice; last kept")
+                    )
+                seen.add(id)
             last = rows.values()
             records = RecordTable(
                 list(rows),
@@ -483,10 +486,8 @@ class InstanceGraph:
         t, views, source = self._records, self._views, self.source
         for id, row in self._rows.items():
             inst = views.get(id)
-            if inst is None:
+            if inst is None or inst._attrs is None:
                 unknown += source.parse(id, t.starts[row], t.ends[row])[1]
-            elif inst._attrs is None:
-                unknown += inst._parse()[1]
         return unknown
 
     def schema_name(self) -> str | None:

@@ -78,16 +78,7 @@ def parse_spf(data: bytes, path: str | None = None) -> InstanceGraph:
             Diagnostic("missing-end-sentinel", "file does not end with END-ISO-10303-21;")
         )
 
-    graph = InstanceGraph(header, diagnostics, Source(data, path), records, refs)
-    if len(graph) < len(records):
-        seen: set[int] = set()
-        for inst_id in records.ids:
-            if inst_id in seen:
-                diagnostics.append(
-                    Diagnostic("duplicate-id", f"instance #{inst_id} defined twice; last kept")
-                )
-            seen.add(inst_id)
-    return graph
+    return InstanceGraph(header, diagnostics, Source(data, path), records, refs)
 
 
 def load(path: str | os.PathLike) -> InstanceGraph:

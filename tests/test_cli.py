@@ -1082,12 +1082,13 @@ def test_check_reports_broken_faces(capsys, tmp_path, slot, mutation, error):
 
 
 def repoint(source, path, record, index, new_record: str):
-    """Write ``source`` to ``path`` with attribute ``index`` of ``record``
-    naming a new instance #99999 of ``new_record``; return ``path``."""
+    """Write ``source`` to ``path`` with the ``index``-th comma-separated
+    field of ``record``'s parameters (an attribute, or a list's first or last
+    item) naming a new instance #99999 of ``new_record``; return ``path``."""
 
     def point_at_new(match):
         args = match[2].split(",")
-        args[index] = "#99999"
+        args[index] = re.sub(r"[^()]+", "#99999", args[index], count=1)
         return f"{match[1]}({','.join(args)});"
 
     data = re.sub(rf"^(#{record.id}=\w+)\((.*)\);$", point_at_new, source.read_text(), flags=re.M)
@@ -1161,12 +1162,27 @@ def _wrong_type_target(graph, read):
         return "B2", proxies["B2"], 5
     if read == "profile":
         return "B2", root("B2"), 0
+    if read == "profile position":  # of B2's rectangle profile
+        return "B2", graph.deref(root("B2").attr(0)), 2
+    if read == "product representation":
+        return "B2", proxies["B2"], 6
+    if read == "shape representation":  # the first of B2's definition shape
+        return "B2", graph.deref(proxies["B2"].attr(6)), 2
+    if read == "brep shell":  # B1's Outer
+        return "B1", root("B1"), 0
+    if read == "surface model shell":  # the first of A5's SbsmBoundary
+        return "A5", root("A5"), 0
     if read == "revolution axis":
         return "E5", root("E5"), 2
     if read == "directrix":
         return "F4", root("F4"), 0
+    shell = graph.deref(root("B1").attr(0))
+    if read == "face":  # the first of B1's shell
+        return "B1", shell, 0
+    face = graph.deref(shell.attr(0).items[0])
+    if read == "face bound":  # the first of B1's first face
+        return "B1", face, 0
     if read == "face bound loop":  # of B1's first face's first bound
-        face = graph.deref(graph.deref(root("B1").attr(0)).attr(0).items[0])
         return "B1", graph.deref(face.attr(0).items[0]), 0
     if read == "second operand":  # A4's half space
         return "A4", root("A4"), 2
@@ -1181,9 +1197,16 @@ def _wrong_type_target(graph, read):
         ("direction", "direction IFCCARTESIANPOINT"),
         ("object placement", "unsupported object placement IFCDIRECTION"),
         ("profile", "unsupported profile IFCDIRECTION"),
+        ("profile position", "profile position IFCDIRECTION"),
+        ("product representation", "product representation IFCDIRECTION"),
+        ("shape representation", "shape representation IFCDIRECTION"),
         ("revolution axis", "revolution axis IFCDIRECTION"),
         ("directrix", "directrix IFCDIRECTION"),
+        ("face", "face IFCDIRECTION"),
+        ("face bound", "face bound IFCDIRECTION"),
         ("face bound loop", "face bound loop IFCDIRECTION"),
+        ("brep shell", "shell IFCDIRECTION"),
+        ("surface model shell", "shell IFCDIRECTION"),
         # the boolean reads its second operand as a box unless it is a half space
         ("second operand", "unsupported boolean operand IFCDIRECTION"),
         ("half space surface", "half space surface IFCDIRECTION"),
@@ -1205,8 +1228,41 @@ def test_reference_of_the_wrong_type_is_an_item_error(capsys, tmp_path, suite_fi
     assert code == 0
     assert err == f"{slot}: error: {error}\n"
     items = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    # the representations are read to find the item, before its validity
+    verdict = {} if "representation" in read else verdict_of(intact[slot])
     assert items.pop(slot) == {
-        "slot": slot, "definition": intact[slot]["definition"], **verdict_of(intact[slot]),
-        "error": error,
+        "slot": slot, "definition": intact[slot]["definition"], **verdict, "error": error,
     }
     assert items == {s: i for s, i in intact.items() if s != slot}
+
+
+@pytest.mark.parametrize("operator", ["NOSUCHOP", None, "DIFFERENCE", "INTERSECTION", "UNION"])
+def test_boolean_of_identical_operands(capsys, suite_file, operator):
+    """A1 with its first operand, a unit cube, as both operands: DIFFERENCE
+    gives an empty result, INTERSECTION and UNION the cube, and any other
+    operator, or none, is an item error."""
+    from ifcaudit.geomcheck import shape_roots, suite_proxies
+    from ifcaudit.spf import load
+
+    out, _ = suite_file
+    graph = load(out)
+    (root,) = shape_roots(graph, next(p for p in suite_proxies(graph) if text(p.attr(3)) == "A1"))
+    written = "$" if operator is None else f".{operator}."
+    rewrite_once(out, rf"(#{root.id}=IFCBOOLEANRESULT\()[^,]*,(#\d+),#\d+", rf"\g<1>{written},\2,\2")
+    capsys.readouterr()  # what generate printed
+    code, stdout, err = run(capsys, "check", str(out))
+    assert code == 0
+    a1 = next(i for i in json.loads(stdout)["items"] if i["slot"] == "A1")
+    if operator in ("NOSUCHOP", None):
+        error = f"unsupported boolean operator {operator or ''}"
+        assert err == f"A1: error: {error}\n"
+        assert a1["error"] == error and "displayed" not in a1
+        return
+    assert err == ""
+    if operator == "DIFFERENCE":
+        assert (a1["displayed"], a1["volume"], a1["warnings"]) == (
+            False, None, ["boolean result is empty"]
+        )
+    else:
+        assert (a1["displayed"], a1["warnings"]) == (True, [])
+        assert (a1["volume"], a1["area"]) == (pytest.approx(1.0), pytest.approx(6.0))

@@ -5,6 +5,7 @@ nothing, and writes JSON without NaN or Infinity."""
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -49,10 +50,12 @@ def bases(tmp_path_factory, suite_2x3, suite_ifc4):
     return root, paths, manifests
 
 
-# each mutation: (kind, line index, byte index, payload); indexes wrap around
+# each mutation: (kind, line index, byte index, payload); indexes wrap around.
+# A retarget takes its line's reference and the record it then names by the
+# byte index, so the reference most often names a record of another type
 mutations = st.lists(
     st.tuples(
-        st.sampled_from(["truncate", "delete", "duplicate", "renumber", "insert"]),
+        st.sampled_from(["truncate", "delete", "duplicate", "renumber", "insert", "retarget"]),
         st.integers(0, 1 << 20),
         st.integers(0, 1 << 20),
         st.sampled_from(HOSTILE + NON_ASCII),
@@ -75,6 +78,14 @@ def mutate(data: bytes, steps) -> bytes:
             lines.insert(i, lines[i])
         elif kind == "renumber":
             lines[i] = lines[i].replace(b"#", b"#1", 1)
+        elif kind == "retarget":
+            ids = re.findall(rb"^#([0-9]+)=", data, re.M)
+            head, eq, tail = lines[i].partition(b"=")
+            refs = list(re.finditer(rb"#[0-9]+", tail))
+            if eq and refs and ids:
+                ref = refs[at % len(refs)]
+                tail = tail[: ref.start()] + b"#" + ids[at % len(ids)] + tail[ref.end() :]
+                lines[i] = head + eq + tail
         else:
             j = at % (len(lines[i]) + 1)
             lines[i] = lines[i][:j] + payload + lines[i][j:]
