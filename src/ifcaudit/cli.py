@@ -12,7 +12,10 @@ import argparse
 import sys
 
 from . import __version__, benchkit, geomcheck, geomgen  # noqa: F401
-from ._commands import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, SystemExit_, _emit, _json_dump, _load
+from ._commands import (
+    EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, SystemExit_, _emit, _json_dump, _load, _report,
+    _take_loaded,
+)
 from ._lazy import lazy
 from .errors import IfcAuditError
 from .spf import materialize
@@ -31,7 +34,7 @@ suite = lazy("ifcaudit.cli_suite")  # generate, check and report answers
 
 def cmd_parse(args) -> int:
     graph = _load(args.file)
-    materialize(graph)  # the summary lists every escape diagnostic
+    materialize(graph)  # the summary, and stderr, list every escape diagnostic
     summary = {
         "schema": graph.schema_name(),
         "instances": len(graph),
@@ -43,8 +46,6 @@ def cmd_parse(args) -> int:
             "timestamp": graph.header.file_name.timestamp,
         },
     }
-    for d in graph.diagnostics:
-        print(str(d), file=sys.stderr)
     _emit(_json_dump(summary), args.out)
     return EXIT_OK
 
@@ -76,8 +77,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    ref = census.census(_load(args.reference))
-    exp = census.census(_load(args.exported))
+    ref = census.census(_load(args.reference, prefix=f"{args.reference}: "))
+    exp = census.census(_load(args.exported, prefix=f"{args.exported}: "))
     d = census.diff(ref, exp)
     for message in d.diagnostics:
         print(message, file=sys.stderr)
@@ -103,7 +104,7 @@ def cmd_georef(args) -> int:
 
 
 def _summary(path: str):
-    graph = _load(path)  # freed on return, before the next file loads
+    graph = _load(path, prefix=f"{path}: ")  # freed on return, before the next file loads
     return census.census(graph), georef.detect_georef(graph)
 
 
@@ -213,14 +214,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the diagnostics of the files loaded follow the command's own stderr
+    # lines, and only when it succeeded: a failure prints one ``error:`` line
     try:
-        return args.func(args)
+        code = args.func(args)
     except (SystemExit_, IfcAuditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        loaded = _take_loaded()
+    for prefix, diagnostics in loaded:
+        _report(diagnostics, prefix)
+    return code
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+from .. import spf  # its writer loads only to name a value in an error
 from .._lazy import lazy
 from ..errors import MalformedFile, UnsupportedShape
 from ..geomgen.suite import DEFAULT_PRECISION, PROFILE_LAYOUTS, Profile, ShapeKind
@@ -22,7 +23,6 @@ from ..spf.model import (
 from ..spf.values import number, numbers, target, text, walk
 from .mesh import TriMesh, cross3
 from .tessellate import (
-    box_mesh,
     crane_rail_polygon,
     ellipse_polygon,
     extrude_polygon,
@@ -30,7 +30,6 @@ from .tessellate import (
     rectangle_polygon,
     revolve_polygon,
     triangulate_face,
-    tube_mesh,
 )
 
 np = lazy("numpy")  # only evaluating geometry loads numpy
@@ -142,14 +141,21 @@ def _unit(ref: AttributeValue, direction: np.ndarray) -> np.ndarray:
 
 def axis2_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
     """4x4 matrix of an IfcAxis2Placement3D (identity when unset)."""
-    m = np.eye(4)
     if not isinstance(ref, Reference):
-        return m
+        return np.eye(4)
     inst = _expect(graph, ref, "unsupported placement", "IFCAXIS2PLACEMENT3D")
     location_ref, axis_ref = inst.attr(AXIS3.Location), inst.attr(AXIS3.Axis)
     location = _point(graph, location_ref) if isinstance(location_ref, Reference) else np.zeros(3)
     z = _unit(axis_ref, _direction(graph, axis_ref, (0.0, 0.0, 1.0)))
     x_hint = _direction(graph, inst.attr(AXIS3.RefDirection), (1.0, 0.0, 0.0))
+    return _frame(location, z, x_hint)
+
+
+def _frame(location: np.ndarray, z: np.ndarray, x_hint: np.ndarray) -> np.ndarray:
+    """4x4 matrix of the right-handed frame at ``location`` whose z axis is
+    the unit vector ``z`` and whose x axis is ``x_hint`` made perpendicular
+    to it; a hint along ``z`` gives way to the x axis, or to the y axis when
+    ``z`` is near the x axis."""
     x = x_hint - (x_hint @ z) * z
     norm = np.linalg.norm(x)
     if norm < 1e-12:
@@ -157,8 +163,8 @@ def axis2_matrix(graph: InstanceGraph, ref: AttributeValue) -> np.ndarray:
         x = x - (x @ z) * z
         norm = np.linalg.norm(x)
     x = x / norm
-    y = cross3(z, x)
-    m[:3, 0], m[:3, 1], m[:3, 2], m[:3, 3] = x, y, z, location
+    m = np.eye(4)
+    m[:3, 0], m[:3, 1], m[:3, 2], m[:3, 3] = x, cross3(z, x), z, location
     return m
 
 
@@ -399,9 +405,14 @@ def _eval_swept_disk(
     if end <= start or radius <= 0:
         return _not_displayed(shape_class, "empty sweep after clamping")
     a = p0 + (p1 - p0) * start
-    b = p0 + (p1 - p0) * end
-    _within_budget(4 * segments)  # two per side, one per cap
-    mesh = tube_mesh(a, b, radius, segments)
+    axis = p0 + (p1 - p0) * end - a
+    length = np.linalg.norm(axis)
+    if length == 0:  # the clamped parameters meet at one point
+        return _not_displayed(shape_class, "zero-length sweep; nothing to evaluate")
+    _within_budget(4 * segments - 4)  # two caps of n - 2, two per side
+    # a disk extruded along the z axis of a frame that runs along the sweep
+    mesh = extrude_polygon(ellipse_polygon(radius, radius, segments), (0.0, 0.0, length))
+    mesh.transform(_frame(a, axis / length, np.array([1.0, 0.0, 0.0])))
     smooth = segments >= SMOOTH_SEGMENT_THRESHOLD
     return EvaluationOutcome(shape_class, mesh, smooth_curves=smooth, warnings=warnings)
 
@@ -528,14 +539,22 @@ def _boxes_to_outcome(
     boxes = [(lo, hi) for lo, hi in boxes if (np.asarray(hi) > np.asarray(lo)).all()]
     if not boxes:
         return _not_displayed(shape_class, "boolean result is empty")
-    return EvaluationOutcome(shape_class, TriMesh.concat([box_mesh(lo, hi) for lo, hi in boxes]))
+    meshes = []
+    for (x0, y0, z0), (x1, y1, z1) in boxes:
+        # a rectangle extruded by the box's height, with its two rings set at
+        # z0 and z1 themselves: lifting by z0 can miss z1 by an ulp
+        prism = extrude_polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)], (0.0, 0.0, z1 - z0))
+        z = np.where(prism.vertices[:, 2] > 0, z1, z0)
+        meshes.append(TriMesh(np.column_stack([prism.vertices[:, :2], z]), prism.triangles))
+    return EvaluationOutcome(shape_class, TriMesh.concat(meshes))
 
 
 def _eval_boolean(
     graph: InstanceGraph, root: EntityInstance, segments: int, shape_class: str
 ) -> EvaluationOutcome:
     operator = root.attr(BOOLEAN.Operator)
-    op = operator.name if isinstance(operator, EnumToken) else ""
+    # any other value is named as written, "$" when unset
+    op = operator.name if isinstance(operator, EnumToken) else spf.format_value(operator)
 
     box = ("unsupported boolean operand", *_BOX_OPERANDS)
     first = _expect(graph, root.attr(BOOLEAN.FirstOperand), *box)

@@ -468,54 +468,3 @@ def revolve_polygon(
     if moment > 0:
         mesh.flip()
     return mesh
-
-
-def tube_mesh(
-    start: np.ndarray, end: np.ndarray, radius: float, segments: int
-) -> TriMesh:
-    """Capped straight tube (swept disk along a straight directrix), facing
-    outward: its circles run counter-clockwise about the axis."""
-    start = np.asarray(start, dtype=np.float64)
-    end = np.asarray(end, dtype=np.float64)
-    axis = end - start
-    length = np.linalg.norm(axis)
-    if length == 0:
-        raise ValueError("degenerate directrix")
-    axis = axis / length
-    # build an orthonormal frame around the axis
-    helper = np.array([0.0, 0.0, 1.0])
-    if abs(axis @ helper) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    u = cross3(axis, helper)
-    u /= np.linalg.norm(u)
-    v = cross3(axis, u)
-
-    cos, sin = _cos_sin(np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False))
-    circle = radius * (np.outer(cos, u) + np.outer(sin, v))
-    ring_a = start + circle
-    ring_b = end + circle
-    vertices = np.vstack([ring_a, ring_b, start[None, :], end[None, :]])
-    i = np.arange(segments, dtype=np.int32)
-    j = np.roll(i, -1)
-    start_cap = np.stack([np.full_like(i, 2 * segments), j, i], -1)
-    end_cap = np.stack([np.full_like(i, 2 * segments + 1), i + segments, j + segments], -1)
-    caps = np.stack([start_cap, end_cap], -2)
-    tris = np.concatenate([strip_triangles(i, i + segments), caps], axis=1)
-    return TriMesh(vertices, tris.reshape(-1, 3))
-
-
-def box_mesh(minimum, maximum) -> TriMesh:
-    x0, y0, z0 = minimum
-    x1, y1, z1 = maximum
-    vertices = np.array(
-        [
-            (x0, y0, z0), (x1, y0, z0), (x1, y1, z0), (x0, y1, z0),
-            (x0, y0, z1), (x1, y0, z1), (x1, y1, z1), (x0, y1, z1),
-        ]
-    )
-    quads = np.array([
-        (0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
-        (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
-    ])
-    tris = np.stack([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]], axis=1)
-    return TriMesh(vertices, tris.reshape(-1, 3))

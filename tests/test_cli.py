@@ -149,9 +149,9 @@ def test_report_roundtrip_holds_one_graph_at_a_time(capsys, monkeypatch, suite_f
     main(["generate", "--schema", "ifc4", "--out", str(other)])
     load, graphs, alive_at_load = ifcaudit.cli._load, [], []
 
-    def tracked(path):
+    def tracked(path, **options):
         alive_at_load.append([ref() is not None for ref in graphs])
-        graph = load(path)
+        graph = load(path, **options)
         graphs.append(weakref.ref(graph))
         return graph
 
@@ -371,6 +371,82 @@ def test_parse_lists_diagnostics_in_order(capsys, tmp_path):
     assert err.splitlines() == expected
 
 
+#: seven records, one a complex instance, which is skipped (ROADMAP item 9)
+SEVEN_RECORDS = b"""ISO-10303-21;
+HEADER;
+FILE_DESCRIPTION((''),'2;1');
+FILE_NAME('seven','2020-01-01T00:00:00',(''),(''),'','','');
+FILE_SCHEMA(('IFC2X3'));
+ENDSEC;
+DATA;
+#1=IFCBUILDING($,$,'B',$,$,$,$,$,$,$,$,$);
+#2=IFCWALL('w',$,$,$,$,#3,#1,$);
+#3=(IFCA(1)IFCB(2));
+#4=IFCWALL('v',$,$,$,$,#99,#1,$);
+#5=IFCWALL('u',$,$,$,$,$,#1,$);
+#6=IFCWALL('t',$,$,$,$,$,#1,$);
+#7=IFCWALL('s',$,$,$,$,$,#1,$);
+ENDSEC;
+END-ISO-10303-21;
+"""
+
+
+@pytest.mark.parametrize("command", ["census", "georef", "check", "diff", "report roundtrip"])
+def test_every_command_reports_load_diagnostics(capsys, tmp_path, command):
+    path = tmp_path / "seven.ifc"
+    path.write_bytes(SEVEN_RECORDS)
+    two_files = command in ("diff", "report roundtrip")
+    code, stdout, err = run(capsys, *command.split(), str(path), *[str(path)] * two_files)
+    line = "[complex-instance] unsupported complex entity instance #3 skipped"
+    assert code == 0 and stdout
+    # a command that reads two files names the file of each line
+    assert err.splitlines() == ([f"{path}: {line}"] * 2 if two_files else [line])
+
+
+def test_diagnostics_of_one_code_are_counted_past_the_limit(capsys, tmp_path):
+    from ifcaudit._commands import DIAGNOSTIC_LINES
+
+    path = tmp_path / "repeated.ifc"
+    record = b"#1=IFCBUILDING($,$,'B',$,$,$,$,$,$,$,$,$);\n"
+    path.write_bytes(SEVEN_RECORDS.replace(b"#1=IFCBUILDING", record * 10_000 + b"#1=IFCBUILDING"))
+    shown = ["[duplicate-id] instance #1 defined twice; last kept"] * DIAGNOSTIC_LINES
+    counted = f"[duplicate-id] {10_000 - DIAGNOSTIC_LINES} more not shown"
+    complex_ = "[complex-instance] unsupported complex entity instance #3 skipped"
+    code, _, err = run(capsys, "census", str(path))
+    assert code == 0
+    assert err.splitlines() == [complex_, *shown, counted]
+    # parse prints the same, and its JSON still lists every diagnostic
+    code, stdout, err = run(capsys, "parse", str(path))
+    dangling = [f"[dangling-reference] reference to missing instance #{i}" for i in (3, 99)]
+    assert err.splitlines() == [complex_, *shown, *dangling, counted]
+    diagnostics = json.loads(stdout)["diagnostics"]
+    assert diagnostics.count(shown[0]) == 10_000 and complex_ in diagnostics
+
+
+@pytest.mark.parametrize("command", ["georef", "parse", "report roundtrip"])
+def test_a_failed_command_prints_no_load_diagnostics(capsys, tmp_path, command):
+    from tests_helpers import georef_fixture_l30
+
+    from ifcaudit.spf import write_spf
+
+    # a duplicated record is diagnosed on load; the site's out-of-range
+    # RefElevation is found only when the command reads it
+    data = write_spf(georef_fixture_l30())
+    unit = data[data.index(b"#1=") : data.index(b"#2=")]
+    data = data.replace(b"#2=", unit + b"#2=", 1)
+    data = data.replace(b".ELEMENT.,$,$,$,$,$", b".ELEMENT.,$,$,1.E999,$,$")
+    path = tmp_path / "site.ifc"
+    path.write_bytes(data)
+    two_files = command == "report roundtrip"
+    code, _, err = run(capsys, *command.split(), str(path), *[str(path)] * two_files)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the same file without the bad real succeeds and reports the duplicate
+    path.write_bytes(data.replace(b"1.E999", b"$"))
+    code, _, err = run(capsys, "georef", str(path))
+    assert (code, err) == (0, "[duplicate-id] instance #1 defined twice; last kept\n")
+
+
 def test_only_parse_reads_references(capsys, monkeypatch, suite_file, tmp_path):
     from tests_helpers import georef_fixture_l30
 
@@ -500,6 +576,32 @@ def test_check_survives_broken_item(capsys, suite_file, slot, breakage, error):
     assert code == 1  # the failed item counts as a manifest mismatch
     assert items[label] == {"slot": label, "definition": definition, "matches_manifest": False}
     assert lines[1:] == ["1 item(s) disagree with the manifest"]
+
+
+def test_sweep_that_rounds_to_zero_length_is_not_displayed(capsys, suite_file):
+    """F4's directrix from the origin to the smallest subnormal, swept over
+    [0.1, 0.2]: both ends round to the origin, so no disk is built (its
+    axis would be divided by a length of 0)."""
+    from ifcaudit.geomcheck import shape_roots, suite_proxies
+    from ifcaudit.spf import load
+
+    out, manifest = suite_file
+    argv = ["check", str(out), "--manifest", str(manifest), "--expect-match"]
+    _, stdout, _ = run(capsys, *argv)
+    intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    graph = load(out)
+    (root,) = shape_roots(graph, next(p for p in suite_proxies(graph) if text(p.attr(3)) == "F4"))
+    end = graph.deref(root.attr(0)).attr(0).items[1].id
+    rewrite_once(out, rf"(#{end}=IFCCARTESIANPOINT\(\()[^)]*", r"\g<1>5.E-324,0.,0.")
+    rewrite_once(out, rf"(#{root.id}=IFCSWEPTDISKSOLID\([^$]*\$,)0\.,1\.", r"\g<1>0.1,0.2")
+
+    code, stdout, err = run(capsys, *argv)
+    items = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    assert (code, err) == (0, "")
+    f4 = items.pop("F4")
+    assert (f4["displayed"], f4["volume"], f4["matches_manifest"]) == (False, None, True)
+    assert f4["warnings"] == ["zero-length sweep; nothing to evaluate"]
+    assert items == {s: i for s, i in intact.items() if s != "F4"}
 
 
 def verdict_of(item):
@@ -1254,7 +1356,7 @@ def test_boolean_of_identical_operands(capsys, suite_file, operator):
     assert code == 0
     a1 = next(i for i in json.loads(stdout)["items"] if i["slot"] == "A1")
     if operator in ("NOSUCHOP", None):
-        error = f"unsupported boolean operator {operator or ''}"
+        error = f"unsupported boolean operator {operator or '$'}"  # named as written
         assert err == f"A1: error: {error}\n"
         assert a1["error"] == error and "displayed" not in a1
         return

@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifcaudit.errors import UnsupportedShape
+from ifcaudit.geomcheck.evaluate import _boxes_to_outcome, _evaluate_root
 from ifcaudit.geomcheck.mesh import _BLOCK_ROWS, TriMesh
 from ifcaudit.geomcheck.tessellate import (
-    box_mesh,
     bridge_holes,
     crane_rail_polygon,
     ear_clip,
@@ -24,11 +24,26 @@ from ifcaudit.geomcheck.tessellate import (
     revolve_polygon,
     strip_triangles,
     triangulate_face,
-    tube_mesh,
 )
+from ifcaudit.spf.build import GraphBuilder
 import reference_geometry
-from oracles import column_volume, ishape_area, shoelace_area
+from oracles import column_volume, ishape_area, shoelace_area, tube_volume
 from tests_helpers import wall_face
+
+
+def box_mesh(lo, hi) -> TriMesh:
+    """The mesh ``check`` makes of a boolean result's box from ``lo`` to ``hi``."""
+    return _boxes_to_outcome([(np.array(lo, float), np.array(hi, float))], "box").mesh
+
+
+def disk_mesh(start, end, radius: float, segments: int) -> TriMesh:
+    """The mesh ``check`` makes of a swept disk along the straight
+    directrix from ``start`` to ``end``, before its product's placement."""
+    b = GraphBuilder("IFC2X3")
+    points = [b.add("IFCCARTESIANPOINT", tuple(map(float, p))) for p in (start, end)]
+    root = b.add("IFCSWEPTDISKSOLID", b.add("IFCPOLYLINE", points), radius, None, None, None)
+    graph = b.graph()
+    return _evaluate_root(graph, graph.resolve(root.id), segments).mesh
 
 
 def test_box_properties():
@@ -39,6 +54,9 @@ def test_box_properties():
     lo, hi = mesh.bbox
     assert np.allclose(lo, [0, 0, 0]) and np.allclose(hi, [2, 3, 4])
     assert mesh.signed_volume > 0  # outward orientation
+    # the corners are the bounds themselves: -0.1 + (0.3 - -0.1) is not 0.3
+    lo, hi = box_mesh((-1.5, 0.5, -0.1), (2.5, 1.5, 0.3)).bbox
+    assert lo.tolist() == [-1.5, 0.5, -0.1] and hi.tolist() == [2.5, 1.5, 0.3]
 
 
 def test_volume_against_column_oracle_box():
@@ -148,8 +166,8 @@ def test_every_builder_and_transform_gives_int32_triangles():
         "revolve_polygon": revolve_polygon(
             ellipse + (3.0, 0.0), np.zeros(3), np.array([0.0, 1.0, 0.0]), 8
         ),
-        "tube_mesh": tube_mesh(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.25, 8),
-        "box_mesh": box,
+        "swept disk": disk_mesh((0, 0, 0), (1, 0, 0), 0.25, 8),
+        "boolean box": box,
         "concat": TriMesh.concat([box, box]),
         "concat of none": TriMesh.concat([]),
         "flipped": flipped,
@@ -362,8 +380,9 @@ def test_revolve_against_column_oracle():
 
 
 def test_tube_volume_and_oracle():
-    mesh = tube_mesh(np.zeros(3), np.array([3.0, 0.0, 0.0]), 0.25, 64)
-    assert mesh.volume == pytest.approx(math.pi * 0.25**2 * 3, rel=0.02)
+    mesh = disk_mesh((0, 0, 0), (3, 0, 0), 0.25, 64)
+    assert len(mesh.triangles) == 4 * 64 - 4  # an extruded 64-gon
+    assert mesh.volume == pytest.approx(tube_volume(0.25, 3.0), rel=0.02)
     oracle = column_volume(mesh.vertices, mesh.triangles, n=100)
     assert mesh.volume == pytest.approx(oracle, rel=0.05)
 
@@ -418,9 +437,9 @@ def test_revolution_is_watertight(profile, segments):
     assert_watertight(revolve_polygon(poly, np.zeros(3), np.array([0.0, 1.0, 0.0]), segments))
 
 
-@pytest.mark.parametrize("segments", [4, 32, 64])
+@pytest.mark.parametrize("segments", [3, 4, 32, 64])
 def test_tube_is_watertight(segments):
-    assert_watertight(tube_mesh(np.zeros(3), np.array([3.0, 1.0, 0.5]), 0.25, segments))
+    assert_watertight(disk_mesh((0, 0, 0), (3, 1, 0.5), 0.25, segments))
 
 
 def test_box_is_watertight():
@@ -448,10 +467,18 @@ def test_revolutions_face_outward(axis, side, winding):
     assert revolve_polygon(poly, axis_point, k, 16).signed_volume > 0
 
 
-@pytest.mark.parametrize("axis", [(3, 0, 0), (0, 0, 3), (0, 0, -3), (-1, 2, 0.5), (0.1, 0, -2)])
+@pytest.mark.parametrize(
+    "axis",
+    # along x, the frame's x hint is the axis itself, so it falls back to y
+    [(3, 0, 0), (0, 0, 3), (0, 0, -3), (-1, 2, 0.5), (0.1, 0, -2), (-3, 0, 0), (0, 3, 0),
+     (0, -3, 0)],
+)
 def test_tubes_face_outward(axis):
     start = np.array([1.0, -1.0, 0.5])
-    assert tube_mesh(start, start + axis, 0.25, 16).signed_volume > 0
+    mesh = disk_mesh(start, start + axis, 0.25, 16)
+    assert mesh.signed_volume > 0
+    disk = polygon_area(ellipse_polygon(0.25, 0.25, 16))
+    assert mesh.volume == pytest.approx(disk * np.linalg.norm(axis), rel=1e-12)
 
 
 def test_revolution_without_first_moment_keeps_its_winding():
