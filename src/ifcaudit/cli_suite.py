@@ -68,8 +68,9 @@ def _read_manifest(path: str) -> tuple[float, dict[str, tuple[bool, set[str]]]]:
             for entry in manifest["items"]
         }
         precision = float(manifest["precision"])
-        if not (math.isfinite(precision) and precision > 0):
-            raise ValueError(f"precision {precision} is not a finite number above 0")
+        if not geomcheck.usable_precision(precision):
+            bound = geomcheck.MAX_PRECISION
+            raise ValueError(f"precision {precision} is not above 0 and at most {bound:g}")
         return precision, expected
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not shaped as a manifest
         raise SystemExit_(f"{path}: not a suite manifest ({type(exc).__name__}: {exc})") from None
@@ -91,7 +92,11 @@ def _dump_name(slot: str, proxy_id: int) -> str:
 def cmd_check(args) -> int:
     if args.segments < 3:
         raise SystemExit_(f"--segments must be at least 3, not {args.segments}")
-    _require_positive("--precision", args.precision)
+    if args.precision is not None and not geomcheck.usable_precision(args.precision):
+        raise SystemExit_(
+            f"--precision must be above 0 and at most {geomcheck.MAX_PRECISION:g}, "
+            f"not {args.precision}"
+        )
     graph = _load(args.file)
     precision, expected = args.precision, {}
     if args.manifest:

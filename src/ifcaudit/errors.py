@@ -24,6 +24,11 @@ class NotAReference(IfcAuditError, TypeError):
     """An attribute that must name an instance holds another value."""
 
 
+class WrongType(IfcAuditError, TypeError):
+    """A reference names an instance of a type its reader does not take; the
+    message is that type, as a ``KeyError``'s is the key."""
+
+
 class UnavailableItem(IfcAuditError):
     """A suite item was requested for a schema version that lacks it."""
 

@@ -10,6 +10,7 @@ _EXPORTS = {
     "DEFAULT_SEGMENTS": "evaluate",
     "DIRECTION_DOT_TOLERANCE": "evaluate",
     "EvaluationOutcome": "evaluate",
+    "MAX_PRECISION": "evaluate",
     "Observation": "evaluate",
     "TriMesh": "mesh",
     "TupleClassification": "evaluate",
@@ -25,6 +26,7 @@ _EXPORTS = {
     "placement_matrix": "evaluate",
     "shape_roots": "evaluate",
     "suite_proxies": "evaluate",
+    "usable_precision": "evaluate",
 }
 __all__ = list(_EXPORTS)
 __getattr__ = lazy_exports(__name__, ("evaluate", "mesh", "tessellate", "validity"), _EXPORTS)

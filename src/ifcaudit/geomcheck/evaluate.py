@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .. import spf  # its writer loads only to name a value in an error
 from .._lazy import lazy
-from ..errors import MalformedFile, UnsupportedShape
+from ..errors import MalformedFile, NotAReference, NotFound, UnsupportedShape, WrongType
 from ..geomgen.suite import DEFAULT_PRECISION, PROFILE_LAYOUTS, Profile, ShapeKind
 from ..schema import layout
 from ..spf.model import (
@@ -20,7 +20,7 @@ from ..spf.model import (
     ListValue,
     Reference,
 )
-from ..spf.values import number, numbers, target, text, walk
+from ..spf.values import follow, number, numbers, text, walk
 from .mesh import TriMesh, cross3
 from .tessellate import (
     crane_rail_polygon,
@@ -43,6 +43,9 @@ DIRECTION_DOT_TOLERANCE = 1e-12
 #: so it gets an error of its own instead of exhausting memory for the file;
 #: a 1024-segment revolution of the suite makes about 2.1 M.
 TRIANGLE_BUDGET = 2**24
+#: Largest usable precision. A solid is displayed when its volume exceeds
+#: the precision cubed, and 5e102 cubed, 1.25e308, is still a float.
+MAX_PRECISION = 5e102
 
 #: Attribute positions, by name, of the entities read here.
 POINT, DIRECTION, PLANE = layout("IFCCARTESIANPOINT"), layout("IFCDIRECTION"), layout("IFCPLANE")
@@ -105,10 +108,10 @@ def classify_z(zmin: float, zmax: float, band: float) -> ZRelation:
 
 def _expect(graph: InstanceGraph, ref: AttributeValue, what: str, *types: str) -> EntityInstance:
     """The instance ``ref`` names; any type but ``types`` is unsupported."""
-    inst = graph.deref(ref)
-    if inst.type_name not in types:
-        raise UnsupportedShape(f"{what} {inst.type_name}")
-    return inst
+    try:
+        return follow(graph, ref, *types)
+    except WrongType as exc:
+        raise UnsupportedShape(f"{what} {exc}") from None
 
 
 def _point(graph: InstanceGraph, ref: AttributeValue, dim: int = 3) -> np.ndarray:
@@ -208,12 +211,18 @@ def _profile_polygon(
 # --- item collection ---------------------------------------------------------
 
 
+def usable_precision(value: float) -> bool:
+    """Whether ``value`` can be the point-equality tolerance: above 0 and at
+    most :data:`MAX_PRECISION` (NaN is neither)."""
+    return 0 < value <= MAX_PRECISION
+
+
 def context_precision(graph: InstanceGraph) -> float | None:
-    """Point-equality tolerance declared in the geometric representation
-    context, if any."""
+    """The first usable point-equality tolerance declared in a geometric
+    representation context, if any."""
     for context in graph.by_type("IFCGEOMETRICREPRESENTATIONCONTEXT"):
         value = number(context.attr(CONTEXT.Precision))
-        if value is not None and 0 < value < math.inf:
+        if value is not None and usable_precision(value):
             return value
     return None
 
@@ -386,7 +395,10 @@ def _eval_swept_disk(
         raise UnsupportedShape("only straight two-point directrices are supported")
     p0 = _point(graph, point_refs.items[0])
     p1 = _point(graph, point_refs.items[1])
-    if not (p1 - p0).any():
+    span = math.dist(p0, p1)  # in Python floats: past the float range it is inf, and no warning
+    if not math.isfinite(span):
+        raise UnsupportedShape(f"directrix #{directrix.id} has length {span:g}")
+    if span == 0:
         return _not_displayed(shape_class, "zero-length directrix; nothing to evaluate")
     radius = number(root.attr(DISK.Radius)) or 0.0
     start = number(root.attr(DISK.StartParam))
@@ -406,7 +418,7 @@ def _eval_swept_disk(
         return _not_displayed(shape_class, "empty sweep after clamping")
     a = p0 + (p1 - p0) * start
     axis = p0 + (p1 - p0) * end - a
-    length = np.linalg.norm(axis)
+    length = math.hypot(*axis)  # finite, as the span is; numpy's norm squares first and can overflow
     if length == 0:  # the clamped parameters meet at one point
         return _not_displayed(shape_class, "zero-length sweep; nothing to evaluate")
     _within_budget(4 * segments - 4)  # two caps of n - 2, two per side
@@ -421,8 +433,10 @@ def directrix_range(
     graph: InstanceGraph, ref: AttributeValue
 ) -> tuple[float, float] | None:
     """Parameter range of a polyline directrix: 0 to its segment count."""
-    curve = target(graph, ref, "IFCPOLYLINE")
-    points = None if curve is None else curve.attr(POLYLINE.Points)
+    try:
+        points = follow(graph, ref, "IFCPOLYLINE").attr(POLYLINE.Points)
+    except (NotAReference, NotFound, WrongType):
+        return None
     if not isinstance(points, ListValue):
         return None
     return 0.0, float(len(points.items) - 1)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import UnsupportedShape
+from ..errors import NotAReference, NotFound, UnsupportedShape, WrongType
 from ..geomgen.suite import InvalidReason
 from ..spf.model import EntityInstance, InstanceGraph, TypedValue
-from ..spf.values import number, ratios, walk
-from .evaluate import DIRECTION_DOT_TOLERANCE, DISK, EXTRUSION, SHAPES, directrix_range
+from ..spf.values import follow, number, numbers, walk
+from .evaluate import DIRECTION, DIRECTION_DOT_TOLERANCE, DISK, EXTRUSION, SHAPES, directrix_range
 
 
 @dataclass
@@ -70,8 +70,12 @@ def check_validity(
 
     for inst in instances:
         if inst.type_name == "IFCEXTRUDEDAREASOLID":
-            direction = ratios(graph, inst.attr(EXTRUSION.ExtrudedDirection), "IFCDIRECTION")
-            if direction is None or len(direction) < 3:
+            try:
+                record = follow(graph, inst.attr(EXTRUSION.ExtrudedDirection), "IFCDIRECTION")
+                direction = numbers(record.attr(DIRECTION.DirectionRatios)) or []
+            except (NotAReference, NotFound, WrongType):
+                direction = []
+            if len(direction) < 3:
                 details.append(f"#{inst.id}: extrusion direction unreadable")
                 continue
             # the profile lies in the XY plane of the solid's position, so the

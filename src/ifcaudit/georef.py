@@ -14,10 +14,10 @@ import math
 from typing import Any
 
 from ._record import FrozenRecord, Record, set_field
-from .errors import BadLength, MixedSign
+from .errors import BadLength, MixedSign, NotAReference, NotFound, WrongType
 from .schema import SchemaVersion, layout
-from .spf.model import UNSET, EntityInstance, EnumToken, InstanceGraph, Reference
-from .spf.values import integers, number, ratios, target, text, texts
+from .spf.model import UNSET, EntityInstance, EnumToken, InstanceGraph
+from .spf.values import follow, integers, number, numbers, text, texts
 
 #: Location magnitude below which a placement counts as "at the origin".
 ORIGIN_TOLERANCE = 1e-9
@@ -123,10 +123,29 @@ def detect_georef(graph: InstanceGraph) -> LoGeoRefReport:
     return report
 
 
-def _dangling(graph: InstanceGraph, value, what: str, report: LoGeoRefReport) -> None:
-    """Name a reference that a detector follows when its target is missing."""
-    if isinstance(value, Reference) and value.id not in graph:
+def _follow(
+    graph: InstanceGraph, value, what: str, type_name: str, report: LoGeoRefReport
+) -> EntityInstance | None:
+    """The ``type_name`` instance that ``value`` references, else ``None``
+    and, unless ``value`` is unset, a diagnostic that names the read ``what``."""
+    try:
+        return follow(graph, value, type_name)
+    except NotFound:
         report.diagnostics.append(f"{what} #{value.id} dangling")
+    except WrongType as exc:
+        report.diagnostics.append(f"{what} #{value.id} is {exc}")
+    except NotAReference:
+        pass
+    return None
+
+
+def _ratios(
+    graph: InstanceGraph, value, what: str, type_name: str, report: LoGeoRefReport
+) -> list[float] | None:
+    """The numbers of the point or direction that :func:`_follow` reads: its
+    first attribute, the Coordinates or the DirectionRatios."""
+    inst = _follow(graph, value, what, type_name, report)
+    return None if inst is None else numbers(inst.attr(0))
 
 
 def _detect_l10(
@@ -138,9 +157,8 @@ def _detect_l10(
     hosts = [("site", s, SITE.SiteAddress) for s in sites]
     hosts += [("building", b, BUILDING.BuildingAddress) for b in buildings]
     for host_kind, host, address_index in hosts:
-        ref = host.attr(address_index)
-        _dangling(graph, ref, f"{host_kind} address reference", report)
-        address = target(graph, ref, "IFCPOSTALADDRESS")
+        what = f"{host_kind} address reference"
+        address = _follow(graph, host.attr(address_index), what, "IFCPOSTALADDRESS", report)
         if address is None or LoGeoRefLevel.L10 in report.detected:
             continue  # the first address is the payload
         fields = {
@@ -190,24 +208,22 @@ def _detect_l20(
 def _detect_l30(
     graph: InstanceGraph, site: EntityInstance, unit_name: str, report: LoGeoRefReport
 ) -> None:
-    placement_ref = site.attr(SITE.ObjectPlacement)
-    _dangling(graph, placement_ref, "site placement", report)
-    placement = target(graph, placement_ref, "IFCLOCALPLACEMENT")
+    what = "site placement"
+    placement = _follow(graph, site.attr(SITE.ObjectPlacement), what, "IFCLOCALPLACEMENT", report)
     relative = UNSET if placement is None else placement.attr(LOCAL.RelativePlacement)
-    _dangling(graph, relative, "site relative placement", report)
-    axis = target(graph, relative, "IFCAXIS2PLACEMENT3D")
+    axis = _follow(graph, relative, "site relative placement", "IFCAXIS2PLACEMENT3D", report)
     if axis is None:
         return
-    location = ratios(graph, axis.attr(AXIS.Location), "IFCCARTESIANPOINT")
-    axis_dir = ratios(graph, axis.attr(AXIS.Axis), "IFCDIRECTION")
-    ref_dir = ratios(graph, axis.attr(AXIS.RefDirection), "IFCDIRECTION")
+    read = axis.attr
+    location = _ratios(graph, read(AXIS.Location), f"{what} location", "IFCCARTESIANPOINT", report)
+    axis_dir = _ratios(graph, read(AXIS.Axis), f"{what} axis", "IFCDIRECTION", report)
+    ref_dir = _ratios(
+        graph, read(AXIS.RefDirection), f"{what} ref direction", "IFCDIRECTION", report
+    )
     nonzero = location is not None and any(abs(c) > ORIGIN_TOLERANCE for c in location)
     if not nonzero and axis_dir is None and ref_dir is None:
         return
-    payload: dict[str, Any] = {
-        "reference_point": location,
-        "unit": unit_name,
-    }
+    payload: dict[str, Any] = {"reference_point": location, "unit": unit_name}
     if axis_dir is not None:
         payload["axis"] = axis_dir
     if ref_dir is not None:
@@ -217,16 +233,15 @@ def _detect_l30(
 
 def _detect_l40(graph: InstanceGraph, unit_name: str, report: LoGeoRefReport) -> None:
     for context in graph.by_type("IFCGEOMETRICREPRESENTATIONCONTEXT"):
+        what = "representation context"
         wcs = context.attr(CONTEXT.WorldCoordinateSystem)
-        _dangling(graph, wcs, "representation context world coordinate system", report)
-        axis = target(graph, wcs, "IFCAXIS2PLACEMENT3D")
+        axis = _follow(graph, wcs, f"{what} world coordinate system", "IFCAXIS2PLACEMENT3D", report)
         read = (lambda _: UNSET) if axis is None else axis.attr  # no axis: all unset
-        origin = ratios(graph, read(AXIS.Location), "IFCCARTESIANPOINT")
+        origin = _ratios(graph, read(AXIS.Location), f"{what} origin", "IFCCARTESIANPOINT", report)
         axes_set = read(AXIS.Axis) is not UNSET or read(AXIS.RefDirection) is not UNSET
-        north = ratios(graph, context.attr(CONTEXT.TrueNorth), "IFCDIRECTION")
-        origin_nonzero = origin is not None and any(
-            abs(c) > ORIGIN_TOLERANCE for c in origin
-        )
+        north = context.attr(CONTEXT.TrueNorth)
+        north = _ratios(graph, north, f"{what} true north", "IFCDIRECTION", report)
+        origin_nonzero = origin is not None and any(abs(c) > ORIGIN_TOLERANCE for c in origin)
         if not origin_nonzero and not axes_set and north is None:
             continue
         payload: dict[str, Any] = {"origin": origin, "unit": unit_name}
@@ -248,8 +263,8 @@ def _detect_l50(
         )
         return
     conversion = conversions[0]
-    _dangling(graph, conversion.attr(CONVERSION.TargetCRS), "map conversion target CRS", report)
-    crs = target(graph, conversion.attr(CONVERSION.TargetCRS), "IFCPROJECTEDCRS")
+    what = "map conversion target CRS"
+    crs = _follow(graph, conversion.attr(CONVERSION.TargetCRS), what, "IFCPROJECTEDCRS", report)
     crs_name = None if crs is None else text(crs.attr(CRS.Name))
     if crs_name is None:
         report.diagnostics.append("IfcMapConversion without IfcProjectedCRS target")

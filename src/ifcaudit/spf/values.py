@@ -1,15 +1,17 @@
-"""Readers for attribute values: numbers, texts, references and ratios.
+"""Readers for attribute values: numbers, texts and references.
 
 Every analysis reads attribute trees through these helpers, so a typed
 wrapper such as ``IFCLENGTHMEASURE(2.)`` or a wrong-kind value is handled the
 same way everywhere: readers return ``None`` (or an empty list for text
-lists) instead of raising.
+lists) instead of raising; :func:`follow` raises why a reference is not
+followed, and each reader decides which reasons it reports.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from ..errors import WrongType
 from .model import (
     AttributeValue,
     EntityInstance,
@@ -17,7 +19,6 @@ from .model import (
     Integer,
     ListValue,
     Real,
-    Reference,
     Text,
     TypedValue,
 )
@@ -76,22 +77,12 @@ def walk(value: AttributeValue) -> Iterator[AttributeValue]:
         yield from walk(value.value)
 
 
-def target(
-    graph: InstanceGraph, value: AttributeValue, type_name: str
-) -> EntityInstance | None:
-    """The ``type_name`` instance that ``value`` references; ``None`` for a
-    non-reference, a dangling reference or another type."""
-    if not isinstance(value, Reference) or value.id not in graph:
-        return None
-    inst = graph.resolve(value.id)
-    return inst if inst.type_name == type_name else None
-
-
-def ratios(
-    graph: InstanceGraph, value: AttributeValue, type_name: str
-) -> list[float] | None:
-    """Numbers in the first attribute of the ``type_name`` instance that
-    ``value`` references, e.g. a point's coordinates or a direction's
-    ratios; ``None`` where :func:`target` gives none."""
-    inst = target(graph, value, type_name)
-    return None if inst is None else numbers(inst.attr(0))
+def follow(graph: InstanceGraph, value: AttributeValue, *types: str) -> EntityInstance:
+    """The instance that ``value`` references, when its type is one of
+    ``types``. Else it raises the reason: :class:`NotAReference` for any
+    other value (unset among them), :class:`NotFound` for a dangling
+    reference and :class:`WrongType` for a target of another type."""
+    inst = graph.deref(value)
+    if inst.type_name not in types:
+        raise WrongType(inst.type_name)
+    return inst

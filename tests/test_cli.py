@@ -608,6 +608,38 @@ def verdict_of(item):
     return {key: item[key] for key in ("validity", "reasons", "validity_warnings")}
 
 
+def test_directrix_past_the_float_range_is_an_item_error(capsys, suite_file):
+    """F4's directrix from (-1.E308,0.,0.) to (1.E308,0.,0.): its length is
+    past the float range, so F4 is an item error that names the directrix,
+    with no numpy warning, and every other item is as before."""
+    import warnings
+
+    from ifcaudit.geomcheck import shape_roots, suite_proxies
+    from ifcaudit.spf import load
+
+    out, _ = suite_file
+    capsys.readouterr()
+    _, stdout, _ = run(capsys, "check", str(out), "--segments", "8")
+    intact = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    graph = load(out)
+    (root,) = shape_roots(graph, next(p for p in suite_proxies(graph) if text(p.attr(3)) == "F4"))
+    directrix = graph.deref(root.attr(0))
+    for point, x in zip(directrix.attr(0).items, ("-1.E308", "1.E308")):
+        rewrite_once(out, rf"(#{point.id}=IFCCARTESIANPOINT\(\()[^)]*", rf"\g<1>{x},0.,0.")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run(capsys, "check", str(out), "--segments", "8")
+    error = f"directrix #{directrix.id} has length inf"
+    assert (code, caught, err) == (0, [], f"F4: error: {error}\n")
+    items = {i["slot"]: i for i in json.loads(stdout)["items"]}
+    assert items.pop("F4") == {
+        "slot": "F4", "definition": intact["F4"]["definition"], **verdict_of(intact["F4"]),
+        "error": error,
+    }
+    assert items == {s: i for s, i in intact.items() if s != "F4"}
+
+
 def test_check_far_from_the_origin(capsys, suite_file):
     from ifcaudit.geomcheck import suite_proxies
     from ifcaudit.spf import load
@@ -894,10 +926,51 @@ def test_numeric_option_must_be_finite_and_positive(
     code, stdout, err = run(capsys, *argv, option, value)
     assert code == 2
     assert stdout == ""
-    assert err.splitlines() == [
-        f"error: {option} must be a finite number above 0, not {float(value)}"
-    ]
+    rule = "above 0 and at most 5e+102" if command == "check" else "a finite number above 0"
+    assert err.splitlines() == [f"error: {option} must be {rule}, not {float(value)}"]
     assert not written.exists()
+
+
+@pytest.mark.parametrize("source", ["option", "manifest", "context 1.E103", "context 1.E308"])
+def test_precision_whose_cube_overflows(capsys, suite_file, source):
+    """A precision above 5e102 has a cube, the least volume a displayed
+    solid has, past the float range. ``check`` refuses it as an option or
+    in a manifest, exit 2 with one error line, and passes over it in the
+    file's context for the default precision, as it does a precision of 0."""
+    out, manifest = suite_file
+    capsys.readouterr()
+    code, intact, err = run(capsys, "check", str(out), "--segments", "8")
+    assert (code, err) == (0, "")
+    argv = ["check", str(out), "--segments", "8"]
+    if source == "option":
+        argv += ["--precision", "1e103"]
+    elif source == "manifest":
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**data, "precision": 1e300}))
+        argv += ["--manifest", str(manifest)]
+    else:
+        value = source.split()[-1]
+        rewrite_once(out, r"(IFCGEOMETRICREPRESENTATIONCONTEXT\([^,]*,[^,]*,3,)[^,]*", rf"\g<1>{value}")
+    code, stdout, err = run(capsys, *argv)
+    if source.startswith("context"):
+        assert (code, stdout, err) == (0, intact, "")
+        return
+    reason = {
+        "option": "--precision must be above 0 and at most 5e+102, not 1e+103",
+        "manifest": f"{manifest}: not a suite manifest (ValueError: precision 1e+300 is not "
+        "above 0 and at most 5e+102)",
+    }[source]
+    assert (code, stdout, err) == (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize("value", ["1e102", "5e102"])
+def test_largest_precisions_still_check(capsys, suite_file, value):
+    # a unit cube is not displayed at a precision this coarse, and nothing overflows
+    out, _ = suite_file
+    capsys.readouterr()
+    code, stdout, err = run(capsys, "check", str(out), "--segments", "8", "--precision", value)
+    assert (code, err) == (0, "")
+    assert not any(item["displayed"] for item in json.loads(stdout)["items"])
 
 
 @pytest.mark.parametrize(

@@ -151,46 +151,86 @@ def test_report_as_dict_shape():
 
 _NO_CRS = "IfcMapConversion without IfcProjectedCRS target"
 
-#: Each reference a detector follows: the fixture that sets it, the instance
-#: and attribute index holding it, and the report's (levels, diagnostics)
-#: when it is intact, unset, dangling (#97) or names an IFCDIRECTION (#98).
+#: Each reference a detector follows: the fixture that sets it, the type and
+#: attribute index of the first instance in the file that holds it, and the
+#: report's (levels, diagnostics) when it is intact, unset, dangling (#97) or
+#: names an IFCSIUNIT (#98), a type that no detector reads.
 REFERENCE_EDGES = {
     "site-address": (georef_fixture_l10, "IFCSITE", 13, {
         "intact": ([10], []),
         "unset": ([], []),
         "dangling": ([], ["site address reference #97 dangling"]),
-        "wrong-type": ([], []),
+        "wrong-type": ([], ["site address reference #98 is IFCSIUNIT"]),
     }),
     "building-address": (lambda: georef_fixture_l10(host="building"), "IFCBUILDING", 11, {
         "intact": ([10], []),
         "unset": ([], []),
         "dangling": ([], ["building address reference #97 dangling"]),
-        "wrong-type": ([], []),
+        "wrong-type": ([], ["building address reference #98 is IFCSIUNIT"]),
     }),
     "site-placement": (georef_fixture_l30, "IFCSITE", 5, {
         "intact": ([30], []),
         "unset": ([], []),
         "dangling": ([], ["site placement #97 dangling"]),
-        "wrong-type": ([], []),
+        "wrong-type": ([], ["site placement #98 is IFCSIUNIT"]),
     }),
     "relative-placement": (georef_fixture_l30, "IFCLOCALPLACEMENT", 1, {
         "intact": ([30], []),
         "unset": ([], []),
         "dangling": ([], ["site relative placement #97 dangling"]),
-        "wrong-type": ([], []),
+        "wrong-type": ([], ["site relative placement #98 is IFCSIUNIT"]),
     }),
+    "site-location": (georef_fixture_l30, "IFCAXIS2PLACEMENT3D", 0, {
+        "intact": ([30], []),
+        "unset": ([], []),
+        "dangling": ([], ["site placement location #97 dangling"]),
+        "wrong-type": ([], ["site placement location #98 is IFCSIUNIT"]),
+    }),
+    # at the origin, so the direction alone makes the site placement level 30
+    "site-axis": (
+        lambda: georef_fixture_l30(location=(0, 0, 0), axis=(0, 0, 1)), "IFCAXIS2PLACEMENT3D", 1, {
+            "intact": ([30], []),
+            "unset": ([], []),
+            "dangling": ([], ["site placement axis #97 dangling"]),
+            "wrong-type": ([], ["site placement axis #98 is IFCSIUNIT"]),
+        },
+    ),
+    "site-ref-direction": (
+        lambda: georef_fixture_l30(location=(0, 0, 0), ref_direction=(1, 0, 0)),
+        "IFCAXIS2PLACEMENT3D", 2, {
+            "intact": ([30], []),
+            "unset": ([], []),
+            "dangling": ([], ["site placement ref direction #97 dangling"]),
+            "wrong-type": ([], ["site placement ref direction #98 is IFCSIUNIT"]),
+        },
+    ),
     # TrueNorth is set, so the context is level 40 whatever its WCS
     "context-wcs": (georef_fixture_l40, "IFCGEOMETRICREPRESENTATIONCONTEXT", 4, {
         "intact": ([40], []),
         "unset": ([40], []),
         "dangling": ([40], ["representation context world coordinate system #97 dangling"]),
-        "wrong-type": ([40], []),
+        "wrong-type": ([40], ["representation context world coordinate system #98 is IFCSIUNIT"]),
     }),
+    # without TrueNorth, the WCS origin alone makes the context level 40
+    "context-origin": (lambda: georef_fixture_l40(true_north=None), "IFCAXIS2PLACEMENT3D", 0, {
+        "intact": ([40], []),
+        "unset": ([], []),
+        "dangling": ([], ["representation context origin #97 dangling"]),
+        "wrong-type": ([], ["representation context origin #98 is IFCSIUNIT"]),
+    }),
+    "context-true-north": (
+        lambda: georef_fixture_l40(origin=(0, 0, 0)), "IFCGEOMETRICREPRESENTATIONCONTEXT", 5, {
+            "intact": ([40], []),
+            "unset": ([], []),
+            "dangling": ([], ["representation context true north #97 dangling"]),
+            "wrong-type": ([], ["representation context true north #98 is IFCSIUNIT"]),
+        },
+    ),
     "map-conversion-crs": (georef_fixture_l50, "IFCMAPCONVERSION", 1, {
         "intact": ([50], []),
         "unset": ([], [_NO_CRS]),
         "dangling": ([], ["map conversion target CRS #97 dangling", _NO_CRS]),
-        "wrong-type": ([], [_NO_CRS]),
+        "wrong-type": ([], ["map conversion target CRS #98 is IFCSIUNIT", _NO_CRS]),
     }),
 }
 
@@ -205,14 +245,14 @@ def test_reference_edges(edge, case):
     fixture, type_name, index, cases = REFERENCE_EDGES[edge]
     graph = fixture()
     assert 97 not in graph and 98 not in graph
-    (holder,) = graph.by_type(type_name)
+    holder = graph.by_type(type_name)[0]
     attrs = list(holder.attributes)
     assert isinstance(attrs[index], Reference)
     replacement = {"unset": UNSET, "dangling": Reference(97), "wrong-type": Reference(98)}
     attrs[index] = replacement.get(case, attrs[index])
     edited = f"#{holder.id}={type_name}({','.join(map(format_value, attrs))});"
     lines = [edited if line.startswith(f"#{holder.id}=") else line for line in record_lines(graph)]
-    graph = with_record_lines(graph, lines + ["#98=IFCDIRECTION((0.,1.));"])
+    graph = with_record_lines(graph, lines + ["#98=IFCSIUNIT(*,.PLANEANGLEUNIT.,$,.RADIAN.);"])
     report = detect_georef(graph)
     assert (report.levels, report.diagnostics) == cases[case]
 

@@ -39,9 +39,14 @@ def minimal_building(schema: str = "IFC2X3") -> InstanceGraph:
 
 
 def _site_skeleton(b: GraphBuilder, *, lat=None, lon=None, elevation=None,
-                   site_location=(0.0, 0.0, 0.0), address: Reference | None = None):
+                   site_location=(0.0, 0.0, 0.0), address: Reference | None = None,
+                   directions=(None, None)):
     origin = b.add("IFCCARTESIANPOINT", tuple(float(c) for c in site_location))
-    axis = b.add("IFCAXIS2PLACEMENT3D", origin, None, None)
+    axis_dir, ref_dir = (
+        None if ratios is None else b.add("IFCDIRECTION", tuple(map(float, ratios)))
+        for ratios in directions
+    )
+    axis = b.add("IFCAXIS2PLACEMENT3D", origin, axis_dir, ref_dir)
     placement = b.add("IFCLOCALPLACEMENT", None, axis)
     return b.add(
         "IFCSITE", "siteguid", None, "Site", None, None, placement, None, None,
@@ -81,10 +86,13 @@ def georef_fixture_l20(schema: str = "IFC2X3",
 
 
 def georef_fixture_l30(schema: str = "IFC2X3",
-                       location=(85321.25, 446714.5, 1.75)) -> InstanceGraph:
+                       location=(85321.25, 446714.5, 1.75),
+                       axis=None, ref_direction=None) -> InstanceGraph:
+    """A site placed at ``location``, its placement's Axis and RefDirection
+    set where they are given."""
     b = GraphBuilder(schema)
     _length_unit(b)
-    _site_skeleton(b, site_location=location)
+    _site_skeleton(b, site_location=location, directions=(axis, ref_direction))
     return b.graph()
 
 
@@ -95,7 +103,7 @@ def georef_fixture_l40(schema: str = "IFC2X3",
     units = _length_unit(b)
     wcs_origin = b.add("IFCCARTESIANPOINT", tuple(float(c) for c in origin))
     wcs = b.add("IFCAXIS2PLACEMENT3D", wcs_origin, None, None)
-    north = b.add("IFCDIRECTION", tuple(float(c) for c in true_north))
+    north = None if true_north is None else b.add("IFCDIRECTION", tuple(map(float, true_north)))
     ctx = b.add(
         "IFCGEOMETRICREPRESENTATIONCONTEXT", None, "Model", 3, 1e-5, wcs, north
     )
